@@ -264,14 +264,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rate-min", type=float, default=0.0)
     sp.add_argument("--rate-max", type=float, default=1.0)
     sp.add_argument("--steps", type=int, default=21)
-    sp.add_argument("--variants", default="petz,sandwiched,flat")
     sp.set_defaults(fn=cmd_exponents)
 
     sp = sub.add_parser("simulate")
     common(sp)
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--rate", type=float)
-    sp.add_argument("--w-size", type=int, dest="w_size")
     sp.add_argument("--trials", type=int, default=10)
     sp.set_defaults(fn=cmd_simulate)
 

@@ -223,8 +223,22 @@ def petz_sigma_star(s: CQState, alpha: float) -> DensityOperator:
     acc = np.zeros((s.dim_b, s.dim_b), dtype=np.complex128)
     for p, r in _blocks(s):
         acc += spectral_power(p * r, alpha)
-    m = spectral_power(acc, 1.0 / alpha)
+    # the normalization cancels any scale of acc; dividing its eigenvalues
+    # by the largest first keeps the power 1/alpha from overflowing at small
+    # alpha
+    w, v = eig_hermitian(acc)
+    on = w > DEFAULT_POLICY.relative_cutoff * float(w[-1])
+    m = (v[:, on] * (w[on] / w[-1]) ** (1.0 / alpha)) @ v[:, on].conj().T
     return DensityOperator(m / np.real(np.trace(m)), check=False)
+
+
+def petz_h0(s: CQState) -> float:
+    """H_0 up-arrow of the petz family in closed form: log2 of the largest
+    eigenvalue of sum_x Pi_x over the supports of the nonzero-probability
+    blocks; classically log2 max_b |supp P_(X|B=b)|."""
+    acc = sum(support_projector(r) for _, r in _blocks(s))
+    w, _ = eig_hermitian(acc)
+    return math.log2(float(w[-1]))
 
 
 def _traceless_basis(d: int):
@@ -298,10 +312,13 @@ def h_up(s: CQState, alpha: float, variant: str = "petz",
          sigma0_params=None) -> OptimizerReport:
     """Conditional Renyi entropy maximized over the side-information state."""
     if alpha == 0.0:
-        val = _richardson_zero_limit(
-            lambda a: h_up(s, a, variant, method, restarts, sigma0_params).value
-        )
         rep = h_up(s, 1e-3, variant, method, restarts, sigma0_params)
+        if variant == "petz":
+            val = petz_h0(s)
+        else:
+            val = _richardson_zero_limit(
+                lambda a: h_up(s, a, variant, method, restarts, sigma0_params).value
+            )
         return OptimizerReport(rep.sigma_star, val, rep.iterations, rep.residual)
     if abs(alpha - 1.0) < _ALPHA_ONE_WINDOW:
         return OptimizerReport(marginal_b(s), conditional_entropy(s), 0, 0.0)

@@ -10,6 +10,7 @@ hold with equality.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,8 +22,8 @@ from cqsw.errors import (
     InvariantViolation,
     WTooLargeError,
 )
-from cqsw.operators import _as_matrix, eig_hermitian
-from cqsw.states import CQState, as_joint_operator, marginal_b, power_state
+from cqsw.operators import _as_matrix, eig_hermitian, tensor
+from cqsw.states import CQState, as_joint_operator, marginal_b, type_classes
 
 _KER_TOL = 1e-10
 _BISECT_ITERS = 64
@@ -54,31 +55,41 @@ class TestOperator:
         return t1, t2
 
 
+def _split(rb, sb, t):
+    """Eigenvectors of rho - t sigma with masks of its strictly positive
+    eigenspace and of its kernel."""
+    w, v = eig_hermitian(rb - t * sb)
+    scale = float(np.max(np.abs(w))) if w.size else 0.0
+    cut = _KER_TOL * max(scale, 1.0)
+    return v, w > cut, np.abs(w) <= cut
+
+
 def _threshold_masses(blocks, t):
-    """Eigen-split of rho - t sigma per block: masses of rho and sigma on the
-    strictly positive eigenspace and on the kernel, plus the eigendata."""
+    """Masses of rho and sigma on the strictly positive eigenspace and on the
+    kernel of rho - t sigma, summed over blocks (weight, rho, sigma) with
+    each block's masses counted weight times."""
     pos_r = pos_s = ker_r = ker_s = 0.0
-    eigendata = []
-    for rb, sb in blocks:
-        a = rb - t * sb
-        w, v = eig_hermitian(a)
-        scale = float(np.max(np.abs(w))) if w.size else 0.0
-        cut = _KER_TOL * max(scale, 1.0)
-        pos = w > cut
-        ker = np.abs(w) <= cut
+    for wt, rb, sb in blocks:
+        v, pos, ker = _split(rb, sb, t)
         rd = np.real(np.einsum("ij,jk,ki->i", v.conj().T, rb, v))
         sd = np.real(np.einsum("ij,jk,ki->i", v.conj().T, sb, v))
-        pos_r += float(np.sum(rd[pos]))
-        pos_s += float(np.sum(sd[pos]))
-        ker_r += float(np.sum(rd[ker]))
-        ker_s += float(np.sum(sd[ker]))
-        eigendata.append((v, pos, ker))
-    return pos_r, pos_s, ker_r, ker_s, eigendata
+        pos_r += wt * float(np.sum(rd[pos]))
+        pos_s += wt * float(np.sum(sd[pos]))
+        ker_r += wt * float(np.sum(rd[ker]))
+        ker_s += wt * float(np.sum(sd[ker]))
+    return pos_r, pos_s, ker_r, ker_s
 
 
-def _np_threshold(blocks, target: float, match: str):
+def _mass_memo(blocks):
+    """t -> _threshold_masses(blocks, t), each t evaluated once. The memo
+    keeps the four scalars only, so its size does not grow with the blocks."""
+    return functools.cache(lambda t: _threshold_masses(blocks, t))
+
+
+def _np_threshold(masses, target: float, match: str):
     """Find (t, c) so the chosen mass of Q = P + cK equals target exactly.
 
+    masses maps a threshold t to the four masses of _threshold_masses.
     match = "rho" equates Tr[Q rho] with target; match = "sigma" equates
     Tr[Q sigma]. Both are nonincreasing in t, so plain bisection applies.
     Returns (t, c, masses) for the final threshold.
@@ -86,21 +97,20 @@ def _np_threshold(blocks, target: float, match: str):
     idx = 0 if match == "rho" else 1
 
     def span(t):
-        pr, ps, kr, ks, data = _threshold_masses(blocks, t)
-        lo_mass = (pr, ps)[idx]
-        k_mass = (kr, ks)[idx]
-        return lo_mass, lo_mass + k_mass, kr + ks, (pr, ps, kr, ks, data)
+        m = masses(t)
+        lo_mass = m[idx]
+        return lo_mass, lo_mass + m[2 + idx], m[2] + m[3]
 
     lo, hi = 0.0, 1.0
     # grow the bracket until the matched mass falls below target at hi
     for _ in range(200):
-        lo_mass, hi_mass, _, _ = span(hi)
+        lo_mass, hi_mass, _ = span(hi)
         if hi_mass <= target or hi > 1e60:
             break
         hi *= 4.0
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        lo_mass, hi_mass, k_total, _ = span(mid)
+        lo_mass, hi_mass, k_total = span(mid)
         # the 1e-12 slack keeps rounding noise in the masses from being
         # chased by the bisection, which would bias the test first-order
         if lo_mass > target + 1e-12:
@@ -116,44 +126,37 @@ def _np_threshold(blocks, target: float, match: str):
             # so move toward the smallest threshold consistent with it
             hi = mid
     t = 0.5 * (lo + hi)
-    lo_mass, hi_mass, _, masses = span(t)
+    lo_mass, hi_mass, _ = span(t)
     k_mass = hi_mass - lo_mass
     if k_mass > 1e-15:
         c = (target - lo_mass) / k_mass
     else:
         c = 0.0
     c = min(max(c, 0.0), 1.0)
-    return t, c, masses
+    return t, c, masses(t)
 
 
-def _assemble_test(blocks, masses, c) -> np.ndarray:
-    """Block-diagonal Q = P + c K from the stored eigendata."""
-    data = masses[4]
-    mats = []
-    for (rb, _), (v, pos, ker) in zip(blocks, data):
-        weights = pos.astype(float) + c * ker.astype(float)
-        mats.append((v * weights) @ v.conj().T)
-    n = sum(m.shape[0] for m in mats)
-    out = np.zeros((n, n), dtype=np.complex128)
-    at = 0
-    for m in mats:
-        d = m.shape[0]
-        out[at:at + d, at:at + d] = m
-        at += d
-    return out
+def _assemble_test(rho, sigma, t, c) -> np.ndarray:
+    """Q = P + c K from one eigendecomposition of rho - t sigma."""
+    v, pos, ker = _split(rho, sigma, t)
+    weights = pos.astype(float) + c * ker.astype(float)
+    return (v * weights) @ v.conj().T
 
 
-def _dh_blocks(blocks, eps: float):
-    """Hypothesis testing divergence on a block-diagonal pair; returns
-    (value, type2, t, c, masses)."""
-    tr_rho = sum(float(np.real(np.trace(rb))) for rb, _ in blocks)
+def _dh_blocks(blocks, eps: float, masses=None):
+    """Hypothesis testing divergence on weighted blocks (weight, rho, sigma)
+    of a block-diagonal pair; returns (value, type2, t, c, masses). Calls
+    on one block list may share a memo from _mass_memo."""
+    if masses is None:
+        masses = _mass_memo(blocks)
+    tr_rho = sum(wt * float(np.real(np.trace(rb))) for wt, rb, _ in blocks)
     target = tr_rho - eps
-    t, c, masses = _np_threshold(blocks, target, "rho")
-    pr, ps, kr, ks, _ = masses
+    t, c, m = _np_threshold(masses, target, "rho")
+    pr, ps, kr, ks = m
     type2 = ps + c * ks
     if type2 <= 0.0:
-        return math.inf, 0.0, t, c, masses
-    return -math.log2(type2), type2, t, c, masses
+        return math.inf, 0.0, t, c, m
+    return -math.log2(type2), type2, t, c, m
 
 
 def hypothesis_testing_divergence(rho, sigma, eps: float):
@@ -167,10 +170,9 @@ def hypothesis_testing_divergence(rho, sigma, eps: float):
         raise InvalidEpsilonError(f"epsilon must lie in [0, 1), got {eps}")
     rho = _as_matrix(rho)
     sigma = _as_matrix(sigma)
-    blocks = [(rho, sigma)]
-    value, type2, t, c, masses = _dh_blocks(blocks, eps)
-    q = _assemble_test(blocks, masses, c)
-    pr, ps, kr, ks, _ = masses
+    value, type2, t, c, masses = _dh_blocks([(1, rho, sigma)], eps)
+    q = _assemble_test(rho, sigma, t, c)
+    pr, ps, kr, ks = masses
     type1 = float(np.real(np.trace(rho))) - (pr + c * kr)
     return value, TestOperator(q, type1, type2)
 
@@ -186,9 +188,9 @@ def hat_alpha(rho, sigma, mu: float) -> float:
     tr_sigma = float(np.real(np.trace(sigma)))
     if not 0.0 < mu <= tr_sigma + 1e-12:
         raise InvalidMuError(f"mu must lie in (0, {tr_sigma:.6g}], got {mu}")
-    blocks = [(rho, sigma)]
-    t, c, masses = _np_threshold(blocks, mu, "sigma")
-    pr, ps, kr, ks, _ = masses
+    blocks = [(1, rho, sigma)]
+    t, c, masses = _np_threshold(_mass_memo(blocks), mu, "sigma")
+    pr, ps, kr, ks = masses
     val = float(np.real(np.trace(rho))) - (pr + c * kr)
     return max(val, 0.0)
 
@@ -218,16 +220,21 @@ def rate_window(s: CQState, n: int, eps: float, alpha: float,
     and error budget eps. Both endpoints come from the hypothesis testing
     divergence of the n-fold state against identity tensor the n-fold
     side-information marginal; the upper endpoint pays a finite-length
-    penalty controlled by the splitting parameter alpha."""
+    penalty controlled by the splitting parameter alpha.
+
+    The n-fold state enters through one block per type class (see
+    `type_classes`), and both endpoints share one memo of threshold masses.
+    """
     if not 0.0 < eps < 1.0:
         raise InvalidEpsilonError(f"epsilon must lie in (0, 1), got {eps}")
     if not 0.0 < alpha < 1.0:
         raise InvalidEpsilonError(f"alpha must lie in (0, 1), got {alpha}")
-    sn = power_state(s, n, cap=cap)
-    rho_b_n = marginal_b(sn).matrix
-    blocks = [(p * r, rho_b_n) for p, r in sn.blocks()]
-    lower_dh, _, _, _, _ = _dh_blocks(blocks, eps)
-    upper_dh, _, _, _, _ = _dh_blocks(blocks, alpha * eps)
+    classes = type_classes(s, n, cap=cap)
+    rho_b_n = tensor(*([marginal_b(s).matrix] * n))
+    blocks = [(mult, p * r, rho_b_n) for mult, p, r in classes]
+    masses = _mass_memo(blocks)
+    lower_dh = _dh_blocks(blocks, eps, masses)[0]
+    upper_dh = _dh_blocks(blocks, alpha * eps, masses)[0]
     penalty = math.log2(8.0 / ((1.0 - alpha) ** 2 * eps))
     lower = -lower_dh / n
     upper = -upper_dh / n + penalty / n

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 
 import numpy as np
 
@@ -119,17 +120,23 @@ def uniform_tau(size: int) -> np.ndarray:
     return np.eye(size) / size
 
 
-def power_state(s: CQState, n: int, cap: int = DEFAULT_CAP) -> CQState:
-    """The n-fold memoryless extension over the alphabet of length-n strings."""
+def _check_nfold(s: CQState, n: int, cap: int) -> None:
+    """n must be positive, and above n = 1 the n-fold joint dimension
+    |X|^n d^n must not exceed cap."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        return s
     total = (s.size_x ** n) * (s.dim_b ** n)
-    if total > cap:
+    if n > 1 and total > cap:
         raise CapExceededError(
             f"n-fold state dimension {total} exceeds cap {cap}"
         )
+
+
+def power_state(s: CQState, n: int, cap: int = DEFAULT_CAP) -> CQState:
+    """The n-fold memoryless extension over the alphabet of length-n strings."""
+    _check_nfold(s, n, cap)
+    if n == 1:
+        return s
     alphabet = []
     probs = []
     ops = []
@@ -138,6 +145,28 @@ def power_state(s: CQState, n: int, cap: int = DEFAULT_CAP) -> CQState:
         probs.append(float(np.prod([s.probs[i] for i in idx])))
         ops.append(DensityOperator(tensor(*(s.side_info[i].matrix for i in idx)), check=False))
     return CQState(alphabet, probs, ops, check=False)
+
+
+def type_classes(s: CQState, n: int, cap: int = DEFAULT_CAP):
+    """One sorted representative per type class of the length-n strings over
+    the nonzero-probability symbols, as (multiplicity, p_{x^n}, rho_{x^n}).
+
+    Permuting tensor factors maps rho_{x^n} to the block of any other string
+    of the same type and fixes every n-fold product sigma^(x)n, so a
+    quantity that sums a unitarily invariant function of (block, sigma^(x)n)
+    over strings needs only these C(n + |X| - 1, n) blocks, each weighted by
+    the size of its class. The cap is the one of `power_state`.
+    """
+    _check_nfold(s, n, cap)
+    blocks = s.blocks()
+    out = []
+    for idx in itertools.combinations_with_replacement(range(len(blocks)), n):
+        mult = math.factorial(n)
+        for k in set(idx):
+            mult //= math.factorial(idx.count(k))
+        p = float(np.prod([blocks[i][0] for i in idx]))
+        out.append((mult, p, tensor(*(blocks[i][1] for i in idx))))
+    return out
 
 
 def _matrix_to_json(m: np.ndarray):

@@ -145,3 +145,9 @@ def test_console_entry_point(dsbs_path):
     )
     assert proc.returncode == 0
     assert "lower" in proc.stdout
+
+
+def test_removed_flags_are_rejected(dsbs_path):
+    assert main(["exponents", "--state", dsbs_path, "--variants", "petz"]) == 2
+    assert main(["simulate", "--state", dsbs_path, "--rate", "0.8",
+                 "--w-size", "2"]) == 2

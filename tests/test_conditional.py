@@ -127,3 +127,30 @@ def test_alpha_zero_limit_support_entropy():
     # for the uniform bit with no side information H_0 = 1
     s = presets.no_side_info()
     assert h_up(s, 0.0, "petz").value == pytest.approx(1.0, abs=1e-6)
+
+
+def test_alpha_zero_petz_classical_support_count():
+    # classical source: H_0 up-arrow is log2 max_b |supp P_(X|B=b)|
+    s = presets.doubly_symmetric(0.11)
+    joint = np.array([p * np.real(np.diag(r.matrix))
+                      for p, r in zip(s.probs, s.side_info)])
+    want = math.log2(int(np.max(np.sum(joint > 0, axis=0))))
+    assert h_up(s, 0.0, "petz").value == pytest.approx(want, abs=1e-12)
+
+
+def test_alpha_zero_petz_rank_deficient_is_finite():
+    rng = np.random.default_rng(2018)
+    s = presets.random_cq_state(rng, 3, 3, full_rank=False)
+    h0 = h_up(s, 0.0, "petz").value
+    assert math.isfinite(h0)
+    # H_alpha up-arrow is nonincreasing in alpha and bounded by log2 |X|
+    assert h_up(s, 0.05, "petz").value <= h0 + 1e-9
+    assert h0 <= math.log2(3) + 1e-12
+
+
+def test_petz_sigma_star_small_alpha_is_finite():
+    rng = np.random.default_rng(4)
+    s = presets.random_cq_state(rng, 3, 2)
+    sig = petz_sigma_star(s, 1e-4).matrix
+    assert np.all(np.isfinite(sig))
+    assert np.real(np.trace(sig)) == pytest.approx(1.0, abs=1e-12)

@@ -151,3 +151,18 @@ def test_second_order_reference_formula():
                                                              abs=1e-9)
     with pytest.raises(DomainError):
         second_order_reference(s, 10, 0.0)
+
+
+def test_sphere_packing_finite_above_entropy_three_symbols():
+    rng = np.random.default_rng(2018)
+    s = presets.random_cq_state(rng, 3, 2, full_rank=True)
+    h1 = conditional_entropy(s)
+    h0 = h_up(s, 0.0, "petz").value
+    assert h1 < h0 < math.inf
+    r = h1 + 0.6 * (h0 - h1)
+    esp = exponent(s, r, "sphere_packing")
+    assert 0.0 < esp < math.inf
+    assert esp >= exponent(s, r, "random_coding") - 1e-9
+    # E_sp(R) = sup_(s > 0) [E_0(s) + s R] with the Sibson closed form E_0
+    grid = max(e0(s, sv) + sv * r for sv in np.geomspace(1e-3, 50.0, 200))
+    assert esp >= grid - 1e-6

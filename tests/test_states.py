@@ -110,3 +110,39 @@ def test_random_commuting_state_is_diagonal():
     s = presets.random_commuting_state(RNG, 2, 3)
     for r in s.side_info:
         assert np.allclose(r.matrix, np.diag(np.diag(r.matrix)), atol=1e-14)
+
+
+def test_type_classes_cover_power_state():
+    from math import comb
+
+    from cqsw.states import type_classes
+    s = presets.random_cq_state(RNG, 3, 2)
+    n = 3
+    classes = type_classes(s, n)
+    assert len(classes) == comb(n + 3 - 1, n)
+    assert sum(m for m, _, _ in classes) == 3 ** n
+    assert sum(m * p for m, p, _ in classes) == pytest.approx(1.0, abs=1e-12)
+    # each representative is a block of the n-fold state, and its class
+    # holds exactly `multiplicity` blocks with its probability and spectrum
+    sn = power_state(s, n)
+    for m, p, r in classes:
+        spec = np.linalg.eigvalsh(r)
+        members = [
+            i for i, q in enumerate(sn.probs)
+            if abs(q - p) <= 1e-15
+            and np.allclose(np.linalg.eigvalsh(sn.side_info[i].matrix), spec,
+                            atol=1e-12)
+        ]
+        assert len(members) == m
+        assert any(np.allclose(sn.side_info[i].matrix, r, atol=1e-15)
+                   for i in members)
+
+
+def test_type_classes_skip_zero_symbols_and_keep_cap():
+    from cqsw.states import type_classes
+    s = CQState(["a", "b", "c"], [0.5, 0.0, 0.5],
+                [np.eye(2) / 2, np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    classes = type_classes(s, 2)
+    assert [m for m, _, _ in classes] == [1, 2, 1]
+    with pytest.raises(CapExceededError):
+        type_classes(s, 4, cap=100)
