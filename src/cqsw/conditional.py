@@ -13,20 +13,25 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
+from cqsw.divergences import (
+    _FLAT_TRACE_SLACK,
+    _check_variant,
+    _full_rank,
+    _sigma_operator,
+    _spectral_q,
+)
 from cqsw.errors import MethodUnsupportedError, NoConvergenceError
 from cqsw.operators import (
     DEFAULT_POLICY,
     eig_hermitian,
-    intersection_projector,
-    spectral_log2,
-    spectral_power,
+    log2_from_spectrum,
+    power_from_spectrum,
     support_contained,
-    support_projector,
+    support_mask,
 )
 from cqsw.states import CQState, DensityOperator, marginal_b
 
 _ALPHA_ONE_WINDOW = 1e-6
-_FLAT_TRACE_SLACK = 1e-9
 _FD_STEP = 1e-5
 
 
@@ -47,24 +52,31 @@ def von_neumann_entropy(m) -> float:
     return float(-np.sum(w[on] * np.log2(w[on])))
 
 
-def _blocks(s: CQState):
-    return s.blocks()
+def _sigma_spectrum(sigma_b):
+    """(matrix, w, v) of sigma_B: the eigendecomposition an operator object
+    keeps (a DensityOperator from `marginal_b`, `petz_sigma_star` or the
+    optimizer's parameterisation), or one new eigendecomposition of a
+    plain matrix."""
+    spectrum = getattr(sigma_b, "spectrum", None)
+    if spectrum is not None:
+        return (sigma_b.matrix, *spectrum())
+    m = np.asarray(sigma_b, dtype=np.complex128)
+    return (m, *eig_hermitian(m))
 
 
 def cq_relative_entropy(s: CQState, sigma_b) -> float:
     """D(rho_XB || 1_X (x) sigma_B) in bits, computed per block."""
-    sigma_b = np.asarray(getattr(sigma_b, "matrix", sigma_b), dtype=np.complex128)
-    log_sigma = spectral_log2(sigma_b)
+    sm, sw, sv = _sigma_spectrum(sigma_b)
+    log_sigma = log2_from_spectrum(sw, sv)
+    full = _full_rank(sw)
     total = 0.0
-    for p, r in _blocks(s):
-        blk = p * r
-        if not support_contained(blk / p, sigma_b):
+    for (p, r), (_, bw, _) in zip(s.blocks(), s.block_spectra()):
+        if not full and not support_contained(r, sm):
             return math.inf
-        w, v = eig_hermitian(blk)
-        cutoff = DEFAULT_POLICY.relative_cutoff * float(np.max(np.abs(w)))
-        on = w > cutoff
-        total += float(np.sum(w[on] * np.log2(w[on])))
-        total -= float(np.real(np.trace(blk @ log_sigma)))
+        cutoff = DEFAULT_POLICY.relative_cutoff * float(np.max(np.abs(bw)))
+        on = bw > cutoff
+        total += float(np.sum(bw[on] * np.log2(bw[on])))
+        total -= p * float(np.real(np.sum(r * log_sigma.T)))
     return total
 
 
@@ -74,115 +86,67 @@ def cq_variance(s: CQState, sigma_b) -> float:
     Same unit convention as relative_entropy_variance: scaled by ln(2) so
     the second derivative of E_0 at s = 0 equals -V with E_0 in bits.
     """
-    sigma_b = np.asarray(getattr(sigma_b, "matrix", sigma_b), dtype=np.complex128)
-    log_sigma = spectral_log2(sigma_b)
+    _, sw, sv = _sigma_spectrum(sigma_b)
+    log_sigma = log2_from_spectrum(sw, sv)
     first = 0.0
     second = 0.0
-    for p, r in _blocks(s):
+    for (p, r), (_, bw, bv) in zip(s.blocks(), s.block_spectra()):
         blk = p * r
-        diff = spectral_log2(blk) - log_sigma
+        diff = log2_from_spectrum(bw, bv) - log_sigma
         first += float(np.real(np.trace(blk @ diff)))
         second += float(np.real(np.trace(blk @ diff @ diff)))
     return math.log(2.0) * (second - first * first)
 
 
-def _is_full_rank(m) -> bool:
-    w, _ = eig_hermitian(m)
-    return bool(w.size) and float(w[0]) > DEFAULT_POLICY.relative_cutoff * float(w[-1])
-
-
-def _flat_block_q(blk, sigma_b, alpha, log_sigma_full=None):
-    if log_sigma_full is not None:
-        # fast path: sigma is full rank, so the intersection of supports is
-        # the support of the block
-        bw, bv = eig_hermitian(blk)
-        cut = DEFAULT_POLICY.relative_cutoff * float(np.max(np.abs(bw)))
-        if float(bw[0]) > cut:
-            log_blk = (bv * np.log2(bw)) @ bv.conj().T
-            m = alpha * log_blk + (1.0 - alpha) * log_sigma_full
-            mw, _ = eig_hermitian(m)
-            return float(np.sum(np.exp2(mw))), float(np.sum(bw))
-        basis = bv[:, bw > cut]
-        if basis.shape[1] == 0:
-            return 0.0, 0.0
-        blk_p = basis.conj().T @ blk @ basis
-        sig_p = basis.conj().T @ sigma_b @ basis
-        kept = float(np.real(np.trace(blk_p)))
-        m = alpha * spectral_log2(blk_p) + (1.0 - alpha) * spectral_log2(sig_p)
-        mw, _ = eig_hermitian(m)
-        return float(np.sum(np.exp2(mw))), kept
-    proj = intersection_projector(blk, sigma_b)
-    w, v = eig_hermitian(proj)
-    basis = v[:, w > 0.5]
-    if basis.shape[1] == 0:
-        return 0.0, 0.0
-    blk_p = basis.conj().T @ blk @ basis
-    sig_p = basis.conj().T @ sigma_b @ basis
-    kept = float(np.real(np.trace(blk_p)))
-    m = alpha * spectral_log2(blk_p) + (1.0 - alpha) * spectral_log2(sig_p)
-    mw, _ = eig_hermitian(m)
-    return float(np.sum(np.exp2(mw))), kept
+def _cq_q(s: CQState, sw, sv, alpha: float, variant: str) -> float:
+    """Q_alpha against 1_X (x) sigma_B, sigma_B = sv diag(sw) sv^dagger, from
+    the state's block spectra."""
+    support = None
+    if variant == "flat" and not _full_rank(sw):
+        support = power_from_spectrum(sw, sv, 0.0)
+    sigma_op = _sigma_operator(sw, sv, alpha, variant)
+    total = 0.0
+    kept = 0.0
+    for _, bw, bv in s.block_spectra():
+        q, k = _spectral_q(bw, bv, sigma_op, alpha, variant, DEFAULT_POLICY, support)
+        total += q
+        kept += k
+    if variant == "flat" and kept < 1.0 - _FLAT_TRACE_SLACK:
+        return 0.0 if alpha < 1.0 else math.nan
+    return total
 
 
 def cq_q_alpha(s: CQState, sigma_b, alpha: float, variant: str) -> float:
     """Q_alpha(rho_XB || 1_X (x) sigma_B) by summing per-symbol blocks."""
-    sigma_b = np.asarray(getattr(sigma_b, "matrix", sigma_b), dtype=np.complex128)
-    if variant == "petz":
-        sa = spectral_power(sigma_b, 1.0 - alpha)
-        return float(sum(
-            np.real(np.trace(spectral_power(p * r, alpha) @ sa))
-            for p, r in _blocks(s)
-        ))
-    if variant == "sandwiched":
-        # singular values of sigma^(e/2) blk^(1/2) square to the eigenvalues
-        # of the sandwiched operator and resolve values far below the noise
-        # floor of the assembled product, which matters when alpha < 1
-        seh = spectral_power(sigma_b, (1.0 - alpha) / (2.0 * alpha))
-        total = 0.0
-        for p, r in _blocks(s):
-            a = seh @ spectral_power(p * r, 0.5)
-            sv = np.linalg.svd(a, compute_uv=False)
-            scale = float(sv[0]) if sv.size else 0.0
-            keep = sv > DEFAULT_POLICY.relative_cutoff * scale
-            total += float(np.sum(sv[keep] ** (2.0 * alpha)))
-        return total
-    if variant == "flat":
-        log_sigma_full = None
-        sw, sv = eig_hermitian(sigma_b)
-        if sw.size and float(sw[0]) > DEFAULT_POLICY.relative_cutoff * float(sw[-1]):
-            log_sigma_full = (sv * np.log2(sw)) @ sv.conj().T
-        total = 0.0
-        kept = 0.0
-        for p, r in _blocks(s):
-            q, k = _flat_block_q(p * r, sigma_b, alpha, log_sigma_full)
-            total += q
-            kept += k
-        if kept < 1.0 - _FLAT_TRACE_SLACK:
-            return 0.0 if alpha < 1.0 else math.nan
-        return total
-    raise ValueError(f"unknown variant {variant!r}")
+    _check_variant(variant)
+    _, sw, sv = _sigma_spectrum(sigma_b)
+    return _cq_q(s, sw, sv, alpha, variant)
 
 
 def cq_renyi(s: CQState, sigma_b, alpha: float, variant: str = "petz") -> float:
-    """D_alpha(rho_XB || 1_X (x) sigma_B) for the chosen family."""
+    """D_alpha(rho_XB || 1_X (x) sigma_B) for the chosen family.
+
+    sigma_B is eigendecomposed at most once per call (never when it keeps
+    its spectrum), and the blocks not at all after their first use."""
     if abs(alpha - 1.0) < _ALPHA_ONE_WINDOW:
         return cq_relative_entropy(s, sigma_b)
-    sigma_b = np.asarray(getattr(sigma_b, "matrix", sigma_b), dtype=np.complex128)
-    if not _is_full_rank(sigma_b):
+    _check_variant(variant)
+    sm, sw, sv = _sigma_spectrum(sigma_b)
+    if not _full_rank(sw):
         # rank-deficient sigma: explicit support conditions
         if alpha > 1.0:
-            for p, r in _blocks(s):
-                if not support_contained(r, sigma_b):
+            for _, r in s.blocks():
+                if not support_contained(r, sm):
                     return math.inf
         else:
-            ps = support_projector(sigma_b)
+            ps = power_from_spectrum(sw, sv, 0.0)
             overlap = sum(
-                float(np.real(np.trace(support_projector(r) @ ps)))
-                for p, r in _blocks(s)
+                float(np.real(np.sum(power_from_spectrum(bw, bv, 0.0) * ps.T)))
+                for _, bw, bv in s.block_spectra()
             )
             if overlap <= DEFAULT_POLICY.relative_cutoff:
                 return math.inf
-    q = cq_q_alpha(s, sigma_b, alpha, variant)
+    q = _cq_q(s, sw, sv, alpha, variant)
     if math.isnan(q):
         return math.inf
     if q <= 0.0:
@@ -218,26 +182,41 @@ def h_down(s: CQState, alpha: float, variant: str = "petz") -> float:
     return -cq_renyi(s, rho_b, alpha, variant)
 
 
+def _petz_acc_spectrum(s: CQState, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, v) of sum_x (p rho_x)^alpha, built from the
+    block spectra: the one eigendecomposition behind both the petz optimizer
+    sigma* and the Sibson form of E_0. w is zero off the support.
+
+    That support is the union of the block supports, the support of rho_B,
+    whatever alpha is, so it is the top rank(rho_B) eigenvalues. A cutoff
+    relative to the largest eigenvalue would drop genuine ones as soon as
+    alpha > 1 pushes their ratio below it.
+    """
+    acc = sum(power_from_spectrum(bw, bv, alpha) for _, bw, bv in s.block_spectra())
+    w, v = eig_hermitian(acc)
+    rank = int(np.count_nonzero(support_mask(marginal_b(s).spectrum()[0])))
+    on = np.arange(w.size) >= w.size - rank
+    return np.where(on, np.maximum(w, 0.0), 0.0), v
+
+
 def petz_sigma_star(s: CQState, alpha: float) -> DensityOperator:
-    """Optimizer of the petz conditional entropy: normalized (sum_x (p rho)^a)^(1/a)."""
-    acc = np.zeros((s.dim_b, s.dim_b), dtype=np.complex128)
-    for p, r in _blocks(s):
-        acc += spectral_power(p * r, alpha)
+    """Optimizer of the petz conditional entropy: normalized (sum_x (p rho)^a)^(1/a).
+
+    It shares its eigenvectors with sum_x (p rho)^a, so it is returned with
+    its spectrum known."""
+    w, v = _petz_acc_spectrum(s, alpha)
     # the normalization cancels any scale of acc; dividing its eigenvalues
     # by the largest first keeps the power 1/alpha from overflowing at small
     # alpha
-    w, v = eig_hermitian(acc)
-    on = w > DEFAULT_POLICY.relative_cutoff * float(w[-1])
-    m = (v[:, on] * (w[on] / w[-1]) ** (1.0 / alpha)) @ v[:, on].conj().T
-    return DensityOperator(m / np.real(np.trace(m)), check=False)
+    x = (w / w[-1]) ** (1.0 / alpha)
+    return DensityOperator.from_spectrum(x / np.sum(x), v)
 
 
 def petz_h0(s: CQState) -> float:
     """H_0 up-arrow of the petz family in closed form: log2 of the largest
     eigenvalue of sum_x Pi_x over the supports of the nonzero-probability
     blocks; classically log2 max_b |supp P_(X|B=b)|."""
-    acc = sum(support_projector(r) for _, r in _blocks(s))
-    w, _ = eig_hermitian(acc)
+    w, _ = _petz_acc_spectrum(s, 0.0)
     return math.log2(float(w[-1]))
 
 
@@ -261,15 +240,26 @@ def _traceless_basis(d: int):
     return basis
 
 
-def _sigma_from_params(x, basis, d):
+def _sigma_from_params(x, basis, d) -> DensityOperator:
+    """exp(K) / Tr exp(K) for K = sum_i x_i basis_i, returned with its
+    spectrum: it shares the eigenvectors of K."""
     k = np.zeros((d, d), dtype=np.complex128)
     for c, b in zip(x, basis):
         k += c * b
     w, v = eig_hermitian(k)
-    w = w - np.max(w)
-    e = np.exp(w)
-    m = (v * e) @ v.conj().T
-    return m / np.real(np.trace(m))
+    e = np.exp(w - w[-1])
+    return DensityOperator.from_spectrum(e / np.sum(e), v)
+
+
+def _h_up_objective(s: CQState, alpha: float, variant: str, basis):
+    """The function `_iterate_h_up` minimizes: x -> D_alpha(rho_XB || 1_X (x)
+    sigma(x)) with sigma(x) from `_sigma_from_params`; 1e6 where infinite."""
+    d = s.dim_b
+
+    def objective(x):
+        val = cq_renyi(s, _sigma_from_params(x, basis, d), alpha, variant)
+        return val if math.isfinite(val) else 1e6
+    return objective
 
 
 def _iterate_h_up(s, alpha, variant, restarts, x0=None, seed=7):
@@ -277,10 +267,7 @@ def _iterate_h_up(s, alpha, variant, restarts, x0=None, seed=7):
     basis = _traceless_basis(d)
     npar = len(basis)
     rng = np.random.default_rng(seed)
-
-    def objective(x):
-        val = cq_renyi(s, _sigma_from_params(x, basis, d), alpha, variant)
-        return val if math.isfinite(val) else 1e6
+    objective = _h_up_objective(s, alpha, variant, basis)
 
     def grad(x):
         g = np.zeros(npar)
@@ -334,7 +321,7 @@ def h_up(s: CQState, alpha: float, variant: str = "petz",
                                                 x0=sigma0_params)
         if not math.isfinite(res.fun):
             raise NoConvergenceError("optimizer produced no finite value")
-        sig = DensityOperator(_sigma_from_params(res.x, basis, d), check=False)
+        sig = _sigma_from_params(res.x, basis, d)
         rep = OptimizerReport(sig, -float(res.fun), int(res.nit), residual)
         rep.params = res.x
         return rep
@@ -371,37 +358,31 @@ def _batched_cq_renyi(s, sigmas, alpha, variant):
         e = (1.0 - alpha)
         pw = np.where(w > 1e-15, w, 1.0) ** e * (w > 1e-15)
         spow = np.einsum("nij,nj,nkj->nik", v, pw, v.conj())
-        for p, r in _blocks(s):
-            ra = spectral_power(p * r, alpha)
+        for _, bw, bv in s.block_spectra():
+            ra = power_from_spectrum(bw, bv, alpha)
             q += np.real(np.einsum("ij,nji->n", ra, spow))
     elif variant == "sandwiched":
         e = (1.0 - alpha) / alpha
         pw = np.where(w > 1e-15, w, 1.0) ** e * (w > 1e-15)
         spow = np.einsum("nij,nj,nkj->nik", v, pw, v.conj())
-        for p, r in _blocks(s):
-            half = spectral_power(p * r, 0.5)
+        for _, bw, bv in s.block_spectra():
+            half = power_from_spectrum(bw, bv, 0.5)
             mid = np.einsum("ij,njk,kl->nil", half, spow, half)
             mw, mv = np.linalg.eigh(mid)
             mw = np.clip(mw, 0.0, None)
             q += np.sum(np.where(mw > 1e-15, mw, 1.0) ** alpha * (mw > 1e-15), axis=1)
     elif variant == "flat":
-        # restrict per block to its own support (sigma candidates from the
-        # interior of the Bloch ball are full rank, so the intersection of
-        # supports is the block support)
-        for p, r in _blocks(s):
-            blk = p * r
-            bw, bv = eig_hermitian(blk)
-            cut = 1e-12 * float(np.max(np.abs(bw)))
-            basis = bv[:, bw > cut]
-            blk_small = basis.conj().T @ blk @ basis
-            lb = spectral_log2(blk_small)
-            sig_small = np.einsum("ij,njk,kl->nil", basis.conj().T, sigmas, basis)
-            sw, sv2 = np.linalg.eigh(sig_small)
-            sw = np.clip(sw, 1e-300, None)
-            logs = np.einsum("nij,nj,nkj->nik", sv2, np.log2(sw), sv2.conj())
-            m = alpha * lb[None, :, :] + (1.0 - alpha) * logs
-            mw = np.linalg.eigvalsh(m)
-            q += np.sum(np.exp2(mw), axis=1)
+        # sigma candidates from the interior of the Bloch ball are full rank,
+        # so each block is restricted to its own support, where its log is
+        # diagonal, and log2 sigma is compressed to that support
+        logs = np.einsum("nij,nj,nkj->nik", v, np.log2(np.clip(w, 1e-300, None)),
+                         v.conj())
+        for _, bw, bv in s.block_spectra():
+            on = bw > 1e-12 * float(np.max(np.abs(bw)))
+            basis = bv[:, on]
+            m = alpha * np.diag(np.log2(bw[on]))[None, :, :] \
+                + (1.0 - alpha) * np.einsum("ij,njk,kl->nil", basis.conj().T, logs, basis)
+            q += np.sum(np.exp2(np.linalg.eigvalsh(m)), axis=1)
     else:
         raise ValueError(variant)
     with np.errstate(divide="ignore"):

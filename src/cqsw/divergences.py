@@ -15,10 +15,12 @@ from cqsw.operators import (
     SupportPolicy,
     _as_matrix,
     eig_hermitian,
-    intersection_projector,
+    log2_from_spectrum,
+    power_from_spectrum,
     spectral_log2,
     spectral_power,
     support_contained,
+    support_mask,
     support_projector,
 )
 
@@ -48,44 +50,87 @@ def relative_entropy(rho, sigma, policy: SupportPolicy = DEFAULT_POLICY) -> floa
     return ent - cross
 
 
-def q_alpha(rho, sigma, alpha: float, variant: str = "petz",
-            policy: SupportPolicy = DEFAULT_POLICY) -> float:
-    """The trace functional Q_alpha of the chosen divergence family."""
-    _check_variant(variant)
-    if alpha <= 0:
-        raise InvalidAlphaError(f"alpha must be positive, got {alpha}")
-    rho = _as_matrix(rho)
-    sigma = _as_matrix(sigma)
+def _sigma_operator(sw: np.ndarray, sv: np.ndarray, alpha: float, variant: str,
+                    policy: SupportPolicy = DEFAULT_POLICY) -> np.ndarray:
+    """The operator of sigma = sv diag(sw) sv^dagger that a family pairs with
+    each rho: sigma^(1-alpha) (petz), sigma^((1-alpha)/(2 alpha))
+    (sandwiched) or log2 sigma on its support (flat)."""
     if variant == "petz":
-        ra = spectral_power(rho, alpha, policy)
-        sa = spectral_power(sigma, 1.0 - alpha, policy)
-        return float(np.real(np.trace(ra @ sa)))
+        return power_from_spectrum(sw, sv, 1.0 - alpha, policy)
+    if variant == "sandwiched":
+        return power_from_spectrum(sw, sv, (1.0 - alpha) / (2.0 * alpha), policy)
+    return log2_from_spectrum(sw, sv, policy)
+
+
+def _spectral_q(rw: np.ndarray, rv: np.ndarray, sigma_op: np.ndarray, alpha: float,
+                variant: str, policy: SupportPolicy = DEFAULT_POLICY,
+                sigma_support: np.ndarray | None = None) -> tuple[float, float]:
+    """Q_alpha of a PSD rho = rv diag(rw) rv^dagger against sigma, given the
+    family's operator of sigma (`_sigma_operator`). This is the one
+    implementation of the three families, for single pairs and cq blocks.
+
+    Returns (q, kept). The flat family restricts both operators to the
+    support of rho, intersected with sigma_support (the support projector of
+    sigma; None when sigma has full rank), and compresses log2 rho and
+    log2 sigma to that subspace; kept is the trace of rho there. For the
+    other families kept is the trace of rho.
+    """
+    if variant == "petz":
+        ra = power_from_spectrum(rw, rv, alpha, policy)
+        return float(np.real(np.sum(ra * sigma_op.T))), float(np.sum(rw))
     if variant == "sandwiched":
         # spectrum of sigma^e rho sigma^e (e = (1-alpha)/(2alpha)) via the
         # singular values of sigma^e rho^(1/2): squaring the singular values
         # resolves eigenvalues far below the noise floor of the product
         # matrix itself, which matters when alpha < 1 because w ** alpha
         # keeps tiny eigenvalues relevant
-        a = spectral_power(sigma, (1.0 - alpha) / (2.0 * alpha), policy) @ \
-            spectral_power(rho, 0.5, policy)
-        sv = np.linalg.svd(a, compute_uv=False)
+        sv = np.linalg.svd(sigma_op @ power_from_spectrum(rw, rv, 0.5, policy),
+                           compute_uv=False)
         scale = float(sv[0]) if sv.size else 0.0
         keep = sv > policy.relative_cutoff * scale
-        w = sv[keep] ** 2
-        return float(np.sum(w ** alpha))
-    # flat: restrict both operators to the intersection of supports
-    proj = intersection_projector(rho, sigma, policy)
-    w, v = eig_hermitian(proj)
-    basis = v[:, w > 0.5]
+        return float(np.sum(sv[keep] ** (2.0 * alpha))), float(np.sum(rw))
+    on = support_mask(rw, policy)
+    if sigma_support is None:
+        # in the eigenbasis of rho its compression is diagonal
+        basis = rv[:, on]
+        log_rho = np.diag(np.log2(rw[on]))
+        kept = float(np.sum(rw[on]))
+    else:
+        pw, pv = eig_hermitian(power_from_spectrum(rw, rv, 0.0, policy) + sigma_support)
+        basis = pv[:, pw > 2.0 - 1e-8]
+        log_rho = basis.conj().T @ log2_from_spectrum(rw, rv, policy) @ basis
+        kept = float(np.real(np.trace(basis.conj().T @ ((rv * rw) @ rv.conj().T) @ basis)))
     if basis.shape[1] == 0:
-        return 0.0
-    rho_p = basis.conj().T @ rho @ basis
-    sigma_p = basis.conj().T @ sigma @ basis
-    if float(np.real(np.trace(rho_p))) < 1.0 - _FLAT_TRACE_SLACK:
-        return 0.0 if alpha < 1.0 else math.nan  # caller maps to +inf
-    m = alpha * spectral_log2(rho_p, policy) + (1.0 - alpha) * spectral_log2(sigma_p, policy)
+        return 0.0, 0.0
+    m = alpha * log_rho + (1.0 - alpha) * (basis.conj().T @ sigma_op @ basis)
     mw, _ = eig_hermitian(m)
-    return float(np.sum(np.exp2(mw)))
+    return float(np.sum(np.exp2(mw))), kept
+
+
+def _full_rank(w: np.ndarray, policy: SupportPolicy = DEFAULT_POLICY) -> bool:
+    """Whether the ascending spectrum w of a PSD operator has no zero
+    eigenvalue under the policy cutoff."""
+    return bool(w.size) and float(w[0]) > policy.relative_cutoff * float(w[-1])
+
+
+def q_alpha(rho, sigma, alpha: float, variant: str = "petz",
+            policy: SupportPolicy = DEFAULT_POLICY) -> float:
+    """The trace functional Q_alpha of the chosen divergence family."""
+    _check_variant(variant)
+    if alpha <= 0:
+        raise InvalidAlphaError(f"alpha must be positive, got {alpha}")
+    rw, rv = eig_hermitian(_as_matrix(rho))
+    sw, sv = eig_hermitian(_as_matrix(sigma))
+    support = None
+    if variant == "flat" and not _full_rank(sw, policy):
+        support = power_from_spectrum(sw, sv, 0.0, policy)
+    q, kept = _spectral_q(rw, rv, _sigma_operator(sw, sv, alpha, variant, policy),
+                          alpha, variant, policy, support)
+    # flat: rho with no trace on the kept subspace has q = 0; with part of
+    # its trace cut off, Q is 0 below alpha = 1 and +inf above
+    if variant == "flat" and 0.0 < kept < 1.0 - _FLAT_TRACE_SLACK:
+        return 0.0 if alpha < 1.0 else math.nan  # caller maps to +inf
+    return q
 
 
 def renyi_divergence(rho, sigma, alpha: float, variant: str = "petz",

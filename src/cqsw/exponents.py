@@ -18,6 +18,7 @@ from scipy.special import ndtri
 
 from cqsw.errors import DomainError, RateOutOfWindowError, ZeroVarianceError
 from cqsw.conditional import (
+    _petz_acc_spectrum,
     _sigma_from_params,
     _traceless_basis,
     conditional_entropy,
@@ -27,7 +28,7 @@ from cqsw.conditional import (
     h_up,
     petz_sigma_star,
 )
-from cqsw.operators import spectral_power, support_contained
+from cqsw.operators import support_contained
 from cqsw.states import CQState, DensityOperator
 
 _GOLDEN_TOL = 1e-8
@@ -102,13 +103,16 @@ def e0(s: CQState, sval: float, variant: str = "petz",
         return 0.0
     alpha = 1.0 / (1.0 + sval)
     if variant == "petz":
-        acc = np.zeros((s.dim_b, s.dim_b), dtype=np.complex128)
-        for p, r in s.blocks():
-            acc += spectral_power(p * r, alpha)
-        q = float(np.real(np.trace(spectral_power(acc, 1.0 + sval))))
-        if q <= 0.0:
+        # log2 Tr acc^(1+s) = (1+s) log2 w_max + log2 sum_i (w_i/w_max)^(1+s)
+        # over the spectrum of acc = sum_x (p rho_x)^alpha; the scaled form
+        # stays finite where acc^(1+s) itself overflows
+        w, _ = _petz_acc_spectrum(s, alpha)
+        top = float(w[-1])
+        if top <= 0.0:
             return -math.inf
-        return -math.log2(q)
+        on = w > 0.0
+        scaled = float(np.sum((w[on] / top) ** (1.0 + sval)))
+        return -((1.0 + sval) * math.log2(top) + math.log2(scaled))
     if evaluator is not None and evaluator.variant == variant:
         return -sval * evaluator.value(alpha)
     return -sval * h_up(s, alpha, variant, "iterate", restarts=5).value
@@ -234,7 +238,7 @@ def saddle_point(s: CQState, rate: float) -> SaddleReport:
     # other optimization order: minimize over sigma the sup over alpha
     d = s.dim_b
     basis = _traceless_basis(d)
-    sw, sv = np.linalg.eigh(sigma_star.matrix)
+    sw, sv = sigma_star.spectrum()
     sw = np.clip(sw, 1e-14, None)
     logm = (sv * np.log(sw)) @ sv.conj().T
     logm -= np.trace(logm).real / d * np.eye(d)

@@ -161,31 +161,43 @@ def _spectral_map(a, fn) -> np.ndarray:
     return (v * fn(w)) @ v.conj().T
 
 
-def _psd_eigs(a, policy: SupportPolicy):
-    """Eigendecomposition of a PSD operator with cutoff applied.
+def support_mask(w: np.ndarray, policy: SupportPolicy = DEFAULT_POLICY) -> np.ndarray:
+    """Which eigenvalues of a PSD operator lie on its support: those above the
+    policy cutoff relative to the largest magnitude. w is ascending, as
+    `eig_hermitian` returns it. Raises if an eigenvalue is genuinely negative
+    (below minus the cutoff)."""
+    if not w.size:
+        return w > 0.0
+    lo, hi = float(w[0]), float(w[-1])
+    cutoff = policy.relative_cutoff * max(-lo, hi)
+    if lo < -cutoff:
+        raise NegativeEigenvalueError(f"eigenvalue {lo:.3e} below -cutoff {-cutoff:.3e}")
+    return w > cutoff
 
-    Returns (w, v, cutoff); raises if eigenvalues are genuinely negative.
-    """
-    w, v = eig_hermitian(a)
-    lam_max = float(np.max(np.abs(w))) if w.size else 0.0
-    cutoff = policy.relative_cutoff * lam_max
-    if np.any(w < -cutoff):
-        raise NegativeEigenvalueError(
-            f"eigenvalue {float(np.min(w)):.3e} below -cutoff {-cutoff:.3e}"
-        )
-    return w, v, cutoff
+
+def power_from_spectrum(w: np.ndarray, v: np.ndarray, p: float,
+                        policy: SupportPolicy = DEFAULT_POLICY) -> np.ndarray:
+    """A^p on the support of a PSD A = v diag(w) v^dagger, w ascending; p = 0
+    gives the support projector."""
+    on = support_mask(w, policy)
+    out = np.zeros_like(w)
+    out[on] = 1.0 if p == 0 else w[on] ** p
+    return (v * out) @ v.conj().T
+
+
+def log2_from_spectrum(w: np.ndarray, v: np.ndarray,
+                       policy: SupportPolicy = DEFAULT_POLICY) -> np.ndarray:
+    """log2(A) on the support of a PSD A = v diag(w) v^dagger, w ascending
+    (zero off support)."""
+    on = support_mask(w, policy)
+    out = np.zeros_like(w)
+    out[on] = np.log2(w[on])
+    return (v * out) @ v.conj().T
 
 
 def spectral_power(a, p: float, policy: SupportPolicy = DEFAULT_POLICY) -> np.ndarray:
     """A^p on the support of A; p = 0 gives the support projector."""
-    w, v, cutoff = _psd_eigs(a, policy)
-    out = np.zeros_like(w)
-    on = w > cutoff
-    if p == 0:
-        out[on] = 1.0
-    else:
-        out[on] = w[on] ** p
-    return (v * out) @ v.conj().T
+    return power_from_spectrum(*eig_hermitian(a), p, policy)
 
 
 def support_projector(a, policy: SupportPolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -194,11 +206,7 @@ def support_projector(a, policy: SupportPolicy = DEFAULT_POLICY) -> np.ndarray:
 
 def spectral_log2(a, policy: SupportPolicy = DEFAULT_POLICY) -> np.ndarray:
     """log2(A) on the support of A (zero off support)."""
-    w, v, cutoff = _psd_eigs(a, policy)
-    out = np.zeros_like(w)
-    on = w > cutoff
-    out[on] = np.log2(w[on])
-    return (v * out) @ v.conj().T
+    return log2_from_spectrum(*eig_hermitian(a), policy)
 
 
 def spectral_exp2(a) -> np.ndarray:

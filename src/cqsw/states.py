@@ -25,31 +25,59 @@ DEFAULT_CAP = 4096
 
 
 class DensityOperator:
-    """PSD matrix with unit trace (small tolerance)."""
+    """PSD matrix with unit trace (small tolerance).
 
-    __slots__ = ("matrix",)
+    The eigendecomposition is kept once computed: validation computes it,
+    `from_spectrum` starts from it, and `spectrum()` computes it on first
+    use otherwise. The matrix is therefore never modified in place.
+    """
+
+    __slots__ = ("matrix", "_spectrum")
 
     def __init__(self, matrix, check: bool = True):
         m = check_hermitian(matrix)
+        self._spectrum = None
         if check:
             tr = float(np.real(np.trace(m)))
             if abs(tr - 1.0) > _TRACE_TOL:
                 raise InvariantViolation("trace", f"trace {tr} is not 1")
-            w, _ = eig_hermitian(m)
+            w, v = eig_hermitian(m)
             if w.size and float(w[0]) < -_TRACE_TOL:
                 raise InvariantViolation("psd", f"eigenvalue {float(w[0]):.3e} < 0")
+            self._spectrum = (w, v)
         self.matrix = m
+
+    @classmethod
+    def from_spectrum(cls, w: np.ndarray, v: np.ndarray) -> "DensityOperator":
+        """The operator v diag(w) v^dagger, with w ascending, nonnegative and
+        summing to one, and its eigendecomposition known."""
+        out = cls.__new__(cls)
+        out.matrix = (v * w) @ v.conj().T
+        out._spectrum = (w, v)
+        return out
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (ascending) and eigenvectors, computed once."""
+        if self._spectrum is None:
+            self._spectrum = eig_hermitian(self.matrix)
+        return self._spectrum
 
     def __array__(self, dtype=None):
         return self.matrix if dtype is None else self.matrix.astype(dtype)
 
 
 class CQState:
-    """Classical-quantum source: symbols, probabilities, side information."""
+    """Classical-quantum source: symbols, probabilities, side information.
+
+    A CQState is treated as immutable. The eigendecomposition of each block
+    p(x) rho_B^x (`block_spectra`) and the marginal rho_B (`marginal_b`) are
+    computed once per state, on first use, and shared by every divergence,
+    entropy and exponent evaluated on it.
+    """
 
     def __init__(self, alphabet, probs, side_info, check: bool = True):
         self.alphabet = [str(a) for a in alphabet]
@@ -68,6 +96,8 @@ class CQState:
         if len(dims) != 1:
             raise DimensionMismatchError(f"side-info dimensions differ: {sorted(dims)}")
         self.dim_b = dims.pop()
+        self._block_spectra = None
+        self._marginal = None
         if check:
             if np.any(self.probs < 0):
                 raise InvariantViolation("probs", "negative probability")
@@ -86,6 +116,13 @@ class CQState:
             for p, r in zip(self.probs, self.side_info)
             if p > 0.0
         ]
+
+    def block_spectra(self):
+        """Triples (p(x), w, v) for the nonzero-probability symbols: the
+        eigendecomposition v diag(w) v^dagger of the block p(x) rho_B^x."""
+        if self._block_spectra is None:
+            self._block_spectra = [(p, *eig_hermitian(p * r)) for p, r in self.blocks()]
+        return self._block_spectra
 
     def __eq__(self, other):
         if not isinstance(other, CQState):
@@ -110,10 +147,13 @@ def as_joint_operator(s: CQState) -> np.ndarray:
 
 
 def marginal_b(s: CQState) -> DensityOperator:
-    m = np.zeros((s.dim_b, s.dim_b), dtype=np.complex128)
-    for p, r in zip(s.probs, s.side_info):
-        m += p * r.matrix
-    return DensityOperator(m)
+    """rho_B = sum_x p(x) rho_B^x, built and validated once per state."""
+    if s._marginal is None:
+        m = np.zeros((s.dim_b, s.dim_b), dtype=np.complex128)
+        for p, r in zip(s.probs, s.side_info):
+            m += p * r.matrix
+        s._marginal = DensityOperator(m)
+    return s._marginal
 
 
 def uniform_tau(size: int) -> np.ndarray:

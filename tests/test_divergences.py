@@ -139,3 +139,24 @@ def test_data_processing_under_measurement():
         for alpha in (0.5, 2.0):
             assert renyi_divergence(rho, sig, alpha, variant) >= \
                 renyi_divergence(dr, ds, alpha, variant) - 1e-9
+
+
+def test_flat_rank_one_rho_compresses_log_sigma():
+    # rho rank deficient, sigma full rank: log2 sigma is compressed to the
+    # support of rho (the limit of the full-rank definition), not the log
+    # taken of the compressed sigma
+    rng = np.random.default_rng(8)
+    rho = random_density(rng, 3, rank=1)
+    sig = random_density(rng, 3)
+    alpha = 0.999
+    w, v = np.linalg.eigh(rho)
+    basis = v[:, w > 1e-12 * w[-1]]
+    sw, sv = np.linalg.eigh(sig)
+    log_sig = (sv * np.log2(sw)) @ sv.conj().T
+    m = alpha * np.diag(np.log2(w[w > 1e-12 * w[-1]])) \
+        + (1 - alpha) * (basis.conj().T @ log_sig @ basis)
+    want = math.log2(float(np.sum(np.exp2(np.linalg.eigvalsh(m))))) / (alpha - 1)
+    got = renyi_divergence(rho, sig, alpha, "flat")
+    assert got == pytest.approx(want, abs=1e-9)
+    # and D_alpha tends to D as alpha -> 1
+    assert got == pytest.approx(relative_entropy(rho, sig), abs=1e-6)

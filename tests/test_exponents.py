@@ -166,3 +166,18 @@ def test_sphere_packing_finite_above_entropy_three_symbols():
     # E_sp(R) = sup_(s > 0) [E_0(s) + s R] with the Sibson closed form E_0
     grid = max(e0(s, sv) + sv * r for sv in np.geomspace(1e-3, 50.0, 200))
     assert esp >= grid - 1e-6
+
+
+@pytest.mark.parametrize("sval", [50.0, 500.0, 5000.0])
+def test_e0_large_s_is_finite_and_matches_h_up(sval):
+    # acc^(1+s) overflows at these s; E_0 is taken from the scaled spectrum
+    s = presets.zero_plus_source()
+    got = e0(s, sval)
+    assert math.isfinite(got)
+    want = -sval * h_up(s, 1.0 / (1.0 + sval), "petz").value
+    assert got == pytest.approx(want, rel=1e-8)
+
+
+def test_strong_converse_flat_zero_above_entropy_rank_deficient():
+    # zero_plus has pure (rank-one) blocks and H(X|B) = 0.399 < 0.5
+    assert exponent(presets.zero_plus_source(), 0.5, "strong_converse_flat") == 0.0
