@@ -8,7 +8,7 @@ against 1_X (x) sigma_B splits into one small computation per symbol, so no
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -17,12 +17,16 @@ from cqsw.divergences import (
     _FLAT_TRACE_SLACK,
     _check_variant,
     _full_rank,
+    _q_from_ln,
+    _renyi_from_ln_q,
     _sigma_operator,
+    _sigma_spectrum_op,
     _spectral_q,
 )
 from cqsw.errors import MethodUnsupportedError, NoConvergenceError
 from cqsw.operators import (
     DEFAULT_POLICY,
+    LN2,
     eig_hermitian,
     log2_from_spectrum,
     power_from_spectrum,
@@ -32,15 +36,29 @@ from cqsw.operators import (
 from cqsw.states import CQState, DensityOperator, marginal_b
 
 _ALPHA_ONE_WINDOW = 1e-6
-_FD_STEP = 1e-5
+_ZERO_GRID = (1e-1, 1e-2, 1e-3)
+_PENALTY = 1e6
+# below this |c dk| a divided difference of e^(c k) is taken as
+# e^(c k_j) expm1(c dk) / dk instead of a difference quotient
+_EXPM1_WINDOW = 1e-3
+_RESTART_MARGIN = 1e-12
 
 
 @dataclass
 class OptimizerReport:
+    """What an h_up solve returns. iterations and evaluations are those of
+    the optimizer (L-BFGS iterations of the best start, objective
+    evaluations over all starts; 0 for a closed form); residual is the
+    largest gradient component at the optimum (the grid step for the grid
+    method); params are the optimizer coordinates of sigma_star, for a warm
+    start."""
+
     sigma_star: DensityOperator
     value: float
     iterations: int
     residual: float
+    evaluations: int = 0
+    params: np.ndarray | None = None
 
 
 def von_neumann_entropy(m) -> float:
@@ -98,29 +116,71 @@ def cq_variance(s: CQState, sigma_b) -> float:
     return math.log(2.0) * (second - first * first)
 
 
-def _cq_q(s: CQState, sw, sv, alpha: float, variant: str) -> float:
-    """Q_alpha against 1_X (x) sigma_B, sigma_B = sv diag(sw) sv^dagger, from
-    the state's block spectra."""
+def _log_sum(logs) -> float:
+    """ln sum_i e^(logs_i) of the few per-block values; -inf when all are."""
+    top = max(logs, default=-math.inf)
+    if top == -math.inf:
+        return top
+    return top + math.log(sum(math.exp(x - top) for x in logs))
+
+
+def _cq_ln_q(s: CQState, sw, sv, alpha: float, variant: str, grad: bool = False):
+    """ln Q_alpha against 1_X (x) sigma_B, sigma_B = sv diag(sw) sv^dagger,
+    from the state's block spectra; -inf where Q = 0, nan where Q = +inf.
+
+    With grad, also the derivative of ln Q with respect to the family's
+    operator g(sigma_B) of `_sigma_spectrum_op` (None where Q is 0 or +inf):
+    the blocks' derivatives weighted by their shares of Q."""
     support = None
     if variant == "flat" and not _full_rank(sw):
         support = power_from_spectrum(sw, sv, 0.0)
-    sigma_op = _sigma_operator(sw, sv, alpha, variant)
-    total = 0.0
-    kept = 0.0
-    for _, bw, bv in s.block_spectra():
-        q, k = _spectral_q(bw, bv, sigma_op, alpha, variant, DEFAULT_POLICY, support)
-        total += q
-        kept += k
-    if variant == "flat" and kept < 1.0 - _FLAT_TRACE_SLACK:
-        return 0.0 if alpha < 1.0 else math.nan
-    return total
+    sigma_op, ln_scale = _sigma_operator(sw, sv, alpha, variant)
+    parts = [_spectral_q(bw, bv, sigma_op, alpha, variant, DEFAULT_POLICY, support, grad)
+             for _, bw, bv in s.block_spectra()]
+    if variant == "flat" and sum(part[1] for part in parts) < 1.0 - _FLAT_TRACE_SLACK:
+        ln_q = -math.inf if alpha < 1.0 else math.nan
+        return (ln_q, None) if grad else ln_q
+    ln_q = _log_sum([part[0] for part in parts])
+    if not grad:
+        return ln_q + ln_scale
+    if ln_q == -math.inf:
+        return ln_q, None
+    gamma = sum(math.exp(part[0] - ln_q) * part[2] for part in parts
+                if part[0] > -math.inf)
+    return ln_q + ln_scale, gamma
 
 
 def cq_q_alpha(s: CQState, sigma_b, alpha: float, variant: str) -> float:
     """Q_alpha(rho_XB || 1_X (x) sigma_B) by summing per-symbol blocks."""
     _check_variant(variant)
     _, sw, sv = _sigma_spectrum(sigma_b)
-    return _cq_q(s, sw, sv, alpha, variant)
+    return _q_from_ln(_cq_ln_q(s, sw, sv, alpha, variant))
+
+
+def _cq_renyi(s: CQState, sm, sw, sv, alpha: float, variant: str, grad: bool = False):
+    """D_alpha against 1_X (x) sigma_B = sv diag(sw) sv^dagger (the matrix
+    sm), alpha away from 1. With grad, returns (D, gamma), gamma the
+    derivative of ln Q with respect to g(sigma_B) (`_cq_ln_q`), None where
+    D is infinite."""
+    infinite = (math.inf, None) if grad else math.inf
+    if not _full_rank(sw):
+        # rank-deficient sigma: explicit support conditions
+        if alpha > 1.0:
+            for _, r in s.blocks():
+                if not support_contained(r, sm):
+                    return infinite
+        else:
+            ps = power_from_spectrum(sw, sv, 0.0)
+            overlap = sum(
+                float(np.real(np.sum(power_from_spectrum(bw, bv, 0.0) * ps.T)))
+                for _, bw, bv in s.block_spectra()
+            )
+            if overlap <= DEFAULT_POLICY.relative_cutoff:
+                return infinite
+    if not grad:
+        return _renyi_from_ln_q(_cq_ln_q(s, sw, sv, alpha, variant), alpha)
+    ln_q, gamma = _cq_ln_q(s, sw, sv, alpha, variant, grad=True)
+    return _renyi_from_ln_q(ln_q, alpha), gamma
 
 
 def cq_renyi(s: CQState, sigma_b, alpha: float, variant: str = "petz") -> float:
@@ -131,27 +191,7 @@ def cq_renyi(s: CQState, sigma_b, alpha: float, variant: str = "petz") -> float:
     if abs(alpha - 1.0) < _ALPHA_ONE_WINDOW:
         return cq_relative_entropy(s, sigma_b)
     _check_variant(variant)
-    sm, sw, sv = _sigma_spectrum(sigma_b)
-    if not _full_rank(sw):
-        # rank-deficient sigma: explicit support conditions
-        if alpha > 1.0:
-            for _, r in s.blocks():
-                if not support_contained(r, sm):
-                    return math.inf
-        else:
-            ps = power_from_spectrum(sw, sv, 0.0)
-            overlap = sum(
-                float(np.real(np.sum(power_from_spectrum(bw, bv, 0.0) * ps.T)))
-                for _, bw, bv in s.block_spectra()
-            )
-            if overlap <= DEFAULT_POLICY.relative_cutoff:
-                return math.inf
-    q = _cq_q(s, sw, sv, alpha, variant)
-    if math.isnan(q):
-        return math.inf
-    if q <= 0.0:
-        return math.inf if alpha < 1.0 else -math.inf
-    return math.log2(q) / (alpha - 1.0)
+    return _cq_renyi(s, *_sigma_spectrum(sigma_b), alpha, variant)
 
 
 def conditional_entropy(s: CQState) -> float:
@@ -166,8 +206,7 @@ def conditional_variance(s: CQState) -> float:
 
 def _richardson_zero_limit(f):
     """Extrapolate f(alpha) to alpha = 0 from a geometric grid."""
-    grid = (1e-1, 1e-2, 1e-3)
-    vals = [f(a) for a in grid]
+    vals = [f(a) for a in _ZERO_GRID]
     if any(math.isinf(v) for v in vals):
         return vals[-1]
     # linear-in-alpha model on the last two points
@@ -184,8 +223,9 @@ def h_down(s: CQState, alpha: float, variant: str = "petz") -> float:
 
 def _petz_acc_spectrum(s: CQState, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition (w, v) of sum_x (p rho_x)^alpha, built from the
-    block spectra: the one eigendecomposition behind both the petz optimizer
-    sigma* and the Sibson form of E_0. w is zero off the support.
+    block spectra: the one eigendecomposition behind the petz optimizer
+    sigma* and Sibson's closed form of H_alpha^up and E_0 (`_petz_sibson`).
+    w is zero off the support.
 
     That support is the union of the block supports, the support of rho_B,
     whatever alpha is, so it is the top rank(rho_B) eigenvalues. A cutoff
@@ -199,17 +239,30 @@ def _petz_acc_spectrum(s: CQState, alpha: float) -> tuple[np.ndarray, np.ndarray
     return np.where(on, np.maximum(w, 0.0), 0.0), v
 
 
+def _petz_sibson(s: CQState, alpha: float) -> tuple[DensityOperator, float]:
+    """The petz optimizer sigma*, normalized (sum_x (p rho)^a)^(1/a), and
+    log2 Tr[(sum_x (p rho)^a)^(1/a)], which gives the optimum in Sibson's
+    closed form H_a^up = a/(1-a) log2 Tr[...] and E_0 (s = 1/a - 1).
+
+    Both come from the one eigendecomposition of sum_x (p rho)^a, so sigma*
+    is returned with its spectrum known."""
+    w, v = _petz_acc_spectrum(s, alpha)
+    # dividing the eigenvalues by the largest before the power 1/alpha keeps
+    # it from overflowing at small alpha; the normalization of sigma cancels
+    # the scale, and log2 Tr adds it back
+    top = float(w[-1])
+    x = (w / top) ** (1.0 / alpha)
+    total = float(np.sum(x))
+    return (DensityOperator.from_spectrum(x / total, v),
+            math.log2(top) / alpha + math.log2(total))
+
+
 def petz_sigma_star(s: CQState, alpha: float) -> DensityOperator:
     """Optimizer of the petz conditional entropy: normalized (sum_x (p rho)^a)^(1/a).
 
     It shares its eigenvectors with sum_x (p rho)^a, so it is returned with
     its spectrum known."""
-    w, v = _petz_acc_spectrum(s, alpha)
-    # the normalization cancels any scale of acc; dividing its eigenvalues
-    # by the largest first keeps the power 1/alpha from overflowing at small
-    # alpha
-    x = (w / w[-1]) ** (1.0 / alpha)
-    return DensityOperator.from_spectrum(x / np.sum(x), v)
+    return _petz_sibson(s, alpha)[0]
 
 
 def petz_h0(s: CQState) -> float:
@@ -240,42 +293,84 @@ def _traceless_basis(d: int):
     return basis
 
 
-def _sigma_from_params(x, basis, d) -> DensityOperator:
-    """exp(K) / Tr exp(K) for K = sum_i x_i basis_i, returned with its
-    spectrum: it shares the eigenvectors of K."""
-    k = np.zeros((d, d), dtype=np.complex128)
-    for c, b in zip(x, basis):
-        k += c * b
-    w, v = eig_hermitian(k)
-    e = np.exp(w - w[-1])
+def _exp_sigma(k, v) -> DensityOperator:
+    """exp(K) / Tr exp(K) for K = v diag(k) v^dagger, with its spectrum."""
+    e = np.exp(k - k[-1])
     return DensityOperator.from_spectrum(e / np.sum(e), v)
 
 
-def _h_up_objective(s: CQState, alpha: float, variant: str, basis):
+def _sigma_from_params(x, basis, d) -> DensityOperator:
+    """exp(K) / Tr exp(K) for K = sum_i x_i basis_i, returned with its
+    spectrum: it shares the eigenvectors of K."""
+    return _exp_sigma(*eig_hermitian(np.tensordot(x, np.asarray(basis), 1)))
+
+
+def _ln_q_gradient(k, v, sw, gamma, alpha: float, variant: str, basis) -> np.ndarray:
+    """d ln Q / dx_i for sigma = exp(K) / Tr exp(K), K = v diag(k) v^dagger =
+    sum_i x_i basis_i, given gamma = d ln Q / d g(sigma) (`_cq_ln_q`).
+
+    In the eigenbasis of K, g(sigma) = v diag(f(k)) v^dagger with
+    f(k) = g(e^k / Z) (`_sigma_spectrum_op`), so by the Daleckii-Krein
+    formula its derivative along dK is v (F o v^dagger dK v) v^dagger, F the
+    matrix of divided differences of f; the normaliser Z adds -Tr[sigma dK]
+    times the derivative along the identity. Hence
+    d ln Q / dK = H - Tr[H] sigma, H = v (F o v^dagger gamma v) v^dagger.
+    """
+    f, _ = _sigma_spectrum_op(sw, alpha, variant)
+    on = support_mask(sw)
+    dk = k[:, None] - k[None, :]
+    both = on[:, None] & on[None, :]
+    safe = np.where(dk == 0.0, 1.0, dk)
+    quotient = np.where(dk == 0.0, 0.0, (f[:, None] - f[None, :]) / safe)
+    if variant == "flat":
+        # log2 sigma = (K - ln Z) / ln 2 on the support: slope 1 / ln 2
+        dd = np.where(both, 1.0 / LN2, quotient)
+    else:
+        # f = e^(c k) up to a constant; close eigenvalues take the expm1
+        # form, which does not cancel
+        c = 1.0 - alpha if variant == "petz" else (1.0 - alpha) / alpha
+        close = both & (np.abs(c * dk) < _EXPM1_WINDOW)
+        near = np.expm1(np.where(close, c * dk, 0.0)) / safe
+        dd = np.where(close, f[None, :] * np.where(dk == 0.0, c, near), quotient)
+    h = dd * (v.conj().T @ gamma @ v)
+    h[np.diag_indices_from(h)] -= np.trace(h) * sw
+    grad_k = v @ h @ v.conj().T
+    return np.real(np.einsum("ab,iba->i", grad_k, basis))
+
+
+def _h_up_objective(s: CQState, alpha: float, variant: str, basis, grad: bool = False):
     """The function `_iterate_h_up` minimizes: x -> D_alpha(rho_XB || 1_X (x)
-    sigma(x)) with sigma(x) from `_sigma_from_params`; 1e6 where infinite."""
-    d = s.dim_b
+    sigma(x)) with sigma(x) from `_sigma_from_params`; 1e6 where infinite.
+
+    With grad, x -> (value, exact gradient), from the same eigendecompositions
+    as the value (`_ln_q_gradient`); the gradient is zero on the 1e6 plateau.
+    """
+    _check_variant(variant)
+    stack = np.asarray(basis)
 
     def objective(x):
-        val = cq_renyi(s, _sigma_from_params(x, basis, d), alpha, variant)
-        return val if math.isfinite(val) else 1e6
+        k, v = eig_hermitian(np.tensordot(x, stack, 1))
+        sigma = _exp_sigma(k, v)
+        if not grad:
+            val = cq_renyi(s, sigma, alpha, variant)
+            return val if math.isfinite(val) else _PENALTY
+        sw = sigma.spectrum()[0]
+        val, gamma = _cq_renyi(s, sigma.matrix, sw, v, alpha, variant, grad=True)
+        if not math.isfinite(val):
+            return _PENALTY, np.zeros(len(stack))
+        g = _ln_q_gradient(k, v, sw, gamma, alpha, variant, stack)
+        return val, g / (LN2 * (alpha - 1.0))
     return objective
 
 
-def _iterate_h_up(s, alpha, variant, restarts, x0=None, seed=7):
+def _iterate_h_up(s, alpha, variant, restarts, x0=None, seed=7) -> OptimizerReport:
+    """L-BFGS over sigma = exp(K) / Tr exp(K) from several starts, with the
+    exact gradient of `_h_up_objective`."""
     d = s.dim_b
     basis = _traceless_basis(d)
     npar = len(basis)
     rng = np.random.default_rng(seed)
-    objective = _h_up_objective(s, alpha, variant, basis)
-
-    def grad(x):
-        g = np.zeros(npar)
-        for i in range(npar):
-            e = np.zeros(npar)
-            e[i] = _FD_STEP
-            g[i] = (objective(x + e) - objective(x - e)) / (2.0 * _FD_STEP)
-        return g
+    objective = _h_up_objective(s, alpha, variant, basis, grad=True)
 
     starts = []
     if x0 is not None:
@@ -285,13 +380,21 @@ def _iterate_h_up(s, alpha, variant, restarts, x0=None, seed=7):
         starts.append(rng.standard_normal(npar))
 
     best = None
+    evaluations = 0
     for start in starts[: max(restarts, 1)]:
-        res = minimize(objective, start, jac=grad, method="L-BFGS-B",
+        res = minimize(objective, start, jac=True, method="L-BFGS-B",
                        options={"maxiter": 200, "ftol": 1e-14, "gtol": 1e-10})
-        if best is None or res.fun < best.fun - 1e-15:
+        evaluations += int(res.nfev)
+        # a later start wins only by more than the objective's rounding
+        # noise: on a tie the earlier one (the warm start, else sigma = 1/d)
+        # stays, and warm starts do not inherit an offset at the noise floor
+        if best is None or res.fun < best.fun - _RESTART_MARGIN * max(1.0, abs(best.fun)):
             best = res
-    residual = float(np.max(np.abs(best.jac))) if best.jac is not None else math.nan
-    return best, basis, d, residual
+    if not math.isfinite(best.fun):
+        raise NoConvergenceError("optimizer produced no finite value")
+    return OptimizerReport(_sigma_from_params(best.x, basis, d), -float(best.fun),
+                           int(best.nit), float(np.max(np.abs(best.jac))),
+                           evaluations, best.x)
 
 
 def h_up(s: CQState, alpha: float, variant: str = "petz",
@@ -299,14 +402,18 @@ def h_up(s: CQState, alpha: float, variant: str = "petz",
          sigma0_params=None) -> OptimizerReport:
     """Conditional Renyi entropy maximized over the side-information state."""
     if alpha == 0.0:
-        rep = h_up(s, 1e-3, variant, method, restarts, sigma0_params)
         if variant == "petz":
-            val = petz_h0(s)
-        else:
-            val = _richardson_zero_limit(
-                lambda a: h_up(s, a, variant, method, restarts, sigma0_params).value
-            )
-        return OptimizerReport(rep.sigma_star, val, rep.iterations, rep.residual)
+            rep = h_up(s, _ZERO_GRID[-1], variant, method, restarts, sigma0_params)
+            return replace(rep, value=petz_h0(s))
+        # each grid point solved once; sigma from the smallest alpha
+        reports = {}
+
+        def solve(a):
+            reports[a] = h_up(s, a, variant, method, restarts, sigma0_params)
+            return reports[a].value
+        val = _richardson_zero_limit(solve)
+        return replace(reports[_ZERO_GRID[-1]], value=val,
+                       evaluations=sum(r.evaluations for r in reports.values()))
     if abs(alpha - 1.0) < _ALPHA_ONE_WINDOW:
         return OptimizerReport(marginal_b(s), conditional_entropy(s), 0, 0.0)
     if method is None:
@@ -314,17 +421,10 @@ def h_up(s: CQState, alpha: float, variant: str = "petz",
     if method == "closed_form":
         if variant != "petz":
             raise MethodUnsupportedError("closed form applies to the petz family only")
-        sig = petz_sigma_star(s, alpha)
-        return OptimizerReport(sig, -cq_renyi(s, sig, alpha, "petz"), 0, 0.0)
+        sig, log2_trace = _petz_sibson(s, alpha)
+        return OptimizerReport(sig, alpha / (1.0 - alpha) * log2_trace, 0, 0.0)
     if method == "iterate":
-        res, basis, d, residual = _iterate_h_up(s, alpha, variant, restarts,
-                                                x0=sigma0_params)
-        if not math.isfinite(res.fun):
-            raise NoConvergenceError("optimizer produced no finite value")
-        sig = _sigma_from_params(res.x, basis, d)
-        rep = OptimizerReport(sig, -float(res.fun), int(res.nit), residual)
-        rep.params = res.x
-        return rep
+        return _iterate_h_up(s, alpha, variant, restarts, x0=sigma0_params)
     if method == "grid":
         if s.dim_b != 2:
             raise MethodUnsupportedError("grid search supports qubit side information only")
@@ -409,4 +509,5 @@ def _grid_h_up(s: CQState, alpha: float, variant: str,
     j = int(np.argmin(fvals))
     best = fpts[j]
     sig = DensityOperator(_bloch_sigma_batch(best[None, :])[0], check=False)
-    return OptimizerReport(sig, -float(fvals[j]), len(pts) + len(fpts), resolution)
+    evaluations = len(pts) + len(fpts)
+    return OptimizerReport(sig, -float(fvals[j]), evaluations, resolution, evaluations)

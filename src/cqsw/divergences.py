@@ -12,6 +12,7 @@ import numpy as np
 from cqsw.errors import InvalidAlphaError, SupportViolationError
 from cqsw.operators import (
     DEFAULT_POLICY,
+    LN2,
     SupportPolicy,
     _as_matrix,
     eig_hermitian,
@@ -27,6 +28,7 @@ from cqsw.operators import (
 VARIANTS = ("petz", "sandwiched", "flat")
 _ALPHA_ONE_WINDOW = 1e-6
 _FLAT_TRACE_SLACK = 1e-9
+_LN_MAX = math.log(np.finfo(float).max)
 
 
 def _check_variant(variant: str) -> str:
@@ -50,45 +52,97 @@ def relative_entropy(rho, sigma, policy: SupportPolicy = DEFAULT_POLICY) -> floa
     return ent - cross
 
 
+def _sigma_spectrum_op(sw: np.ndarray, alpha: float, variant: str,
+                       policy: SupportPolicy = DEFAULT_POLICY) -> tuple[np.ndarray, float]:
+    """(f, shift): the eigenvalues, on the support of sigma and zero off it,
+    of the operator g(sigma) a family pairs with rho, divided by e^shift.
+
+    g is sigma^(1-alpha) (petz), sigma^((1-alpha)/alpha) (sandwiched) or
+    log2 sigma (flat, shift 0). For the two powers shift is the log of the
+    largest eigenvalue of g(sigma), so f <= 1 and neither a large exponent
+    (alpha -> 0) nor a negative one (alpha large) overflows; ln Q is then
+    ln Q(f) + shift (petz) or + alpha shift (sandwiched).
+    """
+    on = support_mask(sw, policy)
+    f = np.zeros_like(sw)
+    if variant == "flat":
+        f[on] = np.log2(sw[on])
+        return f, 0.0
+    e = (1.0 - alpha) if variant == "petz" else (1.0 - alpha) / alpha
+    w = sw[on]
+    if not w.size:
+        return f, 0.0
+    # g(sigma) is largest at the largest eigenvalue of sigma when e > 0 and
+    # at the smallest on the support when e < 0 (w is ascending)
+    ref = float(w[-1] if e > 0.0 else w[0])
+    f[on] = (w / ref) ** e
+    return f, e * math.log(ref)
+
+
 def _sigma_operator(sw: np.ndarray, sv: np.ndarray, alpha: float, variant: str,
-                    policy: SupportPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """The operator of sigma = sv diag(sw) sv^dagger that a family pairs with
-    each rho: sigma^(1-alpha) (petz), sigma^((1-alpha)/(2 alpha))
-    (sandwiched) or log2 sigma on its support (flat)."""
-    if variant == "petz":
-        return power_from_spectrum(sw, sv, 1.0 - alpha, policy)
+                    policy: SupportPolicy = DEFAULT_POLICY) -> tuple[np.ndarray, float]:
+    """(op, ln_scale): the operator of sigma = sv diag(sw) sv^dagger that
+    `_spectral_q` pairs with each rho, and the amount to add to its ln Q.
+
+    op is g(sigma) / e^shift (`_sigma_spectrum_op`), except for the
+    sandwiched family, where it is the square root of that, sigma^(e/2)
+    with e = (1-alpha)/alpha, the factor on either side of rho."""
+    f, shift = _sigma_spectrum_op(sw, alpha, variant, policy)
     if variant == "sandwiched":
-        return power_from_spectrum(sw, sv, (1.0 - alpha) / (2.0 * alpha), policy)
-    return log2_from_spectrum(sw, sv, policy)
+        return (sv * np.sqrt(f)) @ sv.conj().T, alpha * shift
+    return (sv * f) @ sv.conj().T, shift
 
 
 def _spectral_q(rw: np.ndarray, rv: np.ndarray, sigma_op: np.ndarray, alpha: float,
                 variant: str, policy: SupportPolicy = DEFAULT_POLICY,
-                sigma_support: np.ndarray | None = None) -> tuple[float, float]:
-    """Q_alpha of a PSD rho = rv diag(rw) rv^dagger against sigma, given the
-    family's operator of sigma (`_sigma_operator`). This is the one
-    implementation of the three families, for single pairs and cq blocks.
+                sigma_support: np.ndarray | None = None, grad: bool = False):
+    """ln Q_alpha of a PSD rho = rv diag(rw) rv^dagger against the family's
+    operator of sigma (`_sigma_operator`), before its ln_scale is added.
+    This is the one implementation of the three families, for single pairs
+    and cq blocks.
 
-    Returns (q, kept). The flat family restricts both operators to the
-    support of rho, intersected with sigma_support (the support projector of
-    sigma; None when sigma has full rank), and compresses log2 rho and
-    log2 sigma to that subspace; kept is the trace of rho there. For the
-    other families kept is the trace of rho.
+    Returns (ln q, kept, gamma), ln q = -inf where q = 0. The flat family restricts
+    both operators to the support of rho, intersected with sigma_support
+    (the support projector of sigma; None when sigma has full rank), and
+    compresses log2 rho and log2 sigma to that subspace; kept is the trace
+    of rho there. For the other families kept is the trace of rho.
+
+    gamma is None unless grad is set and q > 0. It is then the derivative
+    of ln q with respect to g(sigma) (the operator `_sigma_spectrum_op`
+    describes; for sandwiched the square of sigma_op): the Hermitian gamma
+    with d ln q = Tr[gamma dg], built from the spectra the value takes.
     """
     if variant == "petz":
         ra = power_from_spectrum(rw, rv, alpha, policy)
-        return float(np.real(np.sum(ra * sigma_op.T))), float(np.sum(rw))
+        q = float(np.real(np.sum(ra * sigma_op.T)))
+        if q <= 0.0:
+            return -math.inf, float(np.sum(rw)), None
+        return math.log(q), float(np.sum(rw)), ra / q if grad else None
     if variant == "sandwiched":
         # spectrum of sigma^e rho sigma^e (e = (1-alpha)/(2alpha)) via the
         # singular values of sigma^e rho^(1/2): squaring the singular values
         # resolves eigenvalues far below the noise floor of the product
         # matrix itself, which matters when alpha < 1 because w ** alpha
         # keeps tiny eigenvalues relevant
-        sv = np.linalg.svd(sigma_op @ power_from_spectrum(rw, rv, 0.5, policy),
-                           compute_uv=False)
+        half = power_from_spectrum(rw, rv, 0.5, policy)
+        if grad:
+            _, sv, wh = np.linalg.svd(sigma_op @ half)
+        else:
+            sv = np.linalg.svd(sigma_op @ half, compute_uv=False)
         scale = float(sv[0]) if sv.size else 0.0
         keep = sv > policy.relative_cutoff * scale
-        return float(np.sum(sv[keep] ** (2.0 * alpha))), float(np.sum(rw))
+        if not np.any(keep):
+            return -math.inf, float(np.sum(rw)), None
+        # sum sv^(2 alpha) = scale^(2 alpha) sum (sv/scale)^(2 alpha)
+        ratio = sv[keep] / scale
+        total = float(np.sum(ratio ** (2.0 * alpha)))
+        ln_q = 2.0 * alpha * math.log(scale) + math.log(total)
+        if not grad:
+            return ln_q, float(np.sum(rw)), None
+        # d Tr[(rho^1/2 g rho^1/2)^alpha] = alpha Tr[rho^1/2 W s^(2alpha-2)
+        # W^dagger rho^1/2 dg], W the right singular vectors; over q
+        y = half @ (wh[keep].conj().T * (ratio ** (alpha - 1.0) / (scale * math.sqrt(total))))
+        return ln_q, float(np.sum(rw)), alpha * (y @ y.conj().T)
     on = support_mask(rw, policy)
     if sigma_support is None:
         # in the eigenbasis of rho its compression is diagonal
@@ -101,10 +155,17 @@ def _spectral_q(rw: np.ndarray, rv: np.ndarray, sigma_op: np.ndarray, alpha: flo
         log_rho = basis.conj().T @ log2_from_spectrum(rw, rv, policy) @ basis
         kept = float(np.real(np.trace(basis.conj().T @ ((rv * rw) @ rv.conj().T) @ basis)))
     if basis.shape[1] == 0:
-        return 0.0, 0.0
+        return -math.inf, 0.0, None
     m = alpha * log_rho + (1.0 - alpha) * (basis.conj().T @ sigma_op @ basis)
-    mw, _ = eig_hermitian(m)
-    return float(np.sum(np.exp2(mw))), kept
+    mw, mv = eig_hermitian(m)
+    top = float(mw[-1])
+    e = np.exp2(mw - top)
+    ln_q = top * LN2 + math.log(float(np.sum(e)))
+    if not grad:
+        return ln_q, kept, None
+    # d Tr 2^M = ln2 Tr[2^M dM], dM = (1-alpha) basis^dagger dg basis
+    pm = basis @ mv
+    return ln_q, kept, (1.0 - alpha) * LN2 * ((pm * (e / np.sum(e))) @ pm.conj().T)
 
 
 def _full_rank(w: np.ndarray, policy: SupportPolicy = DEFAULT_POLICY) -> bool:
@@ -113,24 +174,48 @@ def _full_rank(w: np.ndarray, policy: SupportPolicy = DEFAULT_POLICY) -> bool:
     return bool(w.size) and float(w[0]) > policy.relative_cutoff * float(w[-1])
 
 
+def _ln_q_alpha(rho, sigma, alpha: float, variant: str,
+                policy: SupportPolicy = DEFAULT_POLICY) -> float:
+    """ln Q_alpha of one pair; -inf where Q = 0, nan where it is +inf."""
+    rw, rv = eig_hermitian(_as_matrix(rho))
+    sw, sv = eig_hermitian(_as_matrix(sigma))
+    support = None
+    if variant == "flat" and not _full_rank(sw, policy):
+        support = power_from_spectrum(sw, sv, 0.0, policy)
+    sigma_op, ln_scale = _sigma_operator(sw, sv, alpha, variant, policy)
+    ln_q, kept, _ = _spectral_q(rw, rv, sigma_op, alpha, variant, policy, support)
+    # flat: rho with no trace on the kept subspace has q = 0; with part of
+    # its trace cut off, Q is 0 below alpha = 1 and +inf above
+    if variant == "flat" and 0.0 < kept < 1.0 - _FLAT_TRACE_SLACK:
+        return -math.inf if alpha < 1.0 else math.nan
+    return ln_q + ln_scale
+
+
 def q_alpha(rho, sigma, alpha: float, variant: str = "petz",
             policy: SupportPolicy = DEFAULT_POLICY) -> float:
     """The trace functional Q_alpha of the chosen divergence family."""
     _check_variant(variant)
     if alpha <= 0:
         raise InvalidAlphaError(f"alpha must be positive, got {alpha}")
-    rw, rv = eig_hermitian(_as_matrix(rho))
-    sw, sv = eig_hermitian(_as_matrix(sigma))
-    support = None
-    if variant == "flat" and not _full_rank(sw, policy):
-        support = power_from_spectrum(sw, sv, 0.0, policy)
-    q, kept = _spectral_q(rw, rv, _sigma_operator(sw, sv, alpha, variant, policy),
-                          alpha, variant, policy, support)
-    # flat: rho with no trace on the kept subspace has q = 0; with part of
-    # its trace cut off, Q is 0 below alpha = 1 and +inf above
-    if variant == "flat" and 0.0 < kept < 1.0 - _FLAT_TRACE_SLACK:
-        return 0.0 if alpha < 1.0 else math.nan  # caller maps to +inf
-    return q
+    return _q_from_ln(_ln_q_alpha(rho, sigma, alpha, variant, policy))
+
+
+def _q_from_ln(ln_q: float) -> float:
+    """Q from ln Q: +inf past the float range, and nan kept (the flat
+    family's Q = +inf, which callers map to D = +inf)."""
+    if math.isnan(ln_q):
+        return ln_q
+    return math.inf if ln_q > _LN_MAX else math.exp(ln_q)
+
+
+def _renyi_from_ln_q(ln_q: float, alpha: float) -> float:
+    """D_alpha in bits from ln Q_alpha: nan (Q = +inf) and -inf (Q = 0) map
+    to the infinity of the right sign."""
+    if math.isnan(ln_q):
+        return math.inf
+    if ln_q == -math.inf:
+        return math.inf if alpha < 1.0 else -math.inf
+    return ln_q / (LN2 * (alpha - 1.0))
 
 
 def renyi_divergence(rho, sigma, alpha: float, variant: str = "petz",
@@ -151,12 +236,7 @@ def renyi_divergence(rho, sigma, alpha: float, variant: str = "petz",
         ps = support_projector(sigma, policy)
         if float(np.real(np.trace(pr @ ps))) <= policy.relative_cutoff:
             return math.inf
-    q = q_alpha(rho, sigma, alpha, variant, policy)
-    if math.isnan(q):
-        return math.inf
-    if q <= 0.0:
-        return math.inf if alpha < 1.0 else -math.inf
-    return math.log2(q) / (alpha - 1.0)
+    return _renyi_from_ln_q(_ln_q_alpha(rho, sigma, alpha, variant, policy), alpha)
 
 
 def relative_entropy_variance(rho, sigma,

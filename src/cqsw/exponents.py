@@ -18,7 +18,7 @@ from scipy.special import ndtri
 
 from cqsw.errors import DomainError, RateOutOfWindowError, ZeroVarianceError
 from cqsw.conditional import (
-    _petz_acc_spectrum,
+    _petz_sibson,
     _sigma_from_params,
     _traceless_basis,
     conditional_entropy,
@@ -68,7 +68,9 @@ class HUpEvaluator:
 
     Golden-section probes nearby alpha values repeatedly; reusing the last
     optimizer solution as the starting point makes the inner optimization
-    cheap after the first call.
+    cheap after the first call. It counts what it did: solves, cache hits,
+    optimizer objective evaluations and the largest optimizer residual
+    (`report`).
     """
 
     def __init__(self, s: CQState, variant: str, restarts_first: int = 5):
@@ -77,21 +79,34 @@ class HUpEvaluator:
         self.restarts_first = restarts_first
         self._cache: dict[float, float] = {}
         self._warm = None
+        self.solves = 0
+        self.cache_hits = 0
+        self.evaluations = 0
+        self.residual = 0.0
 
     def value(self, alpha: float) -> float:
         key = round(alpha, 12)
         if key in self._cache:
+            self.cache_hits += 1
             return self._cache[key]
         if self.variant == "petz":
-            val = h_up(self.state, alpha, "petz", "closed_form").value
+            rep = h_up(self.state, alpha, "petz", "closed_form")
         else:
             restarts = 1 if self._warm is not None else self.restarts_first
             rep = h_up(self.state, alpha, self.variant, "iterate",
                        restarts=restarts, sigma0_params=self._warm)
-            self._warm = getattr(rep, "params", None)
-            val = rep.value
-        self._cache[key] = val
-        return val
+            self._warm = rep.params
+        self.solves += 1
+        self.evaluations += rep.evaluations
+        self.residual = max(self.residual, rep.residual)
+        self._cache[key] = rep.value
+        return rep.value
+
+    def report(self) -> dict:
+        """h_up solves, cache hits, optimizer objective evaluations and the
+        largest residual (gradient norm at the optimum) so far."""
+        return {"h_up_solves": self.solves, "cache_hits": self.cache_hits,
+                "evaluations": self.evaluations, "residual": self.residual}
 
 
 def e0(s: CQState, sval: float, variant: str = "petz",
@@ -103,16 +118,9 @@ def e0(s: CQState, sval: float, variant: str = "petz",
         return 0.0
     alpha = 1.0 / (1.0 + sval)
     if variant == "petz":
-        # log2 Tr acc^(1+s) = (1+s) log2 w_max + log2 sum_i (w_i/w_max)^(1+s)
-        # over the spectrum of acc = sum_x (p rho_x)^alpha; the scaled form
-        # stays finite where acc^(1+s) itself overflows
-        w, _ = _petz_acc_spectrum(s, alpha)
-        top = float(w[-1])
-        if top <= 0.0:
-            return -math.inf
-        on = w > 0.0
-        scaled = float(np.sum((w[on] / top) ** (1.0 + sval)))
-        return -((1.0 + sval) * math.log2(top) + math.log2(scaled))
+        # -log2 Tr acc^(1+s), acc = sum_x (p rho_x)^alpha, in the scaled form
+        # that stays finite where acc^(1+s) itself overflows
+        return -_petz_sibson(s, alpha)[1]
     if evaluator is not None and evaluator.variant == variant:
         return -sval * evaluator.value(alpha)
     return -sval * h_up(s, alpha, variant, "iterate", restarts=5).value
@@ -197,7 +205,7 @@ def exponent_family(s: CQState, rates, kind: str,
     ev = HUpEvaluator(s, variant)
     vals = np.array([exponent(s, r, kind, variant, evaluator=ev) for r in rates])
     return ExponentCurve(rates, vals, kind,
-                         {"variant": variant, "alpha_cap": ALPHA_CAP})
+                         {"variant": variant, "alpha_cap": ALPHA_CAP, **ev.report()})
 
 
 @dataclass

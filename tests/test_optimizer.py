@@ -1,0 +1,122 @@
+"""The sigma_B optimizer behind h_up: its exact gradient against central
+differences on random sources, the eigendecompositions one evaluation
+makes, one solve per point of the alpha -> 0 grid, the optimizer report a
+curve carries, and the order relations of the three Renyi families and of
+exponent curves on random sources."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import cqsw.conditional as conditional
+from cqsw import presets
+from cqsw.conditional import conditional_entropy, cq_renyi, h_up
+from cqsw.exponents import exponent_family
+from cqsw.operators import random_density
+from test_spectra import _warmed_zero_plus, eig_count  # noqa: F401
+from test_type_classes import _sources
+
+_VARIANTS = ("petz", "sandwiched", "flat")
+
+
+def _central_difference(f, x, h=1e-5):
+    """Richardson-refined central differences of f at x."""
+    def step(t):
+        return np.array([(f(x + t * e) - f(x - t * e)) / (2.0 * t)
+                         for e in np.eye(len(x))])
+    return (4.0 * step(h / 2.0) - step(h)) / 3.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(s=_sources, variant=st.sampled_from(_VARIANTS),
+       alpha=st.sampled_from((1e-3, 0.3, 0.7, 1.5, 3.0, 64.0)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_objective_gradient_matches_central_differences(s, variant, alpha, seed):
+    basis = conditional._traceless_basis(s.dim_b)
+    x = 0.7 * np.random.default_rng(seed).standard_normal(len(basis))
+    value_of = conditional._h_up_objective(s, alpha, variant, basis)
+    value, grad = conditional._h_up_objective(s, alpha, variant, basis, grad=True)(x)
+    assert value == pytest.approx(value_of(x), rel=1e-12, abs=1e-12)
+    fd = _central_difference(value_of, x)
+    assert np.max(np.abs(grad - fd)) <= 1e-6 * max(1.0, float(np.max(np.abs(fd))))
+
+
+@pytest.mark.parametrize("variant", _VARIANTS)
+def test_gradient_adds_no_eigendecomposition(eig_count, variant):
+    # K only for petz and sandwiched; K and one small matrix per block for
+    # flat, whose eigenvectors the gradient reuses
+    s = _warmed_zero_plus()
+    basis = conditional._traceless_basis(s.dim_b)
+    x = np.array([0.1, -0.2, 0.3])
+    eig_count.clear()
+    conditional._h_up_objective(s, 1.5, variant, basis)(x)
+    value_only = len(eig_count)
+    eig_count.clear()
+    conditional._h_up_objective(s, 1.5, variant, basis, grad=True)(x)
+    assert len(eig_count) == value_only == (1 + s.size_x if variant == "flat" else 1)
+
+
+@pytest.mark.parametrize("variant", ("sandwiched", "flat"))
+def test_zero_alpha_solves_each_grid_point_once(monkeypatch, variant):
+    s = presets.doubly_symmetric(0.11)
+    alphas = []
+    real = conditional._iterate_h_up
+
+    def iterate(s, alpha, *args, **kwargs):
+        alphas.append(alpha)
+        return real(s, alpha, *args, **kwargs)
+
+    monkeypatch.setattr(conditional, "_iterate_h_up", iterate)
+    rep = h_up(s, 0.0, variant, restarts=3)
+    assert sorted(alphas) == [1e-3, 1e-2, 1e-1]
+    # sigma and the residual are those of the alpha = 1e-3 solve
+    last = h_up(s, 1e-3, variant, restarts=3)
+    assert np.allclose(rep.sigma_star.matrix, last.sigma_star.matrix, atol=1e-12)
+    assert rep.residual == last.residual
+    assert rep.evaluations > last.evaluations
+
+
+def test_exponent_family_reports_optimizer():
+    s = presets.doubly_symmetric(0.11)
+    curve = exponent_family(s, [0.2, 0.3, 0.4], "strong_converse_star")
+    meta = curve.metadata
+    assert meta["variant"] == "sandwiched"
+    assert meta["h_up_solves"] > 0
+    assert meta["cache_hits"] > 0
+    assert meta["evaluations"] >= meta["h_up_solves"]
+    # the exact gradient at each optimum
+    assert 0.0 <= meta["residual"] < 1e-6
+    petz = exponent_family(s, [0.6, 0.7], "random_coding").metadata
+    assert petz["h_up_solves"] > 0
+    assert petz["evaluations"] == 0 and petz["residual"] == 0.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(s=_sources, alpha=st.sampled_from((0.25, 0.5, 0.8, 1.3, 2.0, 3.0)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_family_ordering_on_random_sources(s, alpha, seed):
+    # alpha > 1: flat <= sandwiched <= petz; alpha < 1: sandwiched <= petz
+    # <= flat
+    sigma = random_density(np.random.default_rng(seed), s.dim_b)
+    d = {v: cq_renyi(s, sigma, alpha, v) for v in _VARIANTS}
+    order = ("flat", "sandwiched", "petz") if alpha > 1.0 else ("sandwiched", "petz", "flat")
+    for lo, hi in zip(order, order[1:]):
+        assert d[lo] <= d[hi] + 1e-9, (lo, hi, d)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(s=_sources, kind=st.sampled_from(("random_coding_down", "random_coding",
+                                         "sphere_packing")),
+       points=st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3, unique=True))
+def test_petz_exponents_nondecreasing_in_rate(s, kind, points):
+    # rates spread around H(X|B), where the exponents leave zero
+    h = conditional_entropy(s)
+    rates = sorted(max(h + p, 0.0) for p in points)
+    rates = [r for i, r in enumerate(rates) if i == 0 or r > rates[i - 1]]
+    values = exponent_family(s, rates, kind).values
+    for lo, hi in zip(values, values[1:]):
+        assert hi >= lo - 1e-9 or math.isinf(hi), values
