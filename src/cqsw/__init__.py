@@ -2,7 +2,5 @@
 
 from __future__ import annotations
 
-from cqsw.kernels import BACKEND
-
 __version__ = "0.1.0"
-__all__ = ["BACKEND", "__version__"]
+__all__ = ["__version__"]

@@ -28,7 +28,7 @@ from cqsw.divergences import renyi_divergence
 from cqsw.exponents import exponent, HUpEvaluator, moderate_ratio, saddle_point
 from cqsw.hypotest import hypothesis_testing_divergence, rate_window
 from cqsw.operators import random_density
-from cqsw.states import load_state
+from cqsw.states import DEFAULT_CAP, load_state
 
 
 def _fmt(x: float) -> str:
@@ -257,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--state")
         sp.add_argument("--out")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--cap", type=int, default=4096)
+        sp.add_argument("--cap", type=int, default=DEFAULT_CAP)
 
     sp = sub.add_parser("exponents")
     common(sp)

@@ -28,7 +28,7 @@ from cqsw.operators import (
     positive_projector,
     trace_norm,
 )
-from cqsw.states import CQState, DensityOperator, marginal_b, power_state
+from cqsw.states import DEFAULT_CAP, CQState, DensityOperator, marginal_b, power_state
 from cqsw.variational import DummyState
 
 _POVM_TOL = 1e-9
@@ -102,7 +102,7 @@ def _success_on_blocks(blocks, code: Code) -> tuple[float, np.ndarray]:
 
 
 def error_probability(s: CQState, n: int, code: Code,
-                      cap: int = 4096) -> ErrorReport:
+                      cap: int = DEFAULT_CAP) -> ErrorReport:
     """Exact error probability of the code on the n-fold source."""
     sn = power_state(s, n, cap=cap)
     if code.n != n:
@@ -138,7 +138,7 @@ def random_binning(n: int, w_size: int, seed: int) -> BinningEncoder:
 
 
 def pgm_decoder(s: CQState, n: int, encoder, w_size: int,
-                cap: int = 4096) -> Code:
+                cap: int = DEFAULT_CAP) -> Code:
     """Pretty good measurement decoder for a given binning.
 
     Per sequence, Lambda is the projector onto the nonnegative eigenspace of
@@ -277,7 +277,7 @@ def _canonical_encoders(size: int, w_size: int):
 
 
 def optimal_error_bruteforce(s: CQState, n: int, w_size: int,
-                             cap: int = 4096):
+                             cap: int = DEFAULT_CAP):
     """Ground-truth optimal code: enumerate encoders up to bin relabeling
     and give each bin its optimal discrimination measurement."""
     sn = power_state(s, n, cap=cap)
@@ -311,7 +311,7 @@ def optimal_error_bruteforce(s: CQState, n: int, w_size: int,
 
 
 def empirical_exponents(s: CQState, n: int, rate: float, decoder_kind: str,
-                        trials: int, seed: int, cap: int = 4096):
+                        trials: int, seed: int, cap: int = DEFAULT_CAP):
     """Encoder-averaged error and success exponents under random binning.
 
     decoder_kind selects the measurement: "pgm" or "optimal" (per-bin
@@ -341,7 +341,7 @@ def empirical_exponents(s: CQState, n: int, rate: float, decoder_kind: str,
 
 
 def _optimal_decoder_for(s: CQState, n: int, encoder, w_size: int,
-                         cap: int = 4096) -> Code:
+                         cap: int = DEFAULT_CAP) -> Code:
     sn = power_state(s, n, cap=cap)
     size = sn.size_x
     if isinstance(encoder, BinningEncoder):
@@ -362,7 +362,7 @@ def _optimal_decoder_for(s: CQState, n: int, encoder, w_size: int,
 
 
 def dummy_state_inequality_check(s: CQState, dummy: DummyState, code: Code,
-                                 a: float, cap: int = 4096) -> bool:
+                                 a: float, cap: int = DEFAULT_CAP) -> bool:
     """Success probability comparison against an auxiliary source state:
     P_s(rho, C) >= 2^-a (P_s(dummy, C) - Tr[(dummy - 2^a rho)_+]),
     evaluated exactly, allowing 1e-10 slack."""

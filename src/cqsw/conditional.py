@@ -14,6 +14,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from cqsw.divergences import (
+    _ALPHA_ONE_WINDOW,
     _FLAT_TRACE_SLACK,
     _check_variant,
     _full_rank,
@@ -35,7 +36,6 @@ from cqsw.operators import (
 )
 from cqsw.states import CQState, DensityOperator, marginal_b
 
-_ALPHA_ONE_WINDOW = 1e-6
 _ZERO_GRID = (1e-1, 1e-2, 1e-3)
 _PENALTY = 1e6
 # below this |c dk| a divided difference of e^(c k) is taken as

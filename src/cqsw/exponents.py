@@ -35,13 +35,16 @@ _GOLDEN_TOL = 1e-8
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 ALPHA_CAP = 64.0
 
-KINDS = (
-    "random_coding_down",
-    "random_coding",
-    "sphere_packing",
-    "strong_converse_star",
-    "strong_converse_flat",
-)
+# The exponent kinds, each with the Renyi family used when no variant is
+# given; the random_coding_down kind is petz by definition.
+DEFAULT_VARIANT = {
+    "random_coding_down": "petz",
+    "random_coding": "petz",
+    "sphere_packing": "petz",
+    "strong_converse_star": "sandwiched",
+    "strong_converse_flat": "flat",
+}
+KINDS = tuple(DEFAULT_VARIANT)
 
 
 def golden_max(f, lo: float, hi: float, tol: float = _GOLDEN_TOL):
@@ -156,9 +159,7 @@ def exponent(s: CQState, rate: float, kind: str, variant: str | None = None,
         return _clamp(val)
 
     if variant is None:
-        variant = {"random_coding": "petz", "sphere_packing": "petz",
-                   "strong_converse_star": "sandwiched",
-                   "strong_converse_flat": "flat"}[kind]
+        variant = DEFAULT_VARIANT[kind]
     ev = evaluator if (evaluator is not None and evaluator.variant == variant) \
         else HUpEvaluator(s, variant)
 
@@ -196,12 +197,8 @@ def exponent_family(s: CQState, rates, kind: str,
     rates = np.asarray(rates, dtype=float)
     if rates.ndim != 1 or np.any(np.diff(rates) <= 0):
         raise DomainError("rates must be a strictly increasing 1-d array")
-    if variant is None and kind in ("random_coding", "sphere_packing"):
-        variant = "petz"
     if variant is None:
-        variant = {"strong_converse_star": "sandwiched",
-                   "strong_converse_flat": "flat",
-                   "random_coding_down": "petz"}[kind]
+        variant = DEFAULT_VARIANT[kind]
     ev = HUpEvaluator(s, variant)
     vals = np.array([exponent(s, r, kind, variant, evaluator=ev) for r in rates])
     return ExponentCurve(rates, vals, kind,

@@ -23,7 +23,13 @@ from cqsw.errors import (
     WTooLargeError,
 )
 from cqsw.operators import _as_matrix, eig_hermitian, tensor
-from cqsw.states import CQState, as_joint_operator, marginal_b, type_classes
+from cqsw.states import (
+    DEFAULT_CAP,
+    CQState,
+    as_joint_operator,
+    marginal_b,
+    type_classes,
+)
 
 _KER_TOL = 1e-10
 _BISECT_ITERS = 64
@@ -215,7 +221,7 @@ def one_shot_converse(s: CQState, w_size: int, sigma_b) -> float:
 
 
 def rate_window(s: CQState, n: int, eps: float, alpha: float,
-                cap: int = 4096) -> tuple[float, float]:
+                cap: int = DEFAULT_CAP) -> tuple[float, float]:
     """Per-symbol bounds on the optimal fixed-length rate at blocklength n
     and error budget eps. Both endpoints come from the hypothesis testing
     divergence of the n-fold state against identity tensor the n-fold

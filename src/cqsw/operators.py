@@ -19,7 +19,6 @@ from cqsw.errors import (
     NoConvergenceError,
     NonHermitianError,
 )
-from cqsw.kernels import jacobi_cyclic
 
 _HERM_TOL = 1e-12
 _GROUP_GAP = 1e-9
@@ -43,11 +42,6 @@ DEFAULT_POLICY = SupportPolicy()
 def _as_matrix(a) -> np.ndarray:
     m = getattr(a, "matrix", a)
     return np.asarray(m, dtype=np.complex128)
-
-
-def max_norm(a) -> float:
-    a = _as_matrix(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
 
 
 def check_hermitian(a: np.ndarray) -> np.ndarray:
@@ -104,6 +98,63 @@ def _eig2(a) -> tuple[np.ndarray, np.ndarray]:
         z = v[k, j]
         v[:, j] *= z.conjugate() / abs(z)
     return w, v
+
+
+def jacobi_cyclic(a_in: np.ndarray, max_sweeps: int, rel_tol: float):
+    """Cyclic complex Jacobi eigenvalue iteration on a Hermitian matrix.
+
+    Returns (diagonal, eigenvectors, sweeps, converged), unsorted.
+    """
+    n = a_in.shape[0]
+    a = np.array(a_in, dtype=np.complex128, order="C")
+    v = np.eye(n, dtype=np.complex128)
+    fro = float(np.linalg.norm(a))
+    if fro == 0.0 or n == 1:
+        return np.real(np.diag(a)).copy(), v, 0, True
+
+    tol2 = (rel_tol * fro) ** 2
+    skip = 1e-18 * fro
+    sweep = 0
+    converged = False
+    while sweep < max_sweeps:
+        off = float(np.sum(np.abs(np.triu(a, 1)) ** 2))
+        if off <= tol2:
+            converged = True
+            break
+        sweep += 1
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                r = abs(apq)
+                if r <= skip:
+                    continue
+                ph = apq / r
+                phc = ph.conjugate()
+                app = a[p, p].real
+                aqq = a[q, q].real
+                tau = (aqq - app) / (2.0 * r)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p - s * phc * col_q
+                a[:, q] = s * col_p + c * phc * col_q
+                row_p = a[p, :].copy()
+                row_q = a[q, :].copy()
+                a[p, :] = c * row_p - s * ph * row_q
+                a[q, :] = s * row_p + c * ph * row_q
+                vcol_p = v[:, p].copy()
+                vcol_q = v[:, q].copy()
+                v[:, p] = c * vcol_p - s * phc * vcol_q
+                v[:, q] = s * vcol_p + c * phc * vcol_q
+    if not converged:
+        off = float(np.sum(np.abs(np.triu(a, 1)) ** 2))
+        converged = off <= tol2
+    return np.real(np.diag(a)).copy(), v, sweep, converged
 
 
 def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
@@ -316,14 +367,6 @@ def support_contained(rho, sigma, policy: SupportPolicy = DEFAULT_POLICY) -> boo
     leak = comp @ rho @ comp
     tr = float(np.real(np.trace(rho)))
     return op_norm(leak) <= policy.relative_cutoff * max(tr, 1.0)
-
-
-def orthogonal(a, b, policy: SupportPolicy = DEFAULT_POLICY) -> bool:
-    """True when supp(A) and supp(B) intersect trivially."""
-    pa = support_projector(a, policy)
-    pb = support_projector(b, policy)
-    prod = pa @ pb @ pa
-    return op_norm(prod) <= policy.relative_cutoff
 
 
 def intersection_projector(a, b, policy: SupportPolicy = DEFAULT_POLICY) -> np.ndarray:

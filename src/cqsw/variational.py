@@ -15,9 +15,13 @@ from scipy.optimize import minimize
 from cqsw.errors import InvariantViolation, NoConvergenceError, SupportViolationError
 from cqsw.conditional import h_up
 from cqsw.operators import (
+    DEFAULT_POLICY,
     eig_hermitian,
+    log2_from_spectrum,
+    op_norm,
+    power_from_spectrum,
     spectral_log2,
-    support_contained,
+    support_mask,
     support_projector,
 )
 from cqsw.states import CQState, DensityOperator
@@ -44,13 +48,35 @@ class DummyState:
     def validate_against(self, s: CQState) -> None:
         if len(self.q) != s.size_x:
             raise InvariantViolation("q", "alphabet size mismatch")
-        for qx, sig, px, rho in zip(self.q, self.sigma, s.probs, s.side_info):
-            if qx <= 0:
-                continue
-            if px <= 0:
+        for _, sig, blk in _paired_blocks(s, self):
+            if blk is None:
                 raise SupportViolationError("dummy mass on a zero-probability symbol")
-            if not support_contained(sig.matrix, rho.matrix):
+            if _leaks(sig, blk):
                 raise SupportViolationError("dummy block leaves the source support")
+
+
+def _paired_blocks(s: CQState, d: DummyState):
+    """Triples (q(x), sigma_x, block) over the symbols with q(x) > 0, where
+    block is the kept spectrum (p, w, v) of the source block p(x) rho_x, or
+    None where p(x) = 0."""
+    spectra = iter(s.block_spectra())
+    for qx, sig, px in zip(d.q, d.sigma, s.probs):
+        blk = next(spectra) if px > 0 else None
+        if qx > 0:
+            yield qx, sig, blk
+
+
+def _leaks(sig: DensityOperator, blk) -> bool:
+    """True unless supp(sig) lies in the support of the source block
+    (p, w, v): the criterion of `support_contained`. A full-rank block
+    leaks nothing, so its leak is not computed."""
+    _, w, v = blk
+    if support_mask(w).all():
+        return False
+    comp = np.eye(len(w)) - power_from_spectrum(w, v, 0.0)
+    leak = comp @ sig.matrix @ comp
+    tr = float(np.real(np.trace(sig.matrix)))
+    return op_norm(leak) > DEFAULT_POLICY.relative_cutoff * max(tr, 1.0)
 
 
 def dummy_entropy(s: CQState, d: DummyState) -> float:
@@ -74,17 +100,14 @@ def dummy_entropy(s: CQState, d: DummyState) -> float:
 def dummy_divergence(s: CQState, d: DummyState) -> float:
     """D(sigma_XB || rho_XB) in bits, blockwise."""
     total = 0.0
-    for qx, sig, px, rho in zip(d.q, d.sigma, s.probs, s.side_info):
-        if qx <= 0:
-            continue
-        if px <= 0 or not support_contained(sig.matrix, rho.matrix):
+    for qx, sig, blk in _paired_blocks(s, d):
+        if blk is None or _leaks(sig, blk):
             return math.inf
         blk_s = qx * sig.matrix
-        blk_r = px * rho.matrix
         w, _ = eig_hermitian(blk_s)
         on = w > 1e-15
         total += float(np.sum(w[on] * np.log2(w[on])))
-        total -= float(np.real(np.trace(blk_s @ spectral_log2(blk_r))))
+        total -= float(np.real(np.trace(blk_s @ log2_from_spectrum(*blk[1:]))))
     return total
 
 

@@ -12,8 +12,6 @@ from cqsw.errors import (
     NegativeEigenvalueError,
     NonHermitianError,
 )
-from cqsw.kernels import BACKEND, jacobi_cyclic
-from cqsw.kernels.jacobi_py import jacobi_cyclic as jacobi_cyclic_py
 from cqsw.operators import (
     HermitianOperator,
     SupportPolicy,
@@ -67,15 +65,6 @@ def test_eig_deterministic():
     w2, v2 = eig_hermitian(a.copy())
     assert np.array_equal(w1, w2)
     assert np.array_equal(v1, v2)
-
-
-def test_backends_agree():
-    a = random_hermitian(RNG, 6)
-    d1, v1, _, ok1 = jacobi_cyclic(a, 1000, 1e-14)
-    d2, v2, _, ok2 = jacobi_cyclic_py(a, 1000, 1e-14)
-    assert ok1 and ok2
-    assert np.allclose(np.sort(d1), np.sort(d2), atol=1e-12)
-    assert BACKEND in ("compiled", "python")
 
 
 def test_non_hermitian_rejected():

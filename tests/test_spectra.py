@@ -20,6 +20,7 @@ from cqsw.divergences import renyi_divergence
 from cqsw.exponents import e0
 from cqsw.operators import random_density
 from cqsw.states import CQState, as_joint_operator, marginal_b
+from cqsw.variational import DummyState, dummy_divergence, variational_value
 from test_type_classes import _sources
 
 
@@ -75,6 +76,29 @@ def test_block_spectra_computed_once(eig_count):
     assert len(eig_count) == 3
     assert s.block_spectra() is first
     assert marginal_b(s) is marginal_b(s)
+
+
+def test_dummy_divergence_uses_block_spectra(eig_count):
+    # per block: the dummy's own entropy term, plus the leak only where the
+    # source block is rank deficient; log2(p rho_x) and its support come
+    # from the kept block spectra
+    rng = np.random.default_rng(8)
+    s = presets.random_cq_state(rng, 3, 2)
+    s.block_spectra()
+    d = DummyState(rng.dirichlet(np.ones(3)), [random_density(rng, 2) for _ in range(3)])
+    eig_count.clear()
+    assert math.isfinite(dummy_divergence(s, d))
+    assert len(eig_count) == 3
+    # validation adds nothing at full rank; the entropy adds |X| + 1
+    eig_count.clear()
+    assert math.isfinite(variational_value(s, 0.5, "r", d))
+    assert len(eig_count) == 3 + 4
+
+    s = _warmed_zero_plus()
+    d = DummyState(s.probs, list(s.side_info))
+    eig_count.clear()
+    assert dummy_divergence(s, d) == pytest.approx(0.0, abs=1e-10)
+    assert len(eig_count) == 2 * s.size_x
 
 
 _alphas = st.sampled_from((0.25, 0.5, 0.8, 1.3, 2.0, 3.0))
