@@ -28,7 +28,7 @@ from cqsw.operators import (
     positive_projector,
     trace_norm,
 )
-from cqsw.states import DEFAULT_CAP, CQState, DensityOperator, marginal_b, power_state
+from cqsw.states import DEFAULT_CAP, CQState, marginal_b, power_state
 from cqsw.variational import DummyState
 
 _POVM_TOL = 1e-9
@@ -149,10 +149,7 @@ def pgm_decoder(s: CQState, n: int, encoder, w_size: int,
     """
     sn = power_state(s, n, cap=cap)
     size = sn.size_x
-    if isinstance(encoder, BinningEncoder):
-        table = encoder.table(size)
-    else:
-        table = np.array([encoder(i) for i in range(size)], dtype=int)
+    table = np.array([encoder(i) for i in range(size)], dtype=int)
     rho_b = marginal_b(sn).matrix
     d = rho_b.shape[0]
     lambdas = [
@@ -286,22 +283,9 @@ def optimal_error_bruteforce(s: CQState, n: int, w_size: int,
         raise CapExceededError(
             f"{w_size}^{size} encoders exceed the {_BRUTE_CAP} cap"
         )
-    d = sn.dim_b
-    blocks = [(p, r.matrix) for p, r in zip(sn.probs, sn.side_info)]
     best = None
     for table in _canonical_encoders(size, w_size):
-        succ = 0.0
-        decoder = []
-        for w in range(w_size):
-            members = [i for i in range(size) if table[i] == w]
-            if not members:
-                decoder.append({0: np.eye(d)})
-                continue
-            sub = [(blocks[i][0], blocks[i][1]) for i in members]
-            povm, sw = min_error_discrimination(sub)
-            succ += sw
-            entry = {i: m for i, m in zip(members, povm)}
-            decoder.append(entry)
+        decoder, succ = _optimal_bins(sn, table, w_size)
         if best is None or succ > best[0]:
             best = (succ, np.array(table, dtype=int), decoder)
     succ, table, decoder = best
@@ -340,25 +324,29 @@ def empirical_exponents(s: CQState, n: int, rate: float, decoder_kind: str,
     return e_hat, sc_hat
 
 
+def _optimal_bins(sn: CQState, table, w_size: int) -> tuple[list, float]:
+    """The optimal discrimination POVM of each bin of the encoder table on
+    the n-fold source sn (the identity on sequence 0 for an empty bin), and
+    the summed success of the bins."""
+    decoder = []
+    total = 0.0
+    for w in range(w_size):
+        members = [i for i in range(sn.size_x) if table[i] == w]
+        if not members:
+            decoder.append({0: np.eye(sn.dim_b)})
+            continue
+        povm, succ = min_error_discrimination(
+            [(sn.probs[i], sn.side_info[i].matrix) for i in members])
+        total += succ
+        decoder.append(dict(zip(members, povm)))
+    return decoder, total
+
+
 def _optimal_decoder_for(s: CQState, n: int, encoder, w_size: int,
                          cap: int = DEFAULT_CAP) -> Code:
     sn = power_state(s, n, cap=cap)
-    size = sn.size_x
-    if isinstance(encoder, BinningEncoder):
-        table = encoder.table(size)
-    else:
-        table = np.array([encoder(i) for i in range(size)], dtype=int)
-    d = sn.dim_b
-    decoder = []
-    for w in range(w_size):
-        members = [i for i in range(size) if table[i] == w]
-        if not members:
-            decoder.append({0: np.eye(d)})
-            continue
-        sub = [(sn.probs[i], sn.side_info[i].matrix) for i in members]
-        povm, _ = min_error_discrimination(sub)
-        decoder.append({i: m for i, m in zip(members, povm)})
-    return Code(n, w_size, table, decoder)
+    table = np.array([encoder(i) for i in range(sn.size_x)], dtype=int)
+    return Code(n, w_size, table, _optimal_bins(sn, table, w_size)[0])
 
 
 def dummy_state_inequality_check(s: CQState, dummy: DummyState, code: Code,

@@ -42,6 +42,8 @@ _PENALTY = 1e6
 # e^(c k_j) expm1(c dk) / dk instead of a difference quotient
 _EXPM1_WINDOW = 1e-3
 _RESTART_MARGIN = 1e-12
+# starts of the first iterate solve of a variant on a state (`_tabulated_solve`)
+_COLD_STARTS = 5
 
 
 @dataclass
@@ -49,9 +51,8 @@ class OptimizerReport:
     """What an h_up solve returns. iterations and evaluations are those of
     the optimizer (L-BFGS iterations of the best start, objective
     evaluations over all starts; 0 for a closed form); residual is the
-    largest gradient component at the optimum (the grid step for the grid
-    method); params are the optimizer coordinates of sigma_star, for a warm
-    start."""
+    largest gradient component at the optimum; params are the optimizer
+    coordinates of sigma_star, for a warm start."""
 
     sigma_star: DensityOperator
     value: float
@@ -372,16 +373,14 @@ def _iterate_h_up(s, alpha, variant, restarts, x0=None, seed=7) -> OptimizerRepo
     rng = np.random.default_rng(seed)
     objective = _h_up_objective(s, alpha, variant, basis, grad=True)
 
-    starts = []
-    if x0 is not None:
-        starts.append(np.asarray(x0, dtype=float))
+    starts = [] if x0 is None else [np.asarray(x0, dtype=float)]
     starts.append(np.zeros(npar))
-    while len(starts) < max(restarts, 1):
+    while len(starts) < restarts:
         starts.append(rng.standard_normal(npar))
 
     best = None
     evaluations = 0
-    for start in starts[: max(restarts, 1)]:
+    for start in starts[:restarts]:
         res = minimize(objective, start, jac=True, method="L-BFGS-B",
                        options={"maxiter": 200, "ftol": 1e-14, "gtol": 1e-10})
         evaluations += int(res.nfev)
@@ -397,21 +396,45 @@ def _iterate_h_up(s, alpha, variant, restarts, x0=None, seed=7) -> OptimizerRepo
                            evaluations, best.x)
 
 
+def _tabulated(s: CQState, alpha: float, variant: str) -> OptimizerReport | None:
+    """The report of an earlier iterate solve of variant at alpha on s, or None."""
+    return s._h_up_table.get((variant, round(alpha, 12)))
+
+
+def _tabulated_solve(s: CQState, alpha: float, variant: str) -> OptimizerReport:
+    """The iterate solve of variant at alpha, from the state's table or
+    solved and added to it. The one restart policy: the first solve of a
+    variant on a state starts from sigma = 1/d and random points
+    (_COLD_STARTS in all); later ones start only from the tabulated optimum
+    at the nearest alpha."""
+    rep = _tabulated(s, alpha, variant)
+    if rep is not None:
+        return rep
+    near = [(abs(a - alpha), a) for v, a in s._h_up_table if v == variant]
+    if near:
+        x0 = s._h_up_table[(variant, min(near)[1])].params
+        rep = _iterate_h_up(s, alpha, variant, 1, x0)
+    else:
+        rep = _iterate_h_up(s, alpha, variant, _COLD_STARTS)
+    s._h_up_table[(variant, round(alpha, 12))] = rep
+    return rep
+
+
 def h_up(s: CQState, alpha: float, variant: str = "petz",
-         method: str | None = None, restarts: int = 10,
-         sigma0_params=None) -> OptimizerReport:
-    """Conditional Renyi entropy maximized over the side-information state."""
+         method: str | None = None) -> OptimizerReport:
+    """Conditional Renyi entropy maximized over the side-information state.
+
+    Petz defaults to Sibson's closed form, the other families to the iterate
+    optimizer, whose solves are memoised on the state (`_tabulated_solve`);
+    petz with method="iterate" is an untabulated cross-check of the closed
+    form."""
     if alpha == 0.0:
         if variant == "petz":
-            rep = h_up(s, _ZERO_GRID[-1], variant, method, restarts, sigma0_params)
+            rep = h_up(s, _ZERO_GRID[-1], variant, method)
             return replace(rep, value=petz_h0(s))
-        # each grid point solved once; sigma from the smallest alpha
-        reports = {}
-
-        def solve(a):
-            reports[a] = h_up(s, a, variant, method, restarts, sigma0_params)
-            return reports[a].value
-        val = _richardson_zero_limit(solve)
+        # sigma from the smallest alpha of the grid
+        reports = {a: h_up(s, a, variant, method) for a in _ZERO_GRID}
+        val = _richardson_zero_limit(lambda a: reports[a].value)
         return replace(reports[_ZERO_GRID[-1]], value=val,
                        evaluations=sum(r.evaluations for r in reports.values()))
     if abs(alpha - 1.0) < _ALPHA_ONE_WINDOW:
@@ -423,91 +446,8 @@ def h_up(s: CQState, alpha: float, variant: str = "petz",
             raise MethodUnsupportedError("closed form applies to the petz family only")
         sig, log2_trace = _petz_sibson(s, alpha)
         return OptimizerReport(sig, alpha / (1.0 - alpha) * log2_trace, 0, 0.0)
-    if method == "iterate":
-        return _iterate_h_up(s, alpha, variant, restarts, x0=sigma0_params)
-    if method == "grid":
-        if s.dim_b != 2:
-            raise MethodUnsupportedError("grid search supports qubit side information only")
-        return _grid_h_up(s, alpha, variant)
-    raise MethodUnsupportedError(f"unknown method {method!r}")
-
-
-def _bloch_sigma_batch(points):
-    """(N,3) Bloch vectors to (N,2,2) density matrices."""
-    n = points.shape[0]
-    out = np.zeros((n, 2, 2), dtype=np.complex128)
-    x, y, z = points[:, 0], points[:, 1], points[:, 2]
-    out[:, 0, 0] = (1.0 + z) / 2.0
-    out[:, 1, 1] = (1.0 - z) / 2.0
-    out[:, 0, 1] = (x - 1j * y) / 2.0
-    out[:, 1, 0] = (x + 1j * y) / 2.0
-    return out
-
-
-def _batched_cq_renyi(s, sigmas, alpha, variant):
-    """D_alpha against a batch of qubit sigma_B candidates (oracle path).
-
-    Uses the library eigensolver batched; this is an independent route from
-    cq_renyi and is meant for cross-checks.
-    """
-    w, v = np.linalg.eigh(sigmas)
-    w = np.clip(w, 0.0, None)
-    n = sigmas.shape[0]
-    q = np.zeros(n)
+    if method != "iterate":
+        raise MethodUnsupportedError(f"unknown method {method!r}")
     if variant == "petz":
-        e = (1.0 - alpha)
-        pw = np.where(w > 1e-15, w, 1.0) ** e * (w > 1e-15)
-        spow = np.einsum("nij,nj,nkj->nik", v, pw, v.conj())
-        for _, bw, bv in s.block_spectra():
-            ra = power_from_spectrum(bw, bv, alpha)
-            q += np.real(np.einsum("ij,nji->n", ra, spow))
-    elif variant == "sandwiched":
-        e = (1.0 - alpha) / alpha
-        pw = np.where(w > 1e-15, w, 1.0) ** e * (w > 1e-15)
-        spow = np.einsum("nij,nj,nkj->nik", v, pw, v.conj())
-        for _, bw, bv in s.block_spectra():
-            half = power_from_spectrum(bw, bv, 0.5)
-            mid = np.einsum("ij,njk,kl->nil", half, spow, half)
-            mw, mv = np.linalg.eigh(mid)
-            mw = np.clip(mw, 0.0, None)
-            q += np.sum(np.where(mw > 1e-15, mw, 1.0) ** alpha * (mw > 1e-15), axis=1)
-    elif variant == "flat":
-        # sigma candidates from the interior of the Bloch ball are full rank,
-        # so each block is restricted to its own support, where its log is
-        # diagonal, and log2 sigma is compressed to that support
-        logs = np.einsum("nij,nj,nkj->nik", v, np.log2(np.clip(w, 1e-300, None)),
-                         v.conj())
-        for _, bw, bv in s.block_spectra():
-            on = bw > 1e-12 * float(np.max(np.abs(bw)))
-            basis = bv[:, on]
-            m = alpha * np.diag(np.log2(bw[on]))[None, :, :] \
-                + (1.0 - alpha) * np.einsum("ij,njk,kl->nil", basis.conj().T, logs, basis)
-            q += np.sum(np.exp2(np.linalg.eigvalsh(m)), axis=1)
-    else:
-        raise ValueError(variant)
-    with np.errstate(divide="ignore"):
-        return np.where(q > 0, np.log2(np.where(q > 0, q, 1.0)) / (alpha - 1.0),
-                        np.inf if alpha < 1 else -np.inf)
-
-
-def _grid_h_up(s: CQState, alpha: float, variant: str,
-               resolution: float = 0.02) -> OptimizerReport:
-    axis = np.arange(-1.0 + resolution / 2.0, 1.0, resolution)
-    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    pts = pts[np.sum(pts * pts, axis=1) < (1.0 - 1e-9)]
-    vals = _batched_cq_renyi(s, _bloch_sigma_batch(pts), alpha, variant)
-    k = int(np.argmin(vals))
-    center = pts[k]
-    # one refinement pass around the best grid point
-    fine = resolution / 10.0
-    off = np.arange(-resolution, resolution + fine / 2.0, fine)
-    fx, fy, fz = np.meshgrid(off, off, off, indexing="ij")
-    fpts = center + np.stack([fx.ravel(), fy.ravel(), fz.ravel()], axis=1)
-    fpts = fpts[np.sum(fpts * fpts, axis=1) < (1.0 - 1e-9)]
-    fvals = _batched_cq_renyi(s, _bloch_sigma_batch(fpts), alpha, variant)
-    j = int(np.argmin(fvals))
-    best = fpts[j]
-    sig = DensityOperator(_bloch_sigma_batch(best[None, :])[0], check=False)
-    evaluations = len(pts) + len(fpts)
-    return OptimizerReport(sig, -float(fvals[j]), evaluations, resolution, evaluations)
+        return _iterate_h_up(s, alpha, variant, _COLD_STARTS)
+    return _tabulated_solve(s, alpha, variant)

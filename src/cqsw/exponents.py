@@ -20,6 +20,7 @@ from cqsw.errors import DomainError, RateOutOfWindowError, ZeroVarianceError
 from cqsw.conditional import (
     _petz_sibson,
     _sigma_from_params,
+    _tabulated,
     _traceless_basis,
     conditional_entropy,
     conditional_variance,
@@ -67,53 +68,41 @@ def golden_max(f, lo: float, hi: float, tol: float = _GOLDEN_TOL):
 
 
 class HUpEvaluator:
-    """Memoized conditional-entropy evaluations with warm-started optimizer.
-
-    Golden-section probes nearby alpha values repeatedly; reusing the last
-    optimizer solution as the starting point makes the inner optimization
-    cheap after the first call. It counts what it did: solves, cache hits,
-    optimizer objective evaluations and the largest optimizer residual
-    (`report`).
+    """Counting view of h_up on one state and variant. The iterate solves
+    are memoised on the state itself (`conditional._tabulated_solve`), so
+    every view of a state shares them; a view counts what its own calls
+    did: solves, table hits, optimizer objective evaluations and the largest
+    optimizer residual (`report`). Petz solves are closed forms and never
+    hit.
     """
 
-    def __init__(self, s: CQState, variant: str, restarts_first: int = 5):
+    def __init__(self, s: CQState, variant: str):
         self.state = s
         self.variant = variant
-        self.restarts_first = restarts_first
-        self._cache: dict[float, float] = {}
-        self._warm = None
         self.solves = 0
         self.cache_hits = 0
         self.evaluations = 0
         self.residual = 0.0
 
     def value(self, alpha: float) -> float:
-        key = round(alpha, 12)
-        if key in self._cache:
+        rep = _tabulated(self.state, alpha, self.variant)
+        if rep is not None:
             self.cache_hits += 1
-            return self._cache[key]
-        if self.variant == "petz":
-            rep = h_up(self.state, alpha, "petz", "closed_form")
-        else:
-            restarts = 1 if self._warm is not None else self.restarts_first
-            rep = h_up(self.state, alpha, self.variant, "iterate",
-                       restarts=restarts, sigma0_params=self._warm)
-            self._warm = rep.params
+            return rep.value
+        rep = h_up(self.state, alpha, self.variant)
         self.solves += 1
         self.evaluations += rep.evaluations
         self.residual = max(self.residual, rep.residual)
-        self._cache[key] = rep.value
         return rep.value
 
     def report(self) -> dict:
-        """h_up solves, cache hits, optimizer objective evaluations and the
+        """h_up solves, table hits, optimizer objective evaluations and the
         largest residual (gradient norm at the optimum) so far."""
         return {"h_up_solves": self.solves, "cache_hits": self.cache_hits,
                 "evaluations": self.evaluations, "residual": self.residual}
 
 
-def e0(s: CQState, sval: float, variant: str = "petz",
-       evaluator: HUpEvaluator | None = None) -> float:
+def e0(s: CQState, sval: float, variant: str = "petz") -> float:
     """E_0(s) = -s H_(1/(1+s))^up; petz uses the Sibson closed form."""
     if sval <= -1.0:
         raise DomainError(f"s must exceed -1, got {sval}")
@@ -124,9 +113,7 @@ def e0(s: CQState, sval: float, variant: str = "petz",
         # -log2 Tr acc^(1+s), acc = sum_x (p rho_x)^alpha, in the scaled form
         # that stays finite where acc^(1+s) itself overflows
         return -_petz_sibson(s, alpha)[1]
-    if evaluator is not None and evaluator.variant == variant:
-        return -sval * evaluator.value(alpha)
-    return -sval * h_up(s, alpha, variant, "iterate", restarts=5).value
+    return -sval * h_up(s, alpha, variant).value
 
 
 def e0_down(s: CQState, sval: float) -> float:
@@ -142,10 +129,15 @@ def _clamp(v: float) -> float:
     return v if v > 0.0 else 0.0
 
 
-def exponent(s: CQState, rate: float, kind: str, variant: str | None = None,
-             evaluator: HUpEvaluator | None = None,
-             alpha_cap: float = ALPHA_CAP) -> float:
+def exponent(s: CQState, rate: float, kind: str, variant: str | None = None) -> float:
     """One exponent value at the given rate; +inf where the function diverges."""
+    if variant is None:
+        variant = DEFAULT_VARIANT.get(kind)
+    return _exponent(s, rate, kind, HUpEvaluator(s, variant))
+
+
+def _exponent(s: CQState, rate: float, kind: str, ev: HUpEvaluator) -> float:
+    """`exponent` of the variant of ev, whose counts then include this call."""
     if rate < 0:
         raise DomainError(f"rate must be nonnegative, got {rate}")
     if kind not in KINDS:
@@ -158,11 +150,6 @@ def exponent(s: CQState, rate: float, kind: str, variant: str | None = None,
         _, val = golden_max(obj, 0.5, 1.0)
         return _clamp(val)
 
-    if variant is None:
-        variant = DEFAULT_VARIANT[kind]
-    ev = evaluator if (evaluator is not None and evaluator.variant == variant) \
-        else HUpEvaluator(s, variant)
-
     def obj(alpha):
         sv = (1.0 - alpha) / alpha
         return sv * (rate - ev.value(alpha))
@@ -174,13 +161,13 @@ def exponent(s: CQState, rate: float, kind: str, variant: str | None = None,
         h1 = conditional_entropy(s)
         if rate <= h1:
             return 0.0
-        h0 = h_up(s, 0.0, variant).value
+        h0 = h_up(s, 0.0, ev.variant).value
         if rate > h0 + 1e-9:
             return math.inf
         _, val = golden_max(obj, 0.01, 0.999)
         return _clamp(val)
     # strong converse families: alpha above one, objective negative prefactor
-    _, val = golden_max(obj, 1.001, alpha_cap)
+    _, val = golden_max(obj, 1.001, ALPHA_CAP)
     return _clamp(val)
 
 
@@ -200,7 +187,7 @@ def exponent_family(s: CQState, rates, kind: str,
     if variant is None:
         variant = DEFAULT_VARIANT[kind]
     ev = HUpEvaluator(s, variant)
-    vals = np.array([exponent(s, r, kind, variant, evaluator=ev) for r in rates])
+    vals = np.array([_exponent(s, r, kind, ev) for r in rates])
     return ExponentCurve(rates, vals, kind,
                          {"variant": variant, "alpha_cap": ALPHA_CAP, **ev.report()})
 
@@ -232,10 +219,9 @@ def saddle_point(s: CQState, rate: float) -> SaddleReport:
         raise RateOutOfWindowError(
             f"rate {rate} outside ({h1:.6f}, {h0:.6f})"
         )
-    ev = HUpEvaluator(s, "petz")
 
     def outer(alpha):
-        return ((1.0 - alpha) / alpha) * (rate - ev.value(alpha))
+        return ((1.0 - alpha) / alpha) * (rate - h_up(s, alpha, "petz").value)
 
     alpha_star, sup_inf = golden_max(outer, 0.01, 0.9999999)
     sigma_star = petz_sigma_star(s, alpha_star)

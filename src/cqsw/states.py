@@ -29,10 +29,12 @@ class DensityOperator:
 
     The eigendecomposition is kept once computed: validation computes it,
     `from_spectrum` starts from it, and `spectrum()` computes it on first
-    use otherwise. The matrix is therefore never modified in place.
+    use otherwise. The matrix is therefore never modified in place; one made
+    by `from_spectrum` is built on first use, since most optimizer results
+    (the petz sigma* behind an exponent's golden search) are never read.
     """
 
-    __slots__ = ("matrix", "_spectrum")
+    __slots__ = ("_matrix", "_spectrum")
 
     def __init__(self, matrix, check: bool = True):
         m = check_hermitian(matrix)
@@ -45,16 +47,23 @@ class DensityOperator:
             if w.size and float(w[0]) < -_TRACE_TOL:
                 raise InvariantViolation("psd", f"eigenvalue {float(w[0]):.3e} < 0")
             self._spectrum = (w, v)
-        self.matrix = m
+        self._matrix = m
 
     @classmethod
     def from_spectrum(cls, w: np.ndarray, v: np.ndarray) -> "DensityOperator":
         """The operator v diag(w) v^dagger, with w ascending, nonnegative and
         summing to one, and its eigendecomposition known."""
         out = cls.__new__(cls)
-        out.matrix = (v * w) @ v.conj().T
+        out._matrix = None
         out._spectrum = (w, v)
         return out
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            w, v = self._spectrum
+            self._matrix = (v * w) @ v.conj().T
+        return self._matrix
 
     @property
     def dim(self) -> int:
@@ -76,7 +85,8 @@ class CQState:
     A CQState is treated as immutable. The eigendecomposition of each block
     p(x) rho_B^x (`block_spectra`) and the marginal rho_B (`marginal_b`) are
     computed once per state, on first use, and shared by every divergence,
-    entropy and exponent evaluated on it.
+    entropy and exponent evaluated on it; so are the reports of iterate
+    `h_up` solves, keyed by (variant, alpha) (`conditional._tabulated_solve`).
     """
 
     def __init__(self, alphabet, probs, side_info, check: bool = True):
@@ -98,6 +108,7 @@ class CQState:
         self.dim_b = dims.pop()
         self._block_spectra = None
         self._marginal = None
+        self._h_up_table = {}
         if check:
             if np.any(self.probs < 0):
                 raise InvariantViolation("probs", "negative probability")

@@ -98,11 +98,17 @@ def dummy_entropy(s: CQState, d: DummyState) -> float:
 
 
 def dummy_divergence(s: CQState, d: DummyState) -> float:
-    """D(sigma_XB || rho_XB) in bits, blockwise."""
+    """D(sigma_XB || rho_XB) in bits, blockwise; +inf where a dummy block
+    leaves the source support."""
+    if any(blk is None or _leaks(sig, blk) for _, sig, blk in _paired_blocks(s, d)):
+        return math.inf
+    return _supported_divergence(s, d)
+
+
+def _supported_divergence(s: CQState, d: DummyState) -> float:
+    """`dummy_divergence` of a dummy known to lie in the source support."""
     total = 0.0
     for qx, sig, blk in _paired_blocks(s, d):
-        if blk is None or _leaks(sig, blk):
-            return math.inf
         blk_s = qx * sig.matrix
         w, _ = eig_hermitian(blk_s)
         on = w > 1e-15
@@ -116,9 +122,7 @@ def variational_value(s: CQState, rate: float, kind: str, d: DummyState) -> floa
     if kind not in VKINDS:
         raise ValueError(f"kind must be one of {VKINDS}")
     d.validate_against(s)
-    div = dummy_divergence(s, d)
-    if math.isinf(div):
-        return math.inf
+    div = _supported_divergence(s, d)
     h = dummy_entropy(s, d)
     if kind == "r":
         return div + max(0.0, rate - h)
@@ -252,33 +256,22 @@ def _s_grid(kind: str, points: int = 80):
 
 
 def variational_minimize(s: CQState, rate: float, kind: str,
-                         restarts: int = 3, seed: int = 11, cache: dict | None = None):
+                         restarts: int = 3, seed: int = 11):
     """Minimize the representation objective; returns (value, DummyState).
 
     Stage one scans the geodesic candidate family over a grid of s with
-    the inner state set to the flat conditional-entropy optimizer; stage two
-    refines by coordinate descent from the best candidate with random
-    restarts. A large disagreement between the stages aborts.
+    the inner state set to the flat conditional-entropy optimizer (whose
+    solves the state memoises); stage two refines by coordinate descent from
+    the best candidate with random restarts. A large disagreement between
+    the stages aborts.
     """
     if kind not in VKINDS:
         raise ValueError(f"kind must be one of {VKINDS}")
-    state = {"warm": None}
-    if cache is None:
-        cache = {}
 
     def candidate_at(sval):
         alpha = 1.0 / (1.0 + sval)
-        key = round(alpha, 12)
-        entry = cache.get(key)
-        if entry is None:
-            rep = h_up(s, alpha, "flat", "iterate",
-                       restarts=1 if state["warm"] is not None else 3,
-                       sigma0_params=state["warm"])
-            state["warm"] = getattr(rep, "params", state["warm"])
-            entry = rep.sigma_star
-            cache[key] = entry
         try:
-            cand = mo17_candidate(s, alpha, entry)
+            cand = mo17_candidate(s, alpha, h_up(s, alpha, "flat").sigma_star)
         except ZeroDivisionError:
             return None, math.inf  # candidate underflowed at extreme alpha
         return cand, variational_value(s, rate, kind, cand)

@@ -27,7 +27,6 @@ from cqsw.conditional import (
 )
 from cqsw.divergences import renyi_divergence
 from cqsw.exponents import (
-    HUpEvaluator,
     e0,
     exponent,
     moderate_ratio,
@@ -211,8 +210,6 @@ def test_a7_variational_duality():
     for _ in range(10):
         s = presets.random_cq_state(rng, 2, 2, full_rank=True)
         hc = conditional_entropy(s)
-        cache = {}
-        ev = HUpEvaluator(s, "flat")
         for kind, ref_kind, rates in (
             ("r", "random_coding", (hc + 0.1, hc + 0.25, hc + 0.4)),
             ("sp", "sphere_packing", (hc + 0.1, hc + 0.25, hc + 0.4)),
@@ -220,10 +217,8 @@ def test_a7_variational_duality():
              (max(hc - 0.15, 0.02), max(hc - 0.08, 0.01), hc + 0.1)),
         ):
             for rate in rates:
-                ref = exponent(s, rate, ref_kind, variant="flat",
-                               evaluator=ev)
-                val, _ = variational_minimize(s, rate, kind, restarts=1,
-                                              cache=cache)
+                ref = exponent(s, rate, ref_kind, variant="flat")
+                val, _ = variational_minimize(s, rate, kind, restarts=1)
                 checked += 1
                 if math.isinf(ref) or math.isinf(val):
                     ok_pair = math.isinf(ref) == math.isinf(val)
@@ -308,12 +303,10 @@ def test_a10_classical_collapse():
               presets.random_commuting_state(rng, 2, 2)):
         h0 = h_up(s, 0.0, "petz").value
         rates = np.linspace(0.02, h0 + 0.3, 20)
-        evs = {v: HUpEvaluator(s, v) for v in ("petz", "sandwiched", "flat")}
         for kind in ("random_coding", "sphere_packing",
                      "strong_converse_star", "strong_converse_flat"):
             for r in rates:
-                vals = [exponent(s, float(r), kind, variant=v,
-                                 evaluator=evs[v])
+                vals = [exponent(s, float(r), kind, variant=v)
                         for v in ("petz", "sandwiched", "flat")]
                 finite = [v for v in vals if math.isfinite(v)]
                 if len(finite) != len(vals):

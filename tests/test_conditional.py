@@ -22,6 +22,7 @@ from cqsw.conditional import (
 from cqsw.errors import MethodUnsupportedError
 from cqsw.operators import LN2
 from cqsw.states import marginal_b
+from grid_oracle import grid_h_up
 
 RNG = np.random.default_rng(33)
 
@@ -79,8 +80,8 @@ def test_h_up_methods_agree_petz():
     s = presets.random_cq_state(RNG, 2, 2, full_rank=True)
     for alpha in (0.4, 0.8, 1.6):
         cf = h_up(s, alpha, "petz", "closed_form").value
-        it = h_up(s, alpha, "petz", "iterate", restarts=3).value
-        gr = h_up(s, alpha, "petz", "grid").value
+        it = h_up(s, alpha, "petz", "iterate").value
+        gr = grid_h_up(s, alpha, "petz").value
         assert it == pytest.approx(cf, abs=2e-6)
         assert gr == pytest.approx(cf, abs=2e-6)
 
@@ -89,8 +90,8 @@ def test_h_up_grid_matches_iterate_other_variants():
     s = presets.random_cq_state(RNG, 2, 2, full_rank=True)
     for variant in ("sandwiched", "flat"):
         for alpha in (0.5, 2.0):
-            it = h_up(s, alpha, variant, "iterate", restarts=5).value
-            gr = h_up(s, alpha, variant, "grid").value
+            it = h_up(s, alpha, variant, "iterate").value
+            gr = grid_h_up(s, alpha, variant).value
             assert it == pytest.approx(gr, abs=5e-6), (variant, alpha)
 
 

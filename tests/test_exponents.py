@@ -13,7 +13,6 @@ from cqsw import presets
 from cqsw.conditional import conditional_entropy, conditional_variance, h_up
 from cqsw.errors import DomainError, RateOutOfWindowError, ZeroVarianceError
 from cqsw.exponents import (
-    HUpEvaluator,
     critical_rate,
     e0,
     e0_down,
@@ -120,14 +119,13 @@ def test_critical_rate_between_entropy_and_h_half():
     h0 = h_up(s, 0.0, "petz").value
     assert h < rc < h0
     # at the critical rate the two exponents touch
-    ev = HUpEvaluator(s, "petz")
-    er = exponent(s, rc, "random_coding", evaluator=ev)
-    esp = exponent(s, rc, "sphere_packing", evaluator=ev)
+    er = exponent(s, rc, "random_coding")
+    esp = exponent(s, rc, "sphere_packing")
     assert er == pytest.approx(esp, abs=1e-5)
     # below it they separate
     r2 = rc + 0.15
-    assert exponent(s, r2, "random_coding", evaluator=ev) < \
-        exponent(s, r2, "sphere_packing", evaluator=ev) + 1e-9
+    assert exponent(s, r2, "random_coding") < \
+        exponent(s, r2, "sphere_packing") + 1e-9
 
 
 def test_moderate_ratio_sane():

@@ -1,8 +1,8 @@
 """The sigma_B optimizer behind h_up: its exact gradient against central
 differences on random sources, the eigendecompositions one evaluation
-makes, one solve per point of the alpha -> 0 grid, the optimizer report a
-curve carries, and the order relations of the three Renyi families and of
-exponent curves on random sources."""
+makes, one solve per point of the alpha -> 0 grid, the solves a state
+tabulates, the optimizer report a curve carries, and the order relations
+of the three Renyi families and of exponent curves on random sources."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import cqsw.conditional as conditional
 from cqsw import presets
 from cqsw.conditional import conditional_entropy, cq_renyi, h_up
-from cqsw.exponents import exponent_family
+from cqsw.exponents import exponent, exponent_family
 from cqsw.operators import random_density
 from test_spectra import _warmed_zero_plus, eig_count  # noqa: F401
 from test_type_classes import _sources
@@ -71,13 +71,33 @@ def test_zero_alpha_solves_each_grid_point_once(monkeypatch, variant):
         return real(s, alpha, *args, **kwargs)
 
     monkeypatch.setattr(conditional, "_iterate_h_up", iterate)
-    rep = h_up(s, 0.0, variant, restarts=3)
+    rep = h_up(s, 0.0, variant)
     assert sorted(alphas) == [1e-3, 1e-2, 1e-1]
     # sigma and the residual are those of the alpha = 1e-3 solve
-    last = h_up(s, 1e-3, variant, restarts=3)
+    last = h_up(s, 1e-3, variant)
     assert np.allclose(rep.sigma_star.matrix, last.sigma_star.matrix, atol=1e-12)
     assert rep.residual == last.residual
     assert rep.evaluations > last.evaluations
+
+
+def test_state_tabulates_iterate_solves(monkeypatch):
+    # H_0 of two sphere-packing exponents above it: the alpha -> 0 grid is
+    # solved for the first rate only, and a repeated solve is looked up
+    s = presets.doubly_symmetric(0.11)
+    alphas = []
+    real = conditional._iterate_h_up
+
+    def iterate(s, alpha, *args, **kwargs):
+        alphas.append(alpha)
+        return real(s, alpha, *args, **kwargs)
+
+    monkeypatch.setattr(conditional, "_iterate_h_up", iterate)
+    for rate in (1.2, 1.5):
+        assert math.isinf(exponent(s, rate, "sphere_packing", variant="flat"))
+    assert sorted(alphas) == [1e-3, 1e-2, 1e-1]
+    first = h_up(s, 0.3, "flat")
+    assert h_up(s, 0.3, "flat") is first
+    assert len(alphas) == 4
 
 
 def test_exponent_family_reports_optimizer():

@@ -101,6 +101,17 @@ def test_dummy_divergence_uses_block_spectra(eig_count):
     assert len(eig_count) == 2 * s.size_x
 
 
+def test_variational_value_tests_leaks_once(eig_count):
+    # both zero_plus blocks are rank deficient: validation tests each leak
+    # (|X|), the divergence does not again; the rest is the dummy's entropy
+    # (|X| + 1) and its own blocks (|X|)
+    s = _warmed_zero_plus()
+    d = DummyState(s.probs, list(s.side_info))
+    eig_count.clear()
+    assert math.isfinite(variational_value(s, 0.5, "r", d))
+    assert len(eig_count) == 7
+
+
 _alphas = st.sampled_from((0.25, 0.5, 0.8, 1.3, 2.0, 3.0))
 
 

@@ -58,7 +58,7 @@ def test_variational_value_kinds():
 
 def test_mo17_candidate_is_valid_dummy():
     s = presets.random_cq_state(RNG, 2, 2, full_rank=True)
-    tau = h_up(s, 0.7, "flat", "iterate", restarts=3).sigma_star
+    tau = h_up(s, 0.7, "flat", "iterate").sigma_star
     cand = mo17_candidate(s, 0.7, tau)
     cand.validate_against(s)
     assert abs(float(np.sum(cand.q)) - 1.0) < 1e-9
