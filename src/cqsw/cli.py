@@ -245,43 +245,45 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="cqsw")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--state")
-        sp.add_argument("--out")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    shared = {"state": {}, "out": {}, "seed": {"type": int, "default": 0},
+              "cap": {"type": int, "default": DEFAULT_CAP}}
+
+    def common(sp, *names):
+        """The shared flags, of those named, that the subcommand reads."""
+        for name in names:
+            sp.add_argument(f"--{name}", **shared[name])
 
     sp = sub.add_parser("exponents")
-    common(sp)
+    common(sp, "state", "out")
     sp.add_argument("--rate-min", type=float, default=0.0)
     sp.add_argument("--rate-max", type=float, default=1.0)
     sp.add_argument("--steps", type=int, default=21)
     sp.set_defaults(fn=cmd_exponents)
 
     sp = sub.add_parser("simulate")
-    common(sp)
+    common(sp, "state", "out", "seed", "cap")
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--rate", type=float)
     sp.add_argument("--trials", type=int, default=10)
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("bruteforce")
-    common(sp)
+    common(sp, "state", "out", "cap")
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--w-size", type=int, dest="w_size", default=1)
     sp.set_defaults(fn=cmd_bruteforce)
 
     sp = sub.add_parser("verify")
-    common(sp)
+    common(sp, "out", "seed")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("moderate")
-    common(sp)
+    common(sp, "state", "out")
     sp.add_argument("--deltas", default="0.05,0.02,0.01,0.005")
     sp.set_defaults(fn=cmd_moderate)
 
     sp = sub.add_parser("rate-window")
-    common(sp)
+    common(sp, "state", "out", "cap")
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--epsilon", type=float, default=0.1)
     sp.add_argument("--alpha", type=float, default=0.5)

@@ -15,24 +15,21 @@ from scipy.optimize import minimize
 
 from cqsw.divergences import (
     _ALPHA_ONE_WINDOW,
-    _FLAT_TRACE_SLACK,
+    _check_alpha,
     _check_variant,
-    _full_rank,
-    _q_from_ln,
-    _renyi_from_ln_q,
-    _sigma_operator,
+    _divergence,
+    _relative_entropy,
     _sigma_spectrum_op,
-    _spectral_q,
+    _variance,
 )
 from cqsw.errors import MethodUnsupportedError, NoConvergenceError
 from cqsw.operators import (
-    DEFAULT_POLICY,
     LN2,
     eig_hermitian,
-    log2_from_spectrum,
     power_from_spectrum,
-    support_contained,
+    spectrum_of,
     support_mask,
+    wlog2w,
 )
 from cqsw.states import CQState, DensityOperator, marginal_b
 
@@ -64,39 +61,12 @@ class OptimizerReport:
 
 def von_neumann_entropy(m) -> float:
     """Entropy in bits of a PSD operator (eigenvalues below cutoff ignored)."""
-    m = np.asarray(getattr(m, "matrix", m), dtype=np.complex128)
-    w, _ = eig_hermitian(m)
-    cutoff = DEFAULT_POLICY.relative_cutoff * float(np.max(np.abs(w))) if w.size else 0.0
-    on = w > cutoff
-    return float(-np.sum(w[on] * np.log2(w[on])))
-
-
-def _sigma_spectrum(sigma_b):
-    """(matrix, w, v) of sigma_B: the eigendecomposition an operator object
-    keeps (a DensityOperator from `marginal_b`, `petz_sigma_star` or the
-    optimizer's parameterisation), or one new eigendecomposition of a
-    plain matrix."""
-    spectrum = getattr(sigma_b, "spectrum", None)
-    if spectrum is not None:
-        return (sigma_b.matrix, *spectrum())
-    m = np.asarray(sigma_b, dtype=np.complex128)
-    return (m, *eig_hermitian(m))
+    return -wlog2w(spectrum_of(m)[0])
 
 
 def cq_relative_entropy(s: CQState, sigma_b) -> float:
     """D(rho_XB || 1_X (x) sigma_B) in bits, computed per block."""
-    sm, sw, sv = _sigma_spectrum(sigma_b)
-    log_sigma = log2_from_spectrum(sw, sv)
-    full = _full_rank(sw)
-    total = 0.0
-    for (p, r), (_, bw, _) in zip(s.blocks(), s.block_spectra()):
-        if not full and not support_contained(r, sm):
-            return math.inf
-        cutoff = DEFAULT_POLICY.relative_cutoff * float(np.max(np.abs(bw)))
-        on = bw > cutoff
-        total += float(np.sum(bw[on] * np.log2(bw[on])))
-        total -= p * float(np.real(np.sum(r * log_sigma.T)))
-    return total
+    return _relative_entropy(s.block_spectra(), *spectrum_of(sigma_b))
 
 
 def cq_variance(s: CQState, sigma_b) -> float:
@@ -105,83 +75,7 @@ def cq_variance(s: CQState, sigma_b) -> float:
     Same unit convention as relative_entropy_variance: scaled by ln(2) so
     the second derivative of E_0 at s = 0 equals -V with E_0 in bits.
     """
-    _, sw, sv = _sigma_spectrum(sigma_b)
-    log_sigma = log2_from_spectrum(sw, sv)
-    first = 0.0
-    second = 0.0
-    for (p, r), (_, bw, bv) in zip(s.blocks(), s.block_spectra()):
-        blk = p * r
-        diff = log2_from_spectrum(bw, bv) - log_sigma
-        first += float(np.real(np.trace(blk @ diff)))
-        second += float(np.real(np.trace(blk @ diff @ diff)))
-    return math.log(2.0) * (second - first * first)
-
-
-def _log_sum(logs) -> float:
-    """ln sum_i e^(logs_i) of the few per-block values; -inf when all are."""
-    top = max(logs, default=-math.inf)
-    if top == -math.inf:
-        return top
-    return top + math.log(sum(math.exp(x - top) for x in logs))
-
-
-def _cq_ln_q(s: CQState, sw, sv, alpha: float, variant: str, grad: bool = False):
-    """ln Q_alpha against 1_X (x) sigma_B, sigma_B = sv diag(sw) sv^dagger,
-    from the state's block spectra; -inf where Q = 0, nan where Q = +inf.
-
-    With grad, also the derivative of ln Q with respect to the family's
-    operator g(sigma_B) of `_sigma_spectrum_op` (None where Q is 0 or +inf):
-    the blocks' derivatives weighted by their shares of Q."""
-    support = None
-    if variant == "flat" and not _full_rank(sw):
-        support = power_from_spectrum(sw, sv, 0.0)
-    sigma_op, ln_scale = _sigma_operator(sw, sv, alpha, variant)
-    parts = [_spectral_q(bw, bv, sigma_op, alpha, variant, DEFAULT_POLICY, support, grad)
-             for _, bw, bv in s.block_spectra()]
-    if variant == "flat" and sum(part[1] for part in parts) < 1.0 - _FLAT_TRACE_SLACK:
-        ln_q = -math.inf if alpha < 1.0 else math.nan
-        return (ln_q, None) if grad else ln_q
-    ln_q = _log_sum([part[0] for part in parts])
-    if not grad:
-        return ln_q + ln_scale
-    if ln_q == -math.inf:
-        return ln_q, None
-    gamma = sum(math.exp(part[0] - ln_q) * part[2] for part in parts
-                if part[0] > -math.inf)
-    return ln_q + ln_scale, gamma
-
-
-def cq_q_alpha(s: CQState, sigma_b, alpha: float, variant: str) -> float:
-    """Q_alpha(rho_XB || 1_X (x) sigma_B) by summing per-symbol blocks."""
-    _check_variant(variant)
-    _, sw, sv = _sigma_spectrum(sigma_b)
-    return _q_from_ln(_cq_ln_q(s, sw, sv, alpha, variant))
-
-
-def _cq_renyi(s: CQState, sm, sw, sv, alpha: float, variant: str, grad: bool = False):
-    """D_alpha against 1_X (x) sigma_B = sv diag(sw) sv^dagger (the matrix
-    sm), alpha away from 1. With grad, returns (D, gamma), gamma the
-    derivative of ln Q with respect to g(sigma_B) (`_cq_ln_q`), None where
-    D is infinite."""
-    infinite = (math.inf, None) if grad else math.inf
-    if not _full_rank(sw):
-        # rank-deficient sigma: explicit support conditions
-        if alpha > 1.0:
-            for _, r in s.blocks():
-                if not support_contained(r, sm):
-                    return infinite
-        else:
-            ps = power_from_spectrum(sw, sv, 0.0)
-            overlap = sum(
-                float(np.real(np.sum(power_from_spectrum(bw, bv, 0.0) * ps.T)))
-                for _, bw, bv in s.block_spectra()
-            )
-            if overlap <= DEFAULT_POLICY.relative_cutoff:
-                return infinite
-    if not grad:
-        return _renyi_from_ln_q(_cq_ln_q(s, sw, sv, alpha, variant), alpha)
-    ln_q, gamma = _cq_ln_q(s, sw, sv, alpha, variant, grad=True)
-    return _renyi_from_ln_q(ln_q, alpha), gamma
+    return _variance(s.block_spectra(), *spectrum_of(sigma_b))
 
 
 def cq_renyi(s: CQState, sigma_b, alpha: float, variant: str = "petz") -> float:
@@ -189,10 +83,7 @@ def cq_renyi(s: CQState, sigma_b, alpha: float, variant: str = "petz") -> float:
 
     sigma_B is eigendecomposed at most once per call (never when it keeps
     its spectrum), and the blocks not at all after their first use."""
-    if abs(alpha - 1.0) < _ALPHA_ONE_WINDOW:
-        return cq_relative_entropy(s, sigma_b)
-    _check_variant(variant)
-    return _cq_renyi(s, *_sigma_spectrum(sigma_b), alpha, variant)
+    return _divergence(s.block_spectra(), *spectrum_of(sigma_b), alpha, variant)
 
 
 def conditional_entropy(s: CQState) -> float:
@@ -308,7 +199,7 @@ def _sigma_from_params(x, basis, d) -> DensityOperator:
 
 def _ln_q_gradient(k, v, sw, gamma, alpha: float, variant: str, basis) -> np.ndarray:
     """d ln Q / dx_i for sigma = exp(K) / Tr exp(K), K = v diag(k) v^dagger =
-    sum_i x_i basis_i, given gamma = d ln Q / d g(sigma) (`_cq_ln_q`).
+    sum_i x_i basis_i, given gamma = d ln Q / d g(sigma) (`divergences._ln_q`).
 
     In the eigenbasis of K, g(sigma) = v diag(f(k)) v^dagger with
     f(k) = g(e^k / Z) (`_sigma_spectrum_op`), so by the Daleckii-Krein
@@ -356,7 +247,7 @@ def _h_up_objective(s: CQState, alpha: float, variant: str, basis, grad: bool = 
             val = cq_renyi(s, sigma, alpha, variant)
             return val if math.isfinite(val) else _PENALTY
         sw = sigma.spectrum()[0]
-        val, gamma = _cq_renyi(s, sigma.matrix, sw, v, alpha, variant, grad=True)
+        val, gamma = _divergence(s.block_spectra(), sw, v, alpha, variant, grad=True)
         if not math.isfinite(val):
             return _PENALTY, np.zeros(len(stack))
         g = _ln_q_gradient(k, v, sw, gamma, alpha, variant, stack)
@@ -437,6 +328,7 @@ def h_up(s: CQState, alpha: float, variant: str = "petz",
         val = _richardson_zero_limit(lambda a: reports[a].value)
         return replace(reports[_ZERO_GRID[-1]], value=val,
                        evaluations=sum(r.evaluations for r in reports.values()))
+    _check_alpha(alpha)
     if abs(alpha - 1.0) < _ALPHA_ONE_WINDOW:
         return OptimizerReport(marginal_b(s), conditional_entropy(s), 0, 0.0)
     if method is None:

@@ -1,6 +1,13 @@
 """Relative entropy, three Renyi divergence families, the relative entropy
 variance, and the max-relative entropy. All values in bits; +inf is
 represented by math.inf.
+
+One core computes every divergence here: that of a block-diagonal
+rho = (+)_x rho_x against 1_X (x) sigma, from the spectra (p, w, v) of the
+blocks (`CQState.block_spectra`, with p the trace of the block) and the
+spectrum (sw, sv) of sigma. A single pair (rho, sigma) is the one-block
+case, which the public functions below pass; `conditional` passes the
+blocks of a cq state, and its optimizer the candidate states sigma_B.
 """
 
 from __future__ import annotations
@@ -11,18 +18,19 @@ import numpy as np
 
 from cqsw.errors import InvalidAlphaError, SupportViolationError
 from cqsw.operators import (
-    DEFAULT_POLICY,
     LN2,
-    SupportPolicy,
+    SUPPORT_CUTOFF,
     _as_matrix,
+    _full_rank,
     eig_hermitian,
+    intersection_basis,
+    leaks,
     log2_from_spectrum,
+    log2_on_support,
     power_from_spectrum,
-    spectral_log2,
-    spectral_power,
-    support_contained,
+    spectrum_of,
     support_mask,
-    support_projector,
+    wlog2w,
 )
 
 VARIANTS = ("petz", "sandwiched", "flat")
@@ -37,23 +45,14 @@ def _check_variant(variant: str) -> str:
     return variant
 
 
-def relative_entropy(rho, sigma, policy: SupportPolicy = DEFAULT_POLICY) -> float:
-    """Umegaki relative entropy D(rho||sigma) in bits; +inf off support."""
-    rho = _as_matrix(rho)
-    sigma = _as_matrix(sigma)
-    if not support_contained(rho, sigma, policy):
-        return math.inf
-    w, v = eig_hermitian(rho)
-    cutoff = policy.relative_cutoff * float(np.max(np.abs(w))) if w.size else 0.0
-    on = w > cutoff
-    ent = float(np.sum(w[on] * np.log2(w[on])))
-    log_sigma = spectral_log2(sigma, policy)
-    cross = float(np.real(np.trace(rho @ log_sigma)))
-    return ent - cross
+def _check_alpha(alpha: float) -> None:
+    """The Renyi order must be positive (nan is refused too)."""
+    if not alpha > 0.0:
+        raise InvalidAlphaError(f"alpha must be positive, got {alpha}")
 
 
-def _sigma_spectrum_op(sw: np.ndarray, alpha: float, variant: str,
-                       policy: SupportPolicy = DEFAULT_POLICY) -> tuple[np.ndarray, float]:
+def _sigma_spectrum_op(sw: np.ndarray, alpha: float,
+                       variant: str) -> tuple[np.ndarray, float]:
     """(f, shift): the eigenvalues, on the support of sigma and zero off it,
     of the operator g(sigma) a family pairs with rho, divided by e^shift.
 
@@ -63,11 +62,10 @@ def _sigma_spectrum_op(sw: np.ndarray, alpha: float, variant: str,
     (alpha -> 0) nor a negative one (alpha large) overflows; ln Q is then
     ln Q(f) + shift (petz) or + alpha shift (sandwiched).
     """
-    on = support_mask(sw, policy)
-    f = np.zeros_like(sw)
     if variant == "flat":
-        f[on] = np.log2(sw[on])
-        return f, 0.0
+        return log2_on_support(sw), 0.0
+    on = support_mask(sw)
+    f = np.zeros_like(sw)
     e = (1.0 - alpha) if variant == "petz" else (1.0 - alpha) / alpha
     w = sw[on]
     if not w.size:
@@ -79,23 +77,22 @@ def _sigma_spectrum_op(sw: np.ndarray, alpha: float, variant: str,
     return f, e * math.log(ref)
 
 
-def _sigma_operator(sw: np.ndarray, sv: np.ndarray, alpha: float, variant: str,
-                    policy: SupportPolicy = DEFAULT_POLICY) -> tuple[np.ndarray, float]:
+def _sigma_operator(sw: np.ndarray, sv: np.ndarray, alpha: float,
+                    variant: str) -> tuple[np.ndarray, float]:
     """(op, ln_scale): the operator of sigma = sv diag(sw) sv^dagger that
     `_spectral_q` pairs with each rho, and the amount to add to its ln Q.
 
     op is g(sigma) / e^shift (`_sigma_spectrum_op`), except for the
     sandwiched family, where it is the square root of that, sigma^(e/2)
     with e = (1-alpha)/alpha, the factor on either side of rho."""
-    f, shift = _sigma_spectrum_op(sw, alpha, variant, policy)
+    f, shift = _sigma_spectrum_op(sw, alpha, variant)
     if variant == "sandwiched":
         return (sv * np.sqrt(f)) @ sv.conj().T, alpha * shift
     return (sv * f) @ sv.conj().T, shift
 
 
 def _spectral_q(rw: np.ndarray, rv: np.ndarray, sigma_op: np.ndarray, alpha: float,
-                variant: str, policy: SupportPolicy = DEFAULT_POLICY,
-                sigma_support: np.ndarray | None = None, grad: bool = False):
+                variant: str, sigma_support: np.ndarray | None = None, grad: bool = False):
     """ln Q_alpha of a PSD rho = rv diag(rw) rv^dagger against the family's
     operator of sigma (`_sigma_operator`), before its ln_scale is added.
     This is the one implementation of the three families, for single pairs
@@ -113,7 +110,7 @@ def _spectral_q(rw: np.ndarray, rv: np.ndarray, sigma_op: np.ndarray, alpha: flo
     with d ln q = Tr[gamma dg], built from the spectra the value takes.
     """
     if variant == "petz":
-        ra = power_from_spectrum(rw, rv, alpha, policy)
+        ra = power_from_spectrum(rw, rv, alpha)
         q = float(np.real(np.sum(ra * sigma_op.T)))
         if q <= 0.0:
             return -math.inf, float(np.sum(rw)), None
@@ -124,13 +121,13 @@ def _spectral_q(rw: np.ndarray, rv: np.ndarray, sigma_op: np.ndarray, alpha: flo
         # resolves eigenvalues far below the noise floor of the product
         # matrix itself, which matters when alpha < 1 because w ** alpha
         # keeps tiny eigenvalues relevant
-        half = power_from_spectrum(rw, rv, 0.5, policy)
+        half = power_from_spectrum(rw, rv, 0.5)
         if grad:
             _, sv, wh = np.linalg.svd(sigma_op @ half)
         else:
             sv = np.linalg.svd(sigma_op @ half, compute_uv=False)
         scale = float(sv[0]) if sv.size else 0.0
-        keep = sv > policy.relative_cutoff * scale
+        keep = sv > SUPPORT_CUTOFF * scale
         if not np.any(keep):
             return -math.inf, float(np.sum(rw)), None
         # sum sv^(2 alpha) = scale^(2 alpha) sum (sv/scale)^(2 alpha)
@@ -143,16 +140,15 @@ def _spectral_q(rw: np.ndarray, rv: np.ndarray, sigma_op: np.ndarray, alpha: flo
         # W^dagger rho^1/2 dg], W the right singular vectors; over q
         y = half @ (wh[keep].conj().T * (ratio ** (alpha - 1.0) / (scale * math.sqrt(total))))
         return ln_q, float(np.sum(rw)), alpha * (y @ y.conj().T)
-    on = support_mask(rw, policy)
+    on = support_mask(rw)
     if sigma_support is None:
         # in the eigenbasis of rho its compression is diagonal
         basis = rv[:, on]
         log_rho = np.diag(np.log2(rw[on]))
         kept = float(np.sum(rw[on]))
     else:
-        pw, pv = eig_hermitian(power_from_spectrum(rw, rv, 0.0, policy) + sigma_support)
-        basis = pv[:, pw > 2.0 - 1e-8]
-        log_rho = basis.conj().T @ log2_from_spectrum(rw, rv, policy) @ basis
+        basis = intersection_basis(power_from_spectrum(rw, rv, 0.0), sigma_support)
+        log_rho = basis.conj().T @ log2_from_spectrum(rw, rv) @ basis
         kept = float(np.real(np.trace(basis.conj().T @ ((rv * rw) @ rv.conj().T) @ basis)))
     if basis.shape[1] == 0:
         return -math.inf, 0.0, None
@@ -168,36 +164,41 @@ def _spectral_q(rw: np.ndarray, rv: np.ndarray, sigma_op: np.ndarray, alpha: flo
     return ln_q, kept, (1.0 - alpha) * LN2 * ((pm * (e / np.sum(e))) @ pm.conj().T)
 
 
-def _full_rank(w: np.ndarray, policy: SupportPolicy = DEFAULT_POLICY) -> bool:
-    """Whether the ascending spectrum w of a PSD operator has no zero
-    eigenvalue under the policy cutoff."""
-    return bool(w.size) and float(w[0]) > policy.relative_cutoff * float(w[-1])
+def _log_sum(logs) -> float:
+    """ln sum_i e^(logs_i) of the few per-block values; -inf when all are."""
+    top = max(logs, default=-math.inf)
+    if top == -math.inf:
+        return top
+    return top + math.log(sum(math.exp(x - top) for x in logs))
 
 
-def _ln_q_alpha(rho, sigma, alpha: float, variant: str,
-                policy: SupportPolicy = DEFAULT_POLICY) -> float:
-    """ln Q_alpha of one pair; -inf where Q = 0, nan where it is +inf."""
-    rw, rv = eig_hermitian(_as_matrix(rho))
-    sw, sv = eig_hermitian(_as_matrix(sigma))
+def _ln_q(blocks, sw, sv, alpha: float, variant: str, grad: bool = False):
+    """ln Q_alpha(rho || 1 (x) sigma) for the block spectra `blocks` and
+    sigma = sv diag(sw) sv^dagger; -inf where Q = 0, nan where Q = +inf.
+
+    The flat family keeps of each block only its part on the support of
+    sigma; with part of the trace of rho cut off, Q is 0 below alpha = 1
+    and +inf above. With grad, also the derivative of ln Q with respect to
+    the family's operator g(sigma) of `_sigma_spectrum_op` (None where Q is
+    0 or +inf): the blocks' derivatives weighted by their shares of Q."""
     support = None
-    if variant == "flat" and not _full_rank(sw, policy):
-        support = power_from_spectrum(sw, sv, 0.0, policy)
-    sigma_op, ln_scale = _sigma_operator(sw, sv, alpha, variant, policy)
-    ln_q, kept, _ = _spectral_q(rw, rv, sigma_op, alpha, variant, policy, support)
-    # flat: rho with no trace on the kept subspace has q = 0; with part of
-    # its trace cut off, Q is 0 below alpha = 1 and +inf above
-    if variant == "flat" and 0.0 < kept < 1.0 - _FLAT_TRACE_SLACK:
-        return -math.inf if alpha < 1.0 else math.nan
-    return ln_q + ln_scale
-
-
-def q_alpha(rho, sigma, alpha: float, variant: str = "petz",
-            policy: SupportPolicy = DEFAULT_POLICY) -> float:
-    """The trace functional Q_alpha of the chosen divergence family."""
-    _check_variant(variant)
-    if alpha <= 0:
-        raise InvalidAlphaError(f"alpha must be positive, got {alpha}")
-    return _q_from_ln(_ln_q_alpha(rho, sigma, alpha, variant, policy))
+    if variant == "flat" and not _full_rank(sw):
+        support = power_from_spectrum(sw, sv, 0.0)
+    sigma_op, ln_scale = _sigma_operator(sw, sv, alpha, variant)
+    parts = [_spectral_q(w, v, sigma_op, alpha, variant, support, grad) for _, w, v in blocks]
+    if variant == "flat":
+        trace = sum(p for p, _, _ in blocks)
+        if sum(part[1] for part in parts) < (1.0 - _FLAT_TRACE_SLACK) * trace:
+            ln_q = -math.inf if alpha < 1.0 else math.nan
+            return (ln_q, None) if grad else ln_q
+    ln_q = _log_sum([part[0] for part in parts])
+    if not grad:
+        return ln_q + ln_scale
+    if ln_q == -math.inf:
+        return ln_q, None
+    gamma = sum(math.exp(part[0] - ln_q) * part[2] for part in parts
+                if part[0] > -math.inf)
+    return ln_q + ln_scale, gamma
 
 
 def _q_from_ln(ln_q: float) -> float:
@@ -218,29 +219,105 @@ def _renyi_from_ln_q(ln_q: float, alpha: float) -> float:
     return ln_q / (LN2 * (alpha - 1.0))
 
 
-def renyi_divergence(rho, sigma, alpha: float, variant: str = "petz",
-                     policy: SupportPolicy = DEFAULT_POLICY) -> float:
-    """D_alpha in bits for the petz/sandwiched/flat family; +inf as needed."""
+def _outside(blocks, sw, sv) -> bool:
+    """Whether some block leaves the support of sigma (`leaks`); free when
+    sigma has full rank."""
+    if _full_rank(sw):
+        return False
+    return any(leaks((v * w) @ v.conj().T, sw, sv) for _, w, v in blocks)
+
+
+def _divergence(blocks, sw, sv, alpha: float, variant: str, grad: bool = False):
+    """D_alpha(rho || 1 (x) sigma) in bits for the block spectra `blocks`
+    and sigma = sv diag(sw) sv^dagger: D itself within _ALPHA_ONE_WINDOW of
+    alpha = 1, +inf for every family where supp(rho) leaves supp(sigma) at
+    alpha > 1 or the two are orthogonal at alpha < 1.
+
+    With grad (alpha away from 1), returns (D, gamma), gamma the derivative
+    of ln Q with respect to g(sigma) (`_ln_q`), None where D is infinite."""
     _check_variant(variant)
-    if alpha <= 0:
-        raise InvalidAlphaError(f"alpha must be positive, got {alpha}")
+    _check_alpha(alpha)
     if abs(alpha - 1.0) < _ALPHA_ONE_WINDOW:
-        return relative_entropy(rho, sigma, policy)
-    rho = _as_matrix(rho)
-    sigma = _as_matrix(sigma)
-    if alpha > 1.0 and not support_contained(rho, sigma, policy):
+        return _relative_entropy(blocks, sw, sv)
+    if not _full_rank(sw):
+        if alpha > 1.0:
+            infinite = _outside(blocks, sw, sv)
+        else:
+            ps = power_from_spectrum(sw, sv, 0.0)
+            overlap = sum(float(np.real(np.sum(power_from_spectrum(w, v, 0.0) * ps.T)))
+                          for _, w, v in blocks)
+            infinite = overlap <= SUPPORT_CUTOFF
+        if infinite:
+            return (math.inf, None) if grad else math.inf
+    if not grad:
+        return _renyi_from_ln_q(_ln_q(blocks, sw, sv, alpha, variant), alpha)
+    ln_q, gamma = _ln_q(blocks, sw, sv, alpha, variant, grad=True)
+    return _renyi_from_ln_q(ln_q, alpha), gamma
+
+
+def _relative_entropy(blocks, sw, sv) -> float:
+    """D(rho || 1 (x) sigma) in bits; +inf where a block leaves supp(sigma)."""
+    if _outside(blocks, sw, sv):
         return math.inf
-    if alpha < 1.0:
-        # orthogonal states have divergence +inf for every variant
-        pr = support_projector(rho, policy)
-        ps = support_projector(sigma, policy)
-        if float(np.real(np.trace(pr @ ps))) <= policy.relative_cutoff:
-            return math.inf
-    return _renyi_from_ln_q(_ln_q_alpha(rho, sigma, alpha, variant, policy), alpha)
+    return _supported_relative_entropy(blocks, sw, sv)
 
 
-def relative_entropy_variance(rho, sigma,
-                              policy: SupportPolicy = DEFAULT_POLICY) -> float:
+def _supported_relative_entropy(blocks, sw, sv) -> float:
+    """`_relative_entropy` of blocks known to lie in supp(sigma). Each block
+    contributes sum w log2 w - Tr[rho_x log2 sigma], the trace taken through
+    the overlaps of the two eigenbases."""
+    log_s = log2_on_support(sw)
+    total = 0.0
+    for _, w, v in blocks:
+        overlap = np.abs(v.conj().T @ sv) ** 2
+        total += wlog2w(w) - float(w @ overlap @ log_s)
+    return total
+
+
+def _variance(blocks, sw, sv) -> float:
+    """V(rho || 1 (x) sigma); raises where a block leaves supp(sigma). In
+    each block's eigenbasis, diff = log2 rho_x - log2 sigma gives
+    Tr[rho_x diff] = sum_i w_i diff_ii and Tr[rho_x diff^2] =
+    sum_i w_i sum_j |diff_ij|^2."""
+    if _outside(blocks, sw, sv):
+        raise SupportViolationError("supp(rho) not contained in supp(sigma)")
+    log_s = log2_on_support(sw)
+    first = 0.0
+    second = 0.0
+    for _, w, v in blocks:
+        o = v.conj().T @ sv
+        diff = -(o * log_s) @ o.conj().T
+        diff[np.diag_indices_from(diff)] += log2_on_support(w)
+        first += float(w @ np.real(np.diag(diff)))
+        second += float(w @ np.sum(np.abs(diff) ** 2, axis=1))
+    return LN2 * (second - first * first)
+
+
+def _pair(rho, sigma):
+    """(blocks, sw, sv) of a pair: rho as a one-block source, of weight its
+    trace, and the spectrum of sigma, each eigendecomposed at most once."""
+    w, v = spectrum_of(rho)
+    return ([(float(np.sum(w)), w, v)], *spectrum_of(sigma))
+
+
+def relative_entropy(rho, sigma) -> float:
+    """Umegaki relative entropy D(rho||sigma) in bits; +inf off support."""
+    return _relative_entropy(*_pair(rho, sigma))
+
+
+def q_alpha(rho, sigma, alpha: float, variant: str = "petz") -> float:
+    """The trace functional Q_alpha of the chosen divergence family."""
+    _check_variant(variant)
+    _check_alpha(alpha)
+    return _q_from_ln(_ln_q(*_pair(rho, sigma), alpha, variant))
+
+
+def renyi_divergence(rho, sigma, alpha: float, variant: str = "petz") -> float:
+    """D_alpha in bits for the petz/sandwiched/flat family; +inf as needed."""
+    return _divergence(*_pair(rho, sigma), alpha, variant)
+
+
+def relative_entropy_variance(rho, sigma) -> float:
     """V(rho||sigma); requires supp(rho) inside supp(sigma).
 
     Units: ln(2) times the base-2 variance of the log-likelihood ratio, so
@@ -248,23 +325,16 @@ def relative_entropy_variance(rho, sigma,
     equals -V exactly. Entropies stay in bits; this is the one quantity
     reported in mixed units.
     """
-    rho = _as_matrix(rho)
-    sigma = _as_matrix(sigma)
-    if not support_contained(rho, sigma, policy):
-        raise SupportViolationError("supp(rho) not contained in supp(sigma)")
-    diff = spectral_log2(rho, policy) - spectral_log2(sigma, policy)
-    first = float(np.real(np.trace(rho @ diff)))
-    second = float(np.real(np.trace(rho @ diff @ diff)))
-    return math.log(2.0) * (second - first * first)
+    return _variance(*_pair(rho, sigma))
 
 
-def d_max(rho, sigma, policy: SupportPolicy = DEFAULT_POLICY) -> float:
+def d_max(rho, sigma) -> float:
     """Max-relative entropy: log2 of the smallest c with rho <= c sigma."""
-    rho = _as_matrix(rho)
-    sigma = _as_matrix(sigma)
-    if not support_contained(rho, sigma, policy):
+    sw, sv = spectrum_of(sigma)
+    if leaks(rho, sw, sv):
         return math.inf
-    isq = spectral_power(sigma, -0.5, policy)
+    isq = power_from_spectrum(sw, sv, -0.5)
+    rho = _as_matrix(rho)
     w, _ = eig_hermitian(isq @ rho @ isq)
     top = float(w[-1]) if w.size else 0.0
     if top <= 0.0:

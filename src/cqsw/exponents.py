@@ -286,5 +286,5 @@ def second_order_reference(s: CQState, n: int, epsilon: float) -> float:
 def saddle_sigma_support_ok(s: CQState, report: SaddleReport) -> bool:
     """Every side-information block must be supported inside sigma*."""
     return all(
-        support_contained(r, report.sigma_star.matrix) for _, r in s.blocks()
+        support_contained(r, report.sigma_star) for _, r in s.blocks()
     )

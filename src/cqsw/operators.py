@@ -2,14 +2,13 @@
 under support conventions, tensor products, partial traces, pinching.
 
 All logarithms and exponentials are base 2. Powers, logs and support
-projectors act on the support only: eigenvalues below the policy cutoff are
-treated as exactly zero.
+projectors act on the support only: eigenvalues below SUPPORT_CUTOFF times
+the largest magnitude are treated as exactly zero.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,20 +22,8 @@ from cqsw.errors import (
 _HERM_TOL = 1e-12
 _GROUP_GAP = 1e-9
 _JACOBI_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class SupportPolicy:
-    """Relative eigenvalue cutoff deciding what counts as zero."""
-
-    relative_cutoff: float = 1e-12
-
-    def __post_init__(self):
-        if not 0.0 < self.relative_cutoff < 1e-6:
-            raise ValueError("relative_cutoff must lie in (0, 1e-6)")
-
-
-DEFAULT_POLICY = SupportPolicy()
+# eigenvalues at or below this fraction of the largest magnitude count as zero
+SUPPORT_CUTOFF = 1e-12
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -185,79 +172,66 @@ def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-class HermitianOperator:
-    """Validated Hermitian matrix with a cached spectral decomposition."""
-
-    __slots__ = ("matrix", "_spectrum")
-
-    def __init__(self, matrix):
-        self.matrix = check_hermitian(matrix)
-        self._spectrum = None
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._spectrum is None:
-            self._spectrum = eig_hermitian(self.matrix)
-        return self._spectrum
-
-    def __array__(self, dtype=None):
-        return self.matrix if dtype is None else self.matrix.astype(dtype)
-
-
 def _spectral_map(a, fn) -> np.ndarray:
     w, v = eig_hermitian(a)
     return (v * fn(w)) @ v.conj().T
 
 
-def support_mask(w: np.ndarray, policy: SupportPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Which eigenvalues of a PSD operator lie on its support: those above the
-    policy cutoff relative to the largest magnitude. w is ascending, as
+def support_mask(w: np.ndarray) -> np.ndarray:
+    """Which eigenvalues of a PSD operator lie on its support: those above
+    SUPPORT_CUTOFF times the largest magnitude. w is ascending, as
     `eig_hermitian` returns it. Raises if an eigenvalue is genuinely negative
     (below minus the cutoff)."""
     if not w.size:
         return w > 0.0
     lo, hi = float(w[0]), float(w[-1])
-    cutoff = policy.relative_cutoff * max(-lo, hi)
+    cutoff = SUPPORT_CUTOFF * max(-lo, hi)
     if lo < -cutoff:
         raise NegativeEigenvalueError(f"eigenvalue {lo:.3e} below -cutoff {-cutoff:.3e}")
     return w > cutoff
 
 
-def power_from_spectrum(w: np.ndarray, v: np.ndarray, p: float,
-                        policy: SupportPolicy = DEFAULT_POLICY) -> np.ndarray:
+def _full_rank(w: np.ndarray) -> bool:
+    """Whether `support_mask` keeps every eigenvalue of the ascending PSD
+    spectrum w, by two comparisons."""
+    return bool(w.size) and float(w[0]) > SUPPORT_CUTOFF * float(w[-1])
+
+
+def power_from_spectrum(w: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
     """A^p on the support of a PSD A = v diag(w) v^dagger, w ascending; p = 0
     gives the support projector."""
-    on = support_mask(w, policy)
+    on = support_mask(w)
     out = np.zeros_like(w)
     out[on] = 1.0 if p == 0 else w[on] ** p
     return (v * out) @ v.conj().T
 
 
-def log2_from_spectrum(w: np.ndarray, v: np.ndarray,
-                       policy: SupportPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """log2(A) on the support of a PSD A = v diag(w) v^dagger, w ascending
-    (zero off support)."""
-    on = support_mask(w, policy)
+def log2_on_support(w: np.ndarray) -> np.ndarray:
+    """log2 of the ascending PSD spectrum w on its support, zero off it."""
+    on = support_mask(w)
     out = np.zeros_like(w)
     out[on] = np.log2(w[on])
-    return (v * out) @ v.conj().T
+    return out
 
 
-def spectral_power(a, p: float, policy: SupportPolicy = DEFAULT_POLICY) -> np.ndarray:
+def log2_from_spectrum(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """log2(A) on the support of a PSD A = v diag(w) v^dagger, w ascending
+    (zero off support)."""
+    return (v * log2_on_support(w)) @ v.conj().T
+
+
+def spectral_power(a, p: float) -> np.ndarray:
     """A^p on the support of A; p = 0 gives the support projector."""
-    return power_from_spectrum(*eig_hermitian(a), p, policy)
+    return power_from_spectrum(*eig_hermitian(a), p)
 
 
-def support_projector(a, policy: SupportPolicy = DEFAULT_POLICY) -> np.ndarray:
-    return spectral_power(a, 0.0, policy)
+def support_projector(a) -> np.ndarray:
+    return spectral_power(a, 0.0)
 
 
-def spectral_log2(a, policy: SupportPolicy = DEFAULT_POLICY) -> np.ndarray:
+def spectral_log2(a) -> np.ndarray:
     """log2(A) on the support of A (zero off support)."""
-    return log2_from_spectrum(*eig_hermitian(a), policy)
+    return log2_from_spectrum(*eig_hermitian(a))
 
 
 def spectral_exp2(a) -> np.ndarray:
@@ -312,7 +286,7 @@ def eigenvalue_groups(w: np.ndarray, rel_gap: float = _GROUP_GAP) -> list[np.nda
     return [np.array(g) for g in groups]
 
 
-def pinch(a, x, policy: SupportPolicy = DEFAULT_POLICY) -> np.ndarray:
+def pinch(a, x) -> np.ndarray:
     """Pinching of A by the eigenprojectors of X (degenerate levels grouped)."""
     a = _as_matrix(a)
     x = _as_matrix(x)
@@ -332,19 +306,19 @@ def positive_part(a) -> np.ndarray:
     return _spectral_map(a, lambda w: np.where(w > 0.0, w, 0.0))
 
 
-def positive_projector(a, policy: SupportPolicy = DEFAULT_POLICY) -> np.ndarray:
+def positive_projector(a) -> np.ndarray:
     """Projector onto the strictly positive eigenspace (cutoff-relative)."""
     w, v = eig_hermitian(a)
     scale = float(np.max(np.abs(w))) if w.size else 0.0
-    on = w > policy.relative_cutoff * scale
+    on = w > SUPPORT_CUTOFF * scale
     return (v * on.astype(float)) @ v.conj().T
 
 
-def nonneg_projector(a, policy: SupportPolicy = DEFAULT_POLICY) -> np.ndarray:
+def nonneg_projector(a) -> np.ndarray:
     """Projector onto the nonnegative eigenspace, kernel included."""
     w, v = eig_hermitian(a)
     scale = float(np.max(np.abs(w))) if w.size else 0.0
-    on = w >= -policy.relative_cutoff * scale
+    on = w >= -SUPPORT_CUTOFF * scale
     return (v * on.astype(float)) @ v.conj().T
 
 
@@ -359,27 +333,52 @@ def trace_norm(a) -> float:
     return float(np.sum(np.abs(w)))
 
 
-def support_contained(rho, sigma, policy: SupportPolicy = DEFAULT_POLICY) -> bool:
+def spectrum_of(a) -> tuple[np.ndarray, np.ndarray]:
+    """(w, v) of a Hermitian operator: the eigendecomposition an operator
+    object keeps (`DensityOperator.spectrum`), else one new one."""
+    kept = getattr(a, "spectrum", None)
+    return kept() if kept is not None else eig_hermitian(a)
+
+
+def leaks(inner, w: np.ndarray, v: np.ndarray) -> bool:
+    """True unless supp(inner) lies in the support of the PSD operator
+    v diag(w) v^dagger, w ascending: inner compressed to its kernel has an
+    eigenvalue above SUPPORT_CUTOFF times Tr inner. Free when w has full
+    rank, one eigendecomposition otherwise."""
+    if _full_rank(w):
+        return False
+    inner = _as_matrix(inner)
+    kernel = v[:, ~support_mask(w)]
+    lw, _ = eig_hermitian(kernel.conj().T @ inner @ kernel)
+    return float(np.max(np.abs(lw))) > SUPPORT_CUTOFF * float(np.real(np.trace(inner)))
+
+
+def support_contained(rho, sigma) -> bool:
     """True when supp(rho) is contained in supp(sigma)."""
-    rho = _as_matrix(rho)
-    proj = support_projector(sigma, policy)
-    comp = np.eye(rho.shape[0]) - proj
-    leak = comp @ rho @ comp
-    tr = float(np.real(np.trace(rho)))
-    return op_norm(leak) <= policy.relative_cutoff * max(tr, 1.0)
+    return not leaks(rho, *spectrum_of(sigma))
 
 
-def intersection_projector(a, b, policy: SupportPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Projector onto supp(A) intersected with supp(B)."""
-    pa = support_projector(a, policy)
-    pb = support_projector(b, policy)
+def wlog2w(w: np.ndarray) -> float:
+    """Sum of w log2 w over the support of the PSD spectrum w: minus the
+    entropy in bits."""
+    return float(w @ log2_on_support(w))
+
+
+def intersection_basis(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the intersection of the ranges of the
+    projectors pa and pb: the eigenvectors of pa + pb at eigenvalue 2."""
     w, v = eig_hermitian(pa + pb)
-    on = w > 2.0 - 1e-8
-    return (v * on.astype(float)) @ v.conj().T
+    return v[:, w > 2.0 - 1e-8]
 
 
-def inv_sqrt_on_support(a, policy: SupportPolicy = DEFAULT_POLICY) -> np.ndarray:
-    return spectral_power(a, -0.5, policy)
+def intersection_projector(a, b) -> np.ndarray:
+    """Projector onto supp(A) intersected with supp(B)."""
+    basis = intersection_basis(support_projector(a), support_projector(b))
+    return basis @ basis.conj().T
+
+
+def inv_sqrt_on_support(a) -> np.ndarray:
+    return spectral_power(a, -0.5)
 
 
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:

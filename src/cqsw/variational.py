@@ -14,15 +14,14 @@ from scipy.optimize import minimize
 
 from cqsw.errors import InvariantViolation, NoConvergenceError, SupportViolationError
 from cqsw.conditional import h_up
+from cqsw.divergences import _supported_relative_entropy
 from cqsw.operators import (
-    DEFAULT_POLICY,
     eig_hermitian,
-    log2_from_spectrum,
-    op_norm,
-    power_from_spectrum,
+    leaks,
     spectral_log2,
     support_mask,
     support_projector,
+    wlog2w,
 )
 from cqsw.states import CQState, DensityOperator
 
@@ -51,7 +50,7 @@ class DummyState:
         for _, sig, blk in _paired_blocks(s, self):
             if blk is None:
                 raise SupportViolationError("dummy mass on a zero-probability symbol")
-            if _leaks(sig, blk):
+            if leaks(sig.matrix, *blk[1:]):
                 raise SupportViolationError("dummy block leaves the source support")
 
 
@@ -66,19 +65,6 @@ def _paired_blocks(s: CQState, d: DummyState):
             yield qx, sig, blk
 
 
-def _leaks(sig: DensityOperator, blk) -> bool:
-    """True unless supp(sig) lies in the support of the source block
-    (p, w, v): the criterion of `support_contained`. A full-rank block
-    leaks nothing, so its leak is not computed."""
-    _, w, v = blk
-    if support_mask(w).all():
-        return False
-    comp = np.eye(len(w)) - power_from_spectrum(w, v, 0.0)
-    leak = comp @ sig.matrix @ comp
-    tr = float(np.real(np.trace(sig.matrix)))
-    return op_norm(leak) > DEFAULT_POLICY.relative_cutoff * max(tr, 1.0)
-
-
 def dummy_entropy(s: CQState, d: DummyState) -> float:
     """H(X|B) of the dummy state (entropy difference form)."""
     sig_b = np.zeros((s.dim_b, s.dim_b), dtype=np.complex128)
@@ -87,34 +73,23 @@ def dummy_entropy(s: CQState, d: DummyState) -> float:
         if qx <= 0:
             continue
         sig_b += qx * sig.matrix
-        blk = qx * sig.matrix
-        w, _ = eig_hermitian(blk)
-        on = w > 1e-15
-        joint_ent -= float(np.sum(w[on] * np.log2(w[on])))
-    w, _ = eig_hermitian(sig_b)
-    on = w > 1e-15
-    ent_b = float(-np.sum(w[on] * np.log2(w[on])))
-    return joint_ent - ent_b
+        joint_ent -= wlog2w(eig_hermitian(qx * sig.matrix)[0])
+    return joint_ent + wlog2w(eig_hermitian(sig_b)[0])
 
 
 def dummy_divergence(s: CQState, d: DummyState) -> float:
     """D(sigma_XB || rho_XB) in bits, blockwise; +inf where a dummy block
     leaves the source support."""
-    if any(blk is None or _leaks(sig, blk) for _, sig, blk in _paired_blocks(s, d)):
+    if any(blk is None or leaks(sig.matrix, *blk[1:]) for _, sig, blk in _paired_blocks(s, d)):
         return math.inf
     return _supported_divergence(s, d)
 
 
 def _supported_divergence(s: CQState, d: DummyState) -> float:
-    """`dummy_divergence` of a dummy known to lie in the source support."""
-    total = 0.0
-    for qx, sig, blk in _paired_blocks(s, d):
-        blk_s = qx * sig.matrix
-        w, _ = eig_hermitian(blk_s)
-        on = w > 1e-15
-        total += float(np.sum(w[on] * np.log2(w[on])))
-        total -= float(np.real(np.trace(blk_s @ log2_from_spectrum(*blk[1:]))))
-    return total
+    """`dummy_divergence` of a dummy known to lie in the source support: per
+    block, D(q(x) sigma_x || p(x) rho_x) of the one divergence core."""
+    return sum(_supported_relative_entropy([(qx, *eig_hermitian(qx * sig.matrix))], *blk[1:])
+               for qx, sig, blk in _paired_blocks(s, d))
 
 
 def variational_value(s: CQState, rate: float, kind: str, d: DummyState) -> float:
@@ -170,10 +145,9 @@ def mo17_candidate(s: CQState, alpha: float, tau_b) -> DummyState:
 
 def _support_bases(s: CQState):
     bases = []
-    for px, rho in zip(s.probs, s.side_info):
-        w, v = eig_hermitian(rho.matrix)
-        cutoff = 1e-12 * float(np.max(np.abs(w))) if w.size else 0.0
-        bases.append(v[:, w > cutoff])
+    for rho in s.side_info:
+        w, v = rho.spectrum()
+        bases.append(v[:, support_mask(w)])
     return bases
 
 
@@ -344,14 +318,9 @@ def variational_minimize(s: CQState, rate: float, kind: str,
         if val < refined_val:
             refined_val, refined_x = val, x
 
-    final_dummy = _dummy_from_params(s, bases, refined_x) \
-        if refined_x is not x_center else best_dummy
-    final_val = min(best_val, refined_val)
     if best_val - refined_val > 1e-3:
         raise NoConvergenceError(
             "candidate scan and refinement disagree",
             diagnostics={"scan": best_val, "refined": refined_val},
         )
-    if refined_val <= best_val:
-        return refined_val, _dummy_from_params(s, bases, refined_x)
-    return final_val, final_dummy
+    return refined_val, _dummy_from_params(s, bases, refined_x)

@@ -151,3 +151,13 @@ def test_removed_flags_are_rejected(dsbs_path):
     assert main(["exponents", "--state", dsbs_path, "--variants", "petz"]) == 2
     assert main(["simulate", "--state", dsbs_path, "--rate", "0.8",
                  "--w-size", "2"]) == 2
+    # shared flags a subcommand never reads
+    for argv in (["exponents", "--state", dsbs_path, "--seed", "1"],
+                 ["exponents", "--state", dsbs_path, "--cap", "64"],
+                 ["bruteforce", "--state", dsbs_path, "--seed", "1"],
+                 ["verify", "--state", dsbs_path],
+                 ["verify", "--cap", "64"],
+                 ["moderate", "--state", dsbs_path, "--seed", "1"],
+                 ["moderate", "--state", dsbs_path, "--cap", "64"],
+                 ["rate-window", "--state", dsbs_path, "--seed", "1"]):
+        assert main(argv) == 2, argv

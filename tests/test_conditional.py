@@ -19,7 +19,8 @@ from cqsw.conditional import (
     petz_sigma_star,
     von_neumann_entropy,
 )
-from cqsw.errors import MethodUnsupportedError
+from cqsw.divergences import VARIANTS
+from cqsw.errors import InvalidAlphaError, MethodUnsupportedError
 from cqsw.operators import LN2
 from cqsw.states import marginal_b
 from grid_oracle import grid_h_up
@@ -155,3 +156,20 @@ def test_petz_sigma_star_small_alpha_is_finite():
     sig = petz_sigma_star(s, 1e-4).matrix
     assert np.all(np.isfinite(sig))
     assert np.real(np.trace(sig)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_alpha_domain_typed_errors():
+    # negative orders are refused everywhere; alpha = 0 is refused by
+    # cq_renyi and is the alpha -> 0 limit in h_up and h_down
+    s = presets.doubly_symmetric(0.11)
+    rho_b = marginal_b(s)
+    for variant in VARIANTS:
+        for alpha in (0.0, -0.5):
+            with pytest.raises(InvalidAlphaError):
+                cq_renyi(s, rho_b, alpha, variant)
+        with pytest.raises(InvalidAlphaError):
+            h_up(s, -0.5, variant)
+        with pytest.raises(InvalidAlphaError):
+            h_down(s, -0.5, variant)
+    assert math.isfinite(h_up(s, 0.0, "petz").value)
+    assert math.isfinite(h_down(s, 0.0, "petz"))

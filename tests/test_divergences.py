@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, logm
 
+from cqsw.conditional import cq_renyi
 from cqsw.divergences import (
+    VARIANTS,
     d_max,
     q_alpha,
     relative_entropy,
@@ -18,6 +20,7 @@ from cqsw.divergences import (
 )
 from cqsw.errors import InvalidAlphaError, SupportViolationError
 from cqsw.operators import LN2, random_density
+from cqsw.states import CQState
 
 RNG = np.random.default_rng(21)
 
@@ -160,3 +163,40 @@ def test_flat_rank_one_rho_compresses_log_sigma():
     assert got == pytest.approx(want, abs=1e-9)
     # and D_alpha tends to D as alpha -> 1
     assert got == pytest.approx(relative_entropy(rho, sig), abs=1e-6)
+
+
+def _commuting_divergence(p, q, alpha, variant):
+    """D_alpha of commuting diagonals p, q by the classical closed forms:
+    +inf at alpha > 1, and for the flat family, once part of p lies off the
+    support of q; otherwise sum p^alpha q^(1-alpha) on the common support
+    (+inf where there is none)."""
+    on = p > 0
+    if np.any(q[on] == 0) and (alpha > 1 or variant == "flat"):
+        return math.inf
+    common = on & (q > 0)
+    if not np.any(common):
+        return math.inf
+    return math.log2(float(np.sum(p[common] ** alpha * q[common] ** (1 - alpha)))) / (alpha - 1)
+
+
+@pytest.mark.parametrize("q", [(0.3, 0.7, 0.0), (0.3, 0.0, 0.7), (0.0, 0.0, 1.0)],
+                         ids=["contains", "overlaps", "orthogonal"])
+def test_support_conditions_on_commuting_inputs(q):
+    # a rank-deficient sigma against a pair and against the blocks of a
+    # cq state, both supported on the first two levels
+    q = np.array(q)
+    p = np.array([0.5, 0.5, 0.0])
+    probs = np.array([0.4, 0.6])
+    rows = np.array([[0.7, 0.3, 0.0], [0.2, 0.8, 0.0]])
+    s = CQState(["0", "1"], probs, [np.diag(r) for r in rows])
+    joint = (probs[:, None] * rows).ravel()
+    for alpha in (0.5, 2.0):
+        for variant in VARIANTS:
+            cases = ((renyi_divergence(np.diag(p), np.diag(q), alpha, variant), p, q),
+                     (cq_renyi(s, np.diag(q), alpha, variant), joint, np.tile(q, 2)))
+            for got, pp, qq in cases:
+                want = _commuting_divergence(pp, qq, alpha, variant)
+                if math.isinf(want):
+                    assert got == want, (variant, alpha)
+                else:
+                    assert got == pytest.approx(want, abs=1e-10), (variant, alpha)

@@ -13,8 +13,6 @@ from cqsw.errors import (
     NonHermitianError,
 )
 from cqsw.operators import (
-    HermitianOperator,
-    SupportPolicy,
     eig_hermitian,
     eigenvalue_groups,
     intersection_projector,
@@ -93,13 +91,6 @@ def test_support_conventions():
         spectral_power(np.diag([1.0, -0.5]), 0.5)
 
 
-def test_support_policy_validation():
-    with pytest.raises(ValueError):
-        SupportPolicy(relative_cutoff=0.5)
-    with pytest.raises(ValueError):
-        SupportPolicy(relative_cutoff=0.0)
-
-
 def test_tensor_and_partial_trace_roundtrip():
     a = random_density(RNG, 2)
     b = random_density(RNG, 3)
@@ -153,9 +144,3 @@ def test_support_relations():
                                    np.diag([0.0, 1.0, 1.0]))
     assert np.allclose(inter, np.diag([0.0, 1.0, 0.0]), atol=1e-7)
 
-
-def test_hermitian_operator_caches_spectrum():
-    op = HermitianOperator(random_hermitian(RNG, 3))
-    w1, v1 = op.spectrum()
-    w2, v2 = op.spectrum()
-    assert w1 is w2 and v1 is v2

@@ -17,7 +17,6 @@ from cqsw import presets
 from cqsw.conditional import conditional_entropy, cq_renyi, h_up
 from cqsw.exponents import exponent, exponent_family
 from cqsw.operators import random_density
-from test_spectra import _warmed_zero_plus, eig_count  # noqa: F401
 from test_type_classes import _sources
 
 _VARIANTS = ("petz", "sandwiched", "flat")
@@ -46,10 +45,10 @@ def test_objective_gradient_matches_central_differences(s, variant, alpha, seed)
 
 
 @pytest.mark.parametrize("variant", _VARIANTS)
-def test_gradient_adds_no_eigendecomposition(eig_count, variant):
+def test_gradient_adds_no_eigendecomposition(eig_count, warmed_zero_plus, variant):
     # K only for petz and sandwiched; K and one small matrix per block for
     # flat, whose eigenvectors the gradient reuses
-    s = _warmed_zero_plus()
+    s = warmed_zero_plus
     basis = conditional._traceless_basis(s.dim_b)
     x = np.array([0.1, -0.2, 0.3])
     eig_count.clear()

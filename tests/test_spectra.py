@@ -6,17 +6,20 @@ random sources."""
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import cqsw.conditional as conditional
-import cqsw.operators as operators
 from cqsw import presets
 from cqsw.conditional import conditional_entropy, cq_renyi, h_up
-from cqsw.divergences import renyi_divergence
+from cqsw.divergences import (
+    d_max,
+    relative_entropy,
+    relative_entropy_variance,
+    renyi_divergence,
+)
 from cqsw.exponents import e0
 from cqsw.operators import random_density
 from cqsw.states import CQState, as_joint_operator, marginal_b
@@ -24,43 +27,20 @@ from cqsw.variational import DummyState, dummy_divergence, variational_value
 from test_type_classes import _sources
 
 
-@pytest.fixture
-def eig_count(monkeypatch):
-    """Count calls of eig_hermitian from every cqsw module."""
-    calls = []
-    real = operators.eig_hermitian
-
-    def eig(a):
-        calls.append(1)
-        return real(a)
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("cqsw") and getattr(mod, "eig_hermitian", None) is real:
-            monkeypatch.setattr(mod, "eig_hermitian", eig)
-    return calls
-
-
-def _warmed_zero_plus():
-    s = presets.zero_plus_source()
-    s.block_spectra()
-    marginal_b(s)
-    return s
-
-
-def test_petz_h_up_one_eigendecomposition(eig_count):
+def test_petz_h_up_one_eigendecomposition(eig_count, warmed_zero_plus):
     # sum_x (p rho_x)^alpha only: sigma* shares its eigenvectors and the
     # blocks keep theirs
-    s = _warmed_zero_plus()
+    s = warmed_zero_plus
     h_up(s, 0.6, "petz")
     eig_count.clear()
     h_up(s, 0.65, "petz")
     assert len(eig_count) == 1
 
 
-def test_sandwiched_objective_one_eigendecomposition(eig_count):
+def test_sandwiched_objective_one_eigendecomposition(eig_count, warmed_zero_plus):
     # the parameter matrix K only: exp(K)/Tr shares its eigenvectors and
     # the blocks keep theirs
-    s = _warmed_zero_plus()
+    s = warmed_zero_plus
     basis = conditional._traceless_basis(s.dim_b)
     objective = conditional._h_up_objective(s, 1.5, "sandwiched", basis)
     eig_count.clear()
@@ -78,7 +58,26 @@ def test_block_spectra_computed_once(eig_count):
     assert marginal_b(s) is marginal_b(s)
 
 
-def test_dummy_divergence_uses_block_spectra(eig_count):
+@pytest.mark.parametrize("rank", (1, 3))
+def test_pair_divergences_eigendecompose_each_operand_once(eig_count, rank):
+    # rho and a full-rank sigma once each, whose support tests then cost
+    # nothing; flat adds its exponent matrix, D_max the matrix
+    # sigma^(-1/2) rho sigma^(-1/2)
+    rng = np.random.default_rng(5)
+    rho = random_density(rng, 3, rank=rank)
+    sigma = random_density(rng, 3)
+    for alpha in (0.5, 2.0):
+        for variant, count in (("petz", 2), ("sandwiched", 2), ("flat", 3)):
+            eig_count.clear()
+            assert math.isfinite(renyi_divergence(rho, sigma, alpha, variant))
+            assert len(eig_count) == count, (variant, alpha)
+    for fn in (relative_entropy, relative_entropy_variance, d_max):
+        eig_count.clear()
+        assert math.isfinite(fn(rho, sigma))
+        assert len(eig_count) == 2, fn.__name__
+
+
+def test_dummy_divergence_uses_block_spectra(eig_count, warmed_zero_plus):
     # per block: the dummy's own entropy term, plus the leak only where the
     # source block is rank deficient; log2(p rho_x) and its support come
     # from the kept block spectra
@@ -94,18 +93,18 @@ def test_dummy_divergence_uses_block_spectra(eig_count):
     assert math.isfinite(variational_value(s, 0.5, "r", d))
     assert len(eig_count) == 3 + 4
 
-    s = _warmed_zero_plus()
+    s = warmed_zero_plus
     d = DummyState(s.probs, list(s.side_info))
     eig_count.clear()
     assert dummy_divergence(s, d) == pytest.approx(0.0, abs=1e-10)
     assert len(eig_count) == 2 * s.size_x
 
 
-def test_variational_value_tests_leaks_once(eig_count):
+def test_variational_value_tests_leaks_once(eig_count, warmed_zero_plus):
     # both zero_plus blocks are rank deficient: validation tests each leak
     # (|X|), the divergence does not again; the rest is the dummy's entropy
     # (|X| + 1) and its own blocks (|X|)
-    s = _warmed_zero_plus()
+    s = warmed_zero_plus
     d = DummyState(s.probs, list(s.side_info))
     eig_count.clear()
     assert math.isfinite(variational_value(s, 0.5, "r", d))
