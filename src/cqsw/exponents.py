@@ -3,8 +3,12 @@ source, the sphere-packing saddle point, the critical rate, and the
 moderate-deviation and second-order helpers.
 
 Conventions: rates and exponents in bits; s and alpha related by
-alpha = 1/(1+s). Suprema over alpha use golden-section search, justified
-by concavity of s -> E_0(s).
+alpha = 1/(1+s). Each supremum over alpha is a one-dimensional maximisation
+of a smooth function, unimodal by concavity of s -> E_0(s), found by
+Brent's bounded method (golden-section steps with parabolic interpolation).
+Rates on the far side of H(X|B) return an exact 0.0 without any search:
+every H_alpha is nonincreasing in alpha and equals H(X|B) at alpha = 1, so
+s (R - H_alpha) <= 0 on the whole bracket there.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 from scipy.special import ndtri
 
 from cqsw.errors import DomainError, RateOutOfWindowError, ZeroVarianceError
@@ -33,7 +37,7 @@ from cqsw.operators import support_contained
 from cqsw.states import CQState, DensityOperator
 
 _GOLDEN_TOL = 1e-8
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 ALPHA_CAP = 64.0
 
 # The exponent kinds, each with the Renyi family used when no variant is
@@ -49,22 +53,23 @@ KINDS = tuple(DEFAULT_VARIANT)
 
 
 def golden_max(f, lo: float, hi: float, tol: float = _GOLDEN_TOL):
-    """Maximize a unimodal function on [lo, hi]; returns (x, f(x))."""
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    x = (a + b) / 2.0
-    return x, f(x)
+    """Maximize a unimodal function on [lo, hi] by Brent's bounded method
+    (golden-section steps with parabolic interpolation) to an argument
+    tolerance tol; returns (x, f(x)).
+
+    Brent never evaluates the ends. It stops within 2 (sqrt(eps)|x| + tol/3)
+    of a maximum at an end, so an end that close is evaluated too and kept
+    if it is no lower."""
+    res = minimize_scalar(lambda x: -f(x), bounds=(lo, hi), method="bounded",
+                          options={"xatol": tol})
+    x, fx = float(res.x), -float(res.fun)
+    near = 2.0 * (_SQRT_EPS * abs(x) + tol / 3.0)
+    for end in (lo, hi):
+        if abs(x - end) <= near:
+            fe = f(end)
+            if fe >= fx:
+                x, fx = end, fe
+    return x, fx
 
 
 class HUpEvaluator:
@@ -138,10 +143,19 @@ def exponent(s: CQState, rate: float, kind: str, variant: str | None = None) -> 
 
 def _exponent(s: CQState, rate: float, kind: str, ev: HUpEvaluator) -> float:
     """`exponent` of the variant of ev, whose counts then include this call."""
-    if rate < 0:
+    if not rate >= 0:
         raise DomainError(f"rate must be nonnegative, got {rate}")
     if kind not in KINDS:
         raise ValueError(f"unknown exponent kind {kind!r}")
+    # far side of H(X|B): s (R - H_alpha) <= 0 on the whole bracket
+    h1 = conditional_entropy(s)
+    if kind.startswith("strong_converse"):
+        if rate >= h1:
+            return 0.0
+    elif rate <= h1:
+        return 0.0
+    if math.isinf(rate):
+        return math.inf  # s (R - H_alpha) is +inf at every s > 0
 
     if kind == "random_coding_down":
         def obj(alpha):
@@ -158,9 +172,6 @@ def _exponent(s: CQState, rate: float, kind: str, ev: HUpEvaluator) -> float:
         _, val = golden_max(obj, 0.5, 1.0)
         return _clamp(val)
     if kind == "sphere_packing":
-        h1 = conditional_entropy(s)
-        if rate <= h1:
-            return 0.0
         h0 = h_up(s, 0.0, ev.variant).value
         if rate > h0 + 1e-9:
             return math.inf
@@ -182,7 +193,7 @@ class ExponentCurve:
 def exponent_family(s: CQState, rates, kind: str,
                     variant: str | None = None) -> ExponentCurve:
     rates = np.asarray(rates, dtype=float)
-    if rates.ndim != 1 or np.any(np.diff(rates) <= 0):
+    if rates.ndim != 1 or not np.all(np.diff(rates) > 0):
         raise DomainError("rates must be a strictly increasing 1-d array")
     if variant is None:
         variant = DEFAULT_VARIANT[kind]
@@ -262,7 +273,7 @@ def critical_rate(s: CQState) -> float:
 
 def moderate_ratio(s: CQState, delta: float) -> float:
     """E_sp(H(X|B)+delta) / delta^2; approaches 1/(2V) as delta shrinks."""
-    if delta <= 0:
+    if not delta > 0:
         raise DomainError(f"delta must be positive, got {delta}")
     v = conditional_variance(s)
     if v <= 1e-9:

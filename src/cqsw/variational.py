@@ -20,7 +20,6 @@ from cqsw.operators import (
     leaks,
     spectral_log2,
     support_mask,
-    support_projector,
     wlog2w,
 )
 from cqsw.states import CQState, DensityOperator
@@ -112,17 +111,17 @@ def mo17_candidate(s: CQState, alpha: float, tau_b) -> DummyState:
     tau_b = np.asarray(getattr(tau_b, "matrix", tau_b), dtype=np.complex128)
     blocks = []
     total = 0.0
-    for px, rho in zip(s.probs, s.side_info):
+    spectra = iter(s.block_spectra())
+    for px in s.probs:
         if px <= 0:
             blocks.append(None)
             continue
-        blk = px * rho.matrix
-        proj = support_projector(blk)
-        w, v = eig_hermitian(proj)
-        basis = v[:, w > 0.5]
-        blk_p = basis.conj().T @ blk @ basis
+        # the block p(x) rho_x is diagonal in its own eigenbasis on its support
+        _, w, v = next(spectra)
+        on = support_mask(w)
+        basis = v[:, on]
         tau_p = basis.conj().T @ tau_b @ basis
-        m = alpha * spectral_log2(blk_p) + (1.0 - alpha) * spectral_log2(tau_p)
+        m = alpha * np.diag(np.log2(w[on])) + (1.0 - alpha) * spectral_log2(tau_p)
         mw, mv = eig_hermitian(m)
         small = (mv * np.exp2(mw)) @ mv.conj().T
         full = basis @ small @ basis.conj().T

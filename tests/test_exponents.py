@@ -9,15 +9,19 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+import cqsw.conditional as conditional
+import cqsw.exponents as exponents
 from cqsw import presets
 from cqsw.conditional import conditional_entropy, conditional_variance, h_up
 from cqsw.errors import DomainError, RateOutOfWindowError, ZeroVarianceError
 from cqsw.exponents import (
+    KINDS,
     critical_rate,
     e0,
     e0_down,
     exponent,
     exponent_family,
+    golden_max,
     moderate_ratio,
     saddle_point,
     saddle_sigma_support_ok,
@@ -179,3 +183,82 @@ def test_e0_large_s_is_finite_and_matches_h_up(sval):
 def test_strong_converse_flat_zero_above_entropy_rank_deficient():
     # zero_plus has pure (rank-one) blocks and H(X|B) = 0.399 < 0.5
     assert exponent(presets.zero_plus_source(), 0.5, "strong_converse_flat") == 0.0
+
+
+def test_nan_rate_raises():
+    s = presets.doubly_symmetric(0.11)
+    for kind in KINDS:
+        with pytest.raises(DomainError):
+            exponent(s, math.nan, kind)
+    with pytest.raises(DomainError):
+        exponent_family(s, [0.1, math.nan], "random_coding")
+    with pytest.raises(DomainError):
+        moderate_ratio(s, math.nan)
+    # an infinite rate keeps its limit on either side of H(X|B)
+    for kind in ("random_coding_down", "random_coding", "sphere_packing"):
+        assert exponent(s, math.inf, kind) == math.inf
+    for kind in ("strong_converse_star", "strong_converse_flat"):
+        assert exponent(s, math.inf, kind) == 0.0
+
+
+@pytest.mark.parametrize("f, lo, hi, x_max, f_max", [
+    (lambda x: 2.0 - (x - 0.3) ** 2, 0.0, 1.0, 0.3, 2.0),
+    (lambda x: -x, 0.5, 1.0, 0.5, -0.5),
+    (math.log, 1.001, 64.0, 64.0, math.log(64.0)),
+])
+def test_golden_max_closed_forms(f, lo, hi, x_max, f_max):
+    tol = 1e-8
+    x, v = golden_max(f, lo, hi, tol)
+    assert abs(x - x_max) <= tol
+    assert v == pytest.approx(f_max, abs=1e-12)
+
+
+@pytest.fixture
+def search_count(monkeypatch):
+    """Count the objective evaluations of every exponent search and the
+    iterate h_up solves."""
+    counts = {"evals": 0, "solves": 0}
+    real_max, real_solve = exponents.golden_max, conditional._iterate_h_up
+
+    def counted_max(f, *args, **kwargs):
+        def g(x):
+            counts["evals"] += 1
+            return f(x)
+        return real_max(g, *args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        counts["solves"] += 1
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(exponents, "golden_max", counted_max)
+    monkeypatch.setattr(conditional, "_iterate_h_up", counted_solve)
+    return counts
+
+
+_SOURCES = [presets.doubly_symmetric, presets.zero_plus_source]
+
+
+@pytest.mark.parametrize("source", _SOURCES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_far_side_is_exact_zero_without_search(search_count, source, kind):
+    # every H_alpha is nonincreasing in alpha with H_1 = H(X|B), so
+    # s (R - H_alpha) <= 0 on the whole bracket on this side
+    s = source()
+    side = 1.0 if kind.startswith("strong_converse") else -1.0
+    rate = conditional_entropy(s) + side * 0.1
+    assert exponent(s, rate, kind) == 0.0
+    assert search_count == {"evals": 0, "solves": 0}
+
+
+@pytest.mark.parametrize("source", _SOURCES)
+@pytest.mark.parametrize("kind", ["random_coding", "sphere_packing"])
+def test_interior_maximum_search_evaluations(search_count, source, kind):
+    s = source()
+    assert exponent(s, conditional_entropy(s) + 0.1, kind) > 0.0
+    assert search_count["evals"] <= 16
+
+
+def test_strong_converse_interior_maximum_solves(search_count):
+    s = presets.doubly_symmetric(0.11)
+    assert exponent(s, conditional_entropy(s) - 0.1, "strong_converse_star") > 0.0
+    assert search_count["solves"] <= 25

@@ -23,7 +23,7 @@ from cqsw.divergences import (
 from cqsw.exponents import e0
 from cqsw.operators import random_density
 from cqsw.states import CQState, as_joint_operator, marginal_b
-from cqsw.variational import DummyState, dummy_divergence, variational_value
+from cqsw.variational import DummyState, dummy_divergence, mo17_candidate, variational_value
 from test_type_classes import _sources
 
 
@@ -109,6 +109,16 @@ def test_variational_value_tests_leaks_once(eig_count, warmed_zero_plus):
     eig_count.clear()
     assert math.isfinite(variational_value(s, 0.5, "r", d))
     assert len(eig_count) == 7
+
+
+
+def test_mo17_candidate_uses_block_spectra(eig_count, warmed_zero_plus):
+    # per block: log2 tau on the block support and the exponent matrix; the
+    # support basis and log2 of the block come from the kept block spectra
+    s = warmed_zero_plus
+    eig_count.clear()
+    mo17_candidate(s, 0.7, marginal_b(s))
+    assert len(eig_count) <= 4
 
 
 _alphas = st.sampled_from((0.25, 0.5, 0.8, 1.3, 2.0, 3.0))
