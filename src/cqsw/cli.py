@@ -211,8 +211,6 @@ def cmd_moderate(args) -> int:
         raise _ConfigError("deltas", "deltas must be positive")
     try:
         v = conditional_variance(s)
-        if v <= 1e-9:
-            raise ZeroVarianceError("conditional information variance is zero")
         lines = ["delta,ratio,half_inverse_variance"]
         for d in deltas:
             lines.append(",".join(_fmt(x) for x in

@@ -5,7 +5,10 @@ moderate-deviation and second-order helpers.
 Conventions: rates and exponents in bits; s and alpha related by
 alpha = 1/(1+s). Each supremum over alpha is a one-dimensional maximisation
 of a smooth function, unimodal by concavity of s -> E_0(s), found by
-Brent's bounded method (golden-section steps with parabolic interpolation).
+Brent's bounded method (golden-section steps with parabolic interpolation)
+on the kind's bracket in `ALPHA_BRACKET`. Every bracket ends at alpha = 1,
+where H_alpha = H(X|B) and the prefactor s is 0, so the objective is finite
+there and a rate close to H(X|B), whose optimal alpha tends to 1, finds it.
 Rates on the far side of H(X|B) return an exact 0.0 without any search:
 every H_alpha is nonincreasing in alpha and equals H(X|B) at alpha = 1, so
 s (R - H_alpha) <= 0 on the whole bracket there.
@@ -17,15 +20,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize_scalar
 from scipy.special import ndtri
 
 from cqsw.errors import DomainError, RateOutOfWindowError, ZeroVarianceError
 from cqsw.conditional import (
     _petz_sibson,
-    _sigma_from_params,
     _tabulated,
-    _traceless_basis,
     conditional_entropy,
     conditional_variance,
     cq_renyi,
@@ -39,6 +40,9 @@ from cqsw.states import CQState, DensityOperator
 _GOLDEN_TOL = 1e-8
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 ALPHA_CAP = 64.0
+# V(X|B) at or below this is zero: no moderate-deviation or second-order
+# expansion exists
+_ZERO_VARIANCE = 1e-9
 
 # The exponent kinds, each with the Renyi family used when no variant is
 # given; the random_coding_down kind is petz by definition.
@@ -50,12 +54,21 @@ DEFAULT_VARIANT = {
     "strong_converse_flat": "flat",
 }
 KINDS = tuple(DEFAULT_VARIANT)
+# The alpha bracket of each kind, looked up by the prefix of its name: both
+# random-coding kinds search s in [0, 1], sphere packing s in [0, 99], the
+# strong converse alpha in [1, ALPHA_CAP].
+ALPHA_BRACKET = {
+    "random_coding": (0.5, 1.0),
+    "sphere_packing": (0.01, 1.0),
+    "strong_converse": (1.0, ALPHA_CAP),
+}
 
 
 def golden_max(f, lo: float, hi: float, tol: float = _GOLDEN_TOL):
     """Maximize a unimodal function on [lo, hi] by Brent's bounded method
     (golden-section steps with parabolic interpolation) to an argument
-    tolerance tol; returns (x, f(x)).
+    tolerance tol; returns (x, f(x)). The exponent searches run it on the
+    brackets of `ALPHA_BRACKET`.
 
     Brent never evaluates the ends. It stops within 2 (sqrt(eps)|x| + tol/3)
     of a maximum at an end, so an end that close is evaluated too and kept
@@ -156,30 +169,25 @@ def _exponent(s: CQState, rate: float, kind: str, ev: HUpEvaluator) -> float:
         return 0.0
     if math.isinf(rate):
         return math.inf  # s (R - H_alpha) is +inf at every s > 0
+    if kind == "sphere_packing" and rate > h_up(s, 0.0, ev.variant).value + 1e-9:
+        return math.inf
+    return _clamp(_alpha_search(s, rate, kind, ev)[1])
 
+
+def _alpha_search(s: CQState, rate: float, kind: str, ev: HUpEvaluator):
+    """(alpha*, sup) of s (R - H_alpha) over the kind's `ALPHA_BRACKET`, with
+    H_alpha from ev; random_coding_down takes H_(2 - 1/alpha)^down instead."""
     if kind == "random_coding_down":
-        def obj(alpha):
-            sv = (1.0 - alpha) / alpha
-            return sv * (rate - h_down(s, 2.0 - 1.0 / alpha, "petz"))
-        _, val = golden_max(obj, 0.5, 1.0)
-        return _clamp(val)
+        def h(alpha):
+            return h_down(s, 2.0 - 1.0 / alpha, "petz")
+    else:
+        h = ev.value
 
     def obj(alpha):
-        sv = (1.0 - alpha) / alpha
-        return sv * (rate - ev.value(alpha))
+        return (1.0 - alpha) / alpha * (rate - h(alpha))
 
-    if kind == "random_coding":
-        _, val = golden_max(obj, 0.5, 1.0)
-        return _clamp(val)
-    if kind == "sphere_packing":
-        h0 = h_up(s, 0.0, ev.variant).value
-        if rate > h0 + 1e-9:
-            return math.inf
-        _, val = golden_max(obj, 0.01, 0.999)
-        return _clamp(val)
-    # strong converse families: alpha above one, objective negative prefactor
-    _, val = golden_max(obj, 1.001, ALPHA_CAP)
-    return _clamp(val)
+    bracket = next(b for prefix, b in ALPHA_BRACKET.items() if kind.startswith(prefix))
+    return golden_max(obj, *bracket)
 
 
 @dataclass
@@ -205,6 +213,11 @@ def exponent_family(s: CQState, rates, kind: str,
 
 @dataclass
 class SaddleReport:
+    """The sphere-packing saddle point at one rate. value is the sup over
+    alpha of the inf over sigma, the sphere-packing exponent; gap is
+    sup_alpha f(alpha, sigma*) - value, the weak-duality bound at sigma*:
+    it is at least the inf-sup gap, and nonnegative up to rounding."""
+
     alpha_star: float
     sigma_star: DensityOperator
     value: float
@@ -223,41 +236,21 @@ def _f_rate(s: CQState, rate: float, alpha: float, sigma_b) -> float:
 
 
 def saddle_point(s: CQState, rate: float) -> SaddleReport:
-    """Saddle point of the sphere-packing objective: alpha*, sigma*, gap."""
+    """Saddle point of the sphere-packing objective: alpha* and sigma* from
+    the sphere-packing search of `exponent`, certified by the sup over alpha
+    of the objective at sigma*."""
     h1 = conditional_entropy(s)
     h0 = h_up(s, 0.0, "petz").value
     if not (h1 < rate < h0):
         raise RateOutOfWindowError(
             f"rate {rate} outside ({h1:.6f}, {h0:.6f})"
         )
-
-    def outer(alpha):
-        return ((1.0 - alpha) / alpha) * (rate - h_up(s, alpha, "petz").value)
-
-    alpha_star, sup_inf = golden_max(outer, 0.01, 0.9999999)
+    alpha_star, sup_inf = _alpha_search(s, rate, "sphere_packing",
+                                        HUpEvaluator(s, "petz"))
     sigma_star = petz_sigma_star(s, alpha_star)
-
-    # other optimization order: minimize over sigma the sup over alpha
-    d = s.dim_b
-    basis = _traceless_basis(d)
-    sw, sv = sigma_star.spectrum()
-    sw = np.clip(sw, 1e-14, None)
-    logm = (sv * np.log(sw)) @ sv.conj().T
-    logm -= np.trace(logm).real / d * np.eye(d)
-    x0 = np.array([np.real(np.trace(b.conj().T @ logm)) / np.real(np.trace(b.conj().T @ b))
-                   for b in basis])
-
-    def inner_sup(x):
-        sig = _sigma_from_params(x, basis, d)
-        _, v = golden_max(lambda a: _f_rate(s, rate, a, sig), 0.001, 0.9999999,
-                          tol=1e-9)
-        return v
-
-    res = minimize(inner_sup, x0, method="Nelder-Mead",
-                   options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 2000})
-    inf_sup = float(res.fun)
-    gap = abs(sup_inf - inf_sup)
-    return SaddleReport(alpha_star, sigma_star, float(sup_inf), gap)
+    _, sup_at_star = golden_max(lambda a: _f_rate(s, rate, a, sigma_star),
+                                *ALPHA_BRACKET["sphere_packing"])
+    return SaddleReport(alpha_star, sigma_star, sup_inf, sup_at_star - sup_inf)
 
 
 def critical_rate(s: CQState) -> float:
@@ -271,13 +264,19 @@ def critical_rate(s: CQState) -> float:
     return (4.0 * diff(h / 2.0) - diff(h)) / 3.0
 
 
+def _nonzero_variance(s: CQState) -> float:
+    """V(X|B), or ZeroVarianceError where it is zero (`_ZERO_VARIANCE`)."""
+    v = conditional_variance(s)
+    if v <= _ZERO_VARIANCE:
+        raise ZeroVarianceError("conditional information variance is zero")
+    return v
+
+
 def moderate_ratio(s: CQState, delta: float) -> float:
     """E_sp(H(X|B)+delta) / delta^2; approaches 1/(2V) as delta shrinks."""
     if not delta > 0:
         raise DomainError(f"delta must be positive, got {delta}")
-    v = conditional_variance(s)
-    if v <= 1e-9:
-        raise ZeroVarianceError("conditional information variance is zero")
+    _nonzero_variance(s)
     h = conditional_entropy(s)
     return exponent(s, h + delta, "sphere_packing") / (delta * delta)
 
@@ -287,9 +286,7 @@ def second_order_reference(s: CQState, n: int, epsilon: float) -> float:
     n H(X|B) - sqrt(n V(X|B)) * quantile(epsilon)."""
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must lie in (0,1), got {epsilon}")
-    v = conditional_variance(s)
-    if v <= 1e-9:
-        raise ZeroVarianceError("conditional information variance is zero")
+    v = _nonzero_variance(s)
     h = conditional_entropy(s)
     return n * h - math.sqrt(n * v) * float(ndtri(epsilon))
 

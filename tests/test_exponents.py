@@ -262,3 +262,35 @@ def test_strong_converse_interior_maximum_solves(search_count):
     s = presets.doubly_symmetric(0.11)
     assert exponent(s, conditional_entropy(s) - 0.1, "strong_converse_star") > 0.0
     assert search_count["solves"] <= 25
+
+
+@pytest.mark.parametrize("delta", [5e-4, 1e-4])
+def test_near_entropy_exponents_approach_half_inverse_variance(delta):
+    # the optimal alpha tends to 1 as the rate tends to H(X|B), so every
+    # alpha bracket must reach 1
+    s = presets.doubly_symmetric(0.11)
+    h = conditional_entropy(s)
+    limit = 1.0 / (2.0 * conditional_variance(s))
+    assert moderate_ratio(s, delta) == pytest.approx(limit, rel=0.01)
+    for kind in ("strong_converse_star", "strong_converse_flat"):
+        assert exponent(s, h - delta, kind) / delta ** 2 == pytest.approx(limit, rel=0.01)
+
+
+@pytest.mark.parametrize("source", [presets.zero_plus_source,
+                                    lambda: presets.random_cq_state(
+                                        np.random.default_rng(3), 2, 2, full_rank=True)])
+def test_saddle_value_is_the_sphere_packing_search(source):
+    s = source()
+    h1 = conditional_entropy(s)
+    h0 = h_up(s, 0.0, "petz").value
+    for frac in (0.1, 0.5, 0.9):
+        r = h1 + frac * (h0 - h1)
+        rep = saddle_point(s, r)
+        assert rep.value == exponent(s, r, "sphere_packing")
+        assert abs(rep.gap) <= 1e-6
+
+
+def test_saddle_certificate_evaluations(search_count):
+    rep = saddle_point(presets.zero_plus_source(), 0.6)
+    assert rep.gap <= 1e-6
+    assert search_count["evals"] <= 40
