@@ -34,6 +34,9 @@ from cqsw.operators import (
 from cqsw.states import CQState, DensityOperator, marginal_b
 
 _ZERO_GRID = (1e-1, 1e-2, 1e-3)
+# the nearest alpha below and above 1 outside _ALPHA_ONE_WINDOW (1 + 1e-6
+# itself rounds to a float inside it)
+_ALPHA_ONE_EDGES = (1.0 - _ALPHA_ONE_WINDOW, math.nextafter(1.0 + _ALPHA_ONE_WINDOW, 2.0))
 _PENALTY = 1e6
 # below this |c dk| a divided difference of e^(c k) is taken as
 # e^(c k_j) expm1(c dk) / dk instead of a difference quotient
@@ -329,8 +332,16 @@ def h_up(s: CQState, alpha: float, variant: str = "petz",
         return replace(reports[_ZERO_GRID[-1]], value=val,
                        evaluations=sum(r.evaluations for r in reports.values()))
     _check_alpha(alpha)
-    if abs(alpha - 1.0) < _ALPHA_ONE_WINDOW:
+    if alpha == 1.0:
         return OptimizerReport(marginal_b(s), conditional_entropy(s), 0, 0.0)
+    if abs(alpha - 1.0) < _ALPHA_ONE_WINDOW:
+        # the divergences return D itself inside this window; interpolate
+        # between alpha = 1 and the solve at the window's edge on the same
+        # side, so H_alpha keeps its slope -V/2 at alpha = 1
+        edge = _ALPHA_ONE_EDGES[int(alpha > 1.0)]
+        rep = h_up(s, edge, variant, method)
+        h = conditional_entropy(s)
+        return replace(rep, value=h + (alpha - 1.0) / (edge - 1.0) * (rep.value - h))
     if method is None:
         method = "closed_form" if variant == "petz" else "iterate"
     if method == "closed_form":

@@ -187,7 +187,17 @@ def _alpha_search(s: CQState, rate: float, kind: str, ev: HUpEvaluator):
         return (1.0 - alpha) / alpha * (rate - h(alpha))
 
     bracket = next(b for prefix, b in ALPHA_BRACKET.items() if kind.startswith(prefix))
-    return golden_max(obj, *bracket)
+    x, fx = golden_max(obj, *bracket)
+    # Brent places alpha only to about sqrt(eps) |alpha|, too coarse where
+    # alpha* lies that close to 1 (rates within about 1e-8 of H(X|B)):
+    # search the offset from alpha = 1 there instead
+    near = 2.0 * (_SQRT_EPS + _GOLDEN_TOL / 3.0)
+    if abs(x - 1.0) <= near:
+        side = 1.0 if bracket[0] == 1.0 else -1.0
+        u, fu = golden_max(lambda u: obj(1.0 + side * u), 0.0, 2.0 * near, 1e-3 * near)
+        if fu > fx:
+            x, fx = 1.0 + side * u, fu
+    return x, fx
 
 
 @dataclass

@@ -3,9 +3,10 @@ exact type-I error, its dual quantity, a one-shot converse bound for
 source coding with quantum side information, and finite-length rate windows.
 
 The optimal test between rho and sigma always has threshold form
-Q = {rho - t sigma > 0} + c * ker(rho - t sigma) with t found by bisection
-and a fractional weight c on the boundary eigenspace making the constraint
-hold with equality.
+Q = {rho - t sigma > 0} + c * ker(rho - t sigma), with a fractional weight c
+on the boundary eigenspace making the constraint hold with equality. The
+threshold t is the root of a monotone mass function, found by a safeguarded
+root search (`_np_threshold`) that lands exactly on the jumps of the mass.
 """
 
 from __future__ import annotations
@@ -26,13 +27,11 @@ from cqsw.operators import _as_matrix, eig_hermitian, tensor
 from cqsw.states import (
     DEFAULT_CAP,
     CQState,
-    as_joint_operator,
     marginal_b,
     type_classes,
 )
 
 _KER_TOL = 1e-10
-_BISECT_ITERS = 64
 
 
 @dataclass
@@ -62,89 +61,147 @@ class TestOperator:
 
 
 def _split(rb, sb, t):
-    """Eigenvectors of rho - t sigma with masks of its strictly positive
-    eigenspace and of its kernel."""
+    """Eigendecomposition (w, v) of rho - t sigma with masks of its strictly
+    positive eigenspace and of its kernel."""
     w, v = eig_hermitian(rb - t * sb)
     scale = float(np.max(np.abs(w))) if w.size else 0.0
     cut = _KER_TOL * max(scale, 1.0)
-    return v, w > cut, np.abs(w) <= cut
+    return w, v, w > cut, np.abs(w) <= cut
 
 
 def _threshold_masses(blocks, t):
     """Masses of rho and sigma on the strictly positive eigenspace and on the
     kernel of rho - t sigma, summed over blocks (weight, rho, sigma) with
-    each block's masses counted weight times."""
+    each block's masses counted weight times, and the nearest thresholds
+    above and below t where an eigenvalue of a block crosses zero.
+
+    The crossings are Hellmann-Feynman estimates: eigenvalue w_i of
+    rho - t sigma moves with slope -<v_i|sigma|v_i>, so it reaches zero near
+    t + w_i / <v_i|sigma|v_i>. They are exact when rho and sigma commute.
+    Returns (pos_r, pos_s, ker_r, ker_s, up, down); up is +inf and down
+    -inf where no eigenvalue crosses on that side."""
     pos_r = pos_s = ker_r = ker_s = 0.0
+    up, down = math.inf, -math.inf
     for wt, rb, sb in blocks:
-        v, pos, ker = _split(rb, sb, t)
+        w, v, pos, ker = _split(rb, sb, t)
         rd = np.real(np.einsum("ij,jk,ki->i", v.conj().T, rb, v))
         sd = np.real(np.einsum("ij,jk,ki->i", v.conj().T, sb, v))
         pos_r += wt * float(np.sum(rd[pos]))
         pos_s += wt * float(np.sum(sd[pos]))
         ker_r += wt * float(np.sum(rd[ker]))
         ker_s += wt * float(np.sum(sd[ker]))
-    return pos_r, pos_s, ker_r, ker_s
+        moving = sd > 0.0
+        cross = t + w[moving] / sd[moving]
+        above = cross[pos[moving]]
+        below = cross[~(pos | ker)[moving]]
+        if above.size:
+            up = min(up, float(np.min(above)))
+        if below.size:
+            down = max(down, float(np.max(below)))
+    return pos_r, pos_s, ker_r, ker_s, up, down
 
 
 def _mass_memo(blocks):
     """t -> _threshold_masses(blocks, t), each t evaluated once. The memo
-    keeps the four scalars only, so its size does not grow with the blocks."""
+    keeps the six scalars only, so its size does not grow with the blocks."""
     return functools.cache(lambda t: _threshold_masses(blocks, t))
 
 
 def _np_threshold(masses, target: float, match: str):
     """Find (t, c) so the chosen mass of Q = P + cK equals target exactly.
 
-    masses maps a threshold t to the four masses of _threshold_masses.
+    masses maps a threshold t to the six values of _threshold_masses.
     match = "rho" equates Tr[Q rho] with target; match = "sigma" equates
-    Tr[Q sigma]. Both are nonincreasing in t, so plain bisection applies.
-    Returns (t, c, masses) for the final threshold.
+    Tr[Q sigma]. Both are nonincreasing in t: smooth between jumps where
+    the blocks do not commute, a step function where they do. The search
+    brackets the root of a signed residual g and narrows the bracket by ITP
+    steps (Oliveira and Takahashi, ACM TOMS 2020), superlinear where the
+    mass is smooth and never more than one step beyond bisection. Where the
+    crossing estimates from both ends of the bracket agree, it evaluates
+    there instead (a jump step), which lands on a jump exactly when the
+    blocks commute and converges like Newton's method on the crossing
+    eigenvalue when they do not. Returns (t, c, masses) for the final
+    threshold.
     """
     idx = 0 if match == "rho" else 1
 
-    def span(t):
+    def g(t):
+        # signed distance of the matched mass from target: positive while
+        # P alone is too heavy, negative while P + K is too light, 0 where a
+        # weight c in [0, 1] on K matches; the 1e-12 slack keeps rounding
+        # noise in the masses from being chased, which would bias the test
+        # first-order
         m = masses(t)
-        lo_mass = m[idx]
-        return lo_mass, lo_mass + m[2 + idx], m[2] + m[3]
-
-    lo, hi = 0.0, 1.0
-    # grow the bracket until the matched mass falls below target at hi
-    for _ in range(200):
-        lo_mass, hi_mass, _ = span(hi)
-        if hi_mass <= target or hi > 1e60:
-            break
-        hi *= 4.0
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        lo_mass, hi_mass, k_total = span(mid)
-        # the 1e-12 slack keeps rounding noise in the masses from being
-        # chased by the bisection, which would bias the test first-order
+        lo_mass, hi_mass = m[idx], m[idx] + m[2 + idx]
         if lo_mass > target + 1e-12:
-            lo = mid
-        elif hi_mass < target - 1e-12:
-            hi = mid
-        elif k_total > 1e-12:
-            # genuine boundary eigenspace: the fractional weight can match
-            lo = hi = mid
-            break
-        else:
-            # numerical plateau: the matched mass is flat at this resolution,
-            # so move toward the smallest threshold consistent with it
-            hi = mid
-    t = 0.5 * (lo + hi)
-    lo_mass, hi_mass, _ = span(t)
-    k_mass = hi_mass - lo_mass
-    if k_mass > 1e-15:
-        c = (target - lo_mass) / k_mass
+            return lo_mass - target
+        if hi_mass < target - 1e-12:
+            return hi_mass - target
+        return 0.0
+
+    # t = 0 settles D_H^0 on rank-deficient rho exactly; otherwise it is
+    # the lower end of the bracket, too heavy by construction
+    a, ga = 0.0, g(0.0)
+    if ga <= 0.0:
+        t = a
     else:
-        c = 0.0
+        # grow the bracket until the matched mass falls below target at b
+        b = 1.0
+        while (gb := g(b)) > 0.0 and b <= 1e60:
+            a, ga = b, gb
+            b *= 4.0
+        t = b if gb >= 0.0 else _itp(masses, g, a, b, ga, gb)
+    m = masses(t)
+    lo_mass, k_mass = m[idx], m[2 + idx]
+    c = (target - lo_mass) / k_mass if k_mass > 1e-15 else 0.0
     c = min(max(c, 0.0), 1.0)
-    return t, c, masses(t)
+    return t, c, m
+
+
+def _itp(masses, g, a, b, ga, gb) -> float:
+    """A zero of the nonincreasing g on [a, b], g(a) > 0 > g(b), by ITP with
+    kappa1 = 0.2 / (b - a), kappa2 = 2, n0 = 1 and a tolerance of 1e-16 b,
+    taking a crossing-estimate step where the estimates from both ends agree
+    (see `_np_threshold`)."""
+    tol = 1e-16 * b
+    kappa1 = 0.2 / (b - a)
+    n_max = max(math.ceil(math.log2((b - a) / (2.0 * tol))), 0) + 1
+    j = 0
+    # only ITP steps count against n_max; a jump step shrinks the bracket
+    # too, and the loop bounds both kinds together
+    for _ in range(2 * n_max + 2):
+        if b - a <= 2.0 * tol or j > n_max:
+            break
+        up, down = masses(a)[4], masses(b)[5]
+        # a linear estimate errs by the square of its distance: take the
+        # one made closer to the crossing
+        jump = up if up - a <= b - down else down
+        if abs(up - down) <= 1e-6 * b and a < jump < b:
+            x = jump
+        else:
+            # regula falsi, pushed toward the midpoint, then projected onto
+            # the window that keeps the bisection bound
+            mid = 0.5 * (a + b)
+            radius = tol * 2.0 ** (n_max - j) - 0.5 * (b - a)
+            xf = (gb * a - ga * b) / (gb - ga)
+            sign = 1.0 if mid > xf else -1.0
+            delta = kappa1 * (b - a) ** 2
+            xt = xf + sign * delta if delta <= abs(mid - xf) else mid
+            x = xt if abs(xt - mid) <= radius else mid - sign * radius
+            j += 1
+        gx = g(x)
+        if gx > 0.0:
+            a, ga = x, gx
+        elif gx < 0.0:
+            b, gb = x, gx
+        else:
+            return x
+    return 0.5 * (a + b)
 
 
 def _assemble_test(rho, sigma, t, c) -> np.ndarray:
     """Q = P + c K from one eigendecomposition of rho - t sigma."""
-    v, pos, ker = _split(rho, sigma, t)
+    _, v, pos, ker = _split(rho, sigma, t)
     weights = pos.astype(float) + c * ker.astype(float)
     return (v * weights) @ v.conj().T
 
@@ -158,7 +215,7 @@ def _dh_blocks(blocks, eps: float, masses=None):
     tr_rho = sum(wt * float(np.real(np.trace(rb))) for wt, rb, _ in blocks)
     target = tr_rho - eps
     t, c, m = _np_threshold(masses, target, "rho")
-    pr, ps, kr, ks = m
+    pr, ps, kr, ks = m[:4]
     type2 = ps + c * ks
     if type2 <= 0.0:
         return math.inf, 0.0, t, c, m
@@ -178,7 +235,7 @@ def hypothesis_testing_divergence(rho, sigma, eps: float):
     sigma = _as_matrix(sigma)
     value, type2, t, c, masses = _dh_blocks([(1, rho, sigma)], eps)
     q = _assemble_test(rho, sigma, t, c)
-    pr, ps, kr, ks = masses
+    pr, ps, kr, ks = masses[:4]
     type1 = float(np.real(np.trace(rho))) - (pr + c * kr)
     return value, TestOperator(q, type1, type2)
 
@@ -194,27 +251,32 @@ def hat_alpha(rho, sigma, mu: float) -> float:
     tr_sigma = float(np.real(np.trace(sigma)))
     if not 0.0 < mu <= tr_sigma + 1e-12:
         raise InvalidMuError(f"mu must lie in (0, {tr_sigma:.6g}], got {mu}")
-    blocks = [(1, rho, sigma)]
+    return _hat_alpha_blocks([(1, rho, sigma)], mu)
+
+
+def _hat_alpha_blocks(blocks, mu: float) -> float:
+    """hat_alpha on weighted blocks (weight, rho, sigma) of a block-diagonal
+    pair."""
     t, c, masses = _np_threshold(_mass_memo(blocks), mu, "sigma")
-    pr, ps, kr, ks = masses
-    val = float(np.real(np.trace(rho))) - (pr + c * kr)
-    return max(val, 0.0)
+    pr, _, kr, _ = masses[:4]
+    tr_rho = sum(wt * float(np.real(np.trace(rb))) for wt, rb, _ in blocks)
+    return max(tr_rho - (pr + c * kr), 0.0)
 
 
 def one_shot_converse(s: CQState, w_size: int, sigma_b) -> float:
     """Converse bound on the code-size exponent of a single-copy code:
     -log2 of the best type-I error at type-II budget w_size / |X|, testing
-    the joint state against tau_X tensor sigma_b."""
+    the joint state against tau_X tensor sigma_b. Both are block diagonal
+    in x, so the test runs on the blocks (p(x) rho_B^x, sigma_b / |X|)."""
     if w_size >= s.size_x:
         raise WTooLargeError(
             f"w_size {w_size} must be below the alphabet size {s.size_x}"
         )
     if w_size < 1:
         raise WTooLargeError(f"w_size must be at least 1, got {w_size}")
-    sigma_b = _as_matrix(sigma_b)
-    joint = as_joint_operator(s)
-    tau = np.kron(np.eye(s.size_x) / s.size_x, sigma_b)
-    a = hat_alpha(joint, tau, w_size / s.size_x)
+    tau_b = _as_matrix(sigma_b) / s.size_x
+    blocks = [(1, p * r.matrix, tau_b) for p, r in zip(s.probs, s.side_info)]
+    a = _hat_alpha_blocks(blocks, w_size / s.size_x)
     if a <= 0.0:
         return math.inf
     return -math.log2(a)

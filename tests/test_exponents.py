@@ -294,3 +294,19 @@ def test_saddle_certificate_evaluations(search_count):
     rep = saddle_point(presets.zero_plus_source(), 0.6)
     assert rep.gap <= 1e-6
     assert search_count["evals"] <= 40
+
+
+def test_rates_inside_the_alpha_one_window(search_count):
+    # alpha* lies within 1e-6 of 1 here, where the divergences return D
+    # itself; h_up interpolates to the window's edge, so H_alpha keeps its
+    # slope and both limits still read 1/(2V)
+    s = presets.doubly_symmetric(0.11)
+    h = conditional_entropy(s)
+    limit = 1.0 / (2.0 * conditional_variance(s))
+    for delta in (1e-7, 1e-8):
+        assert moderate_ratio(s, delta) == pytest.approx(limit, rel=1e-2)
+        star = exponent(s, h - delta, "strong_converse_star") / delta ** 2
+        assert star == pytest.approx(limit, rel=1e-2)
+    before = search_count["solves"]
+    assert h_up(s, 1.0, "sandwiched").value == h
+    assert search_count["solves"] == before

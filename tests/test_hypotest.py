@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import brentq
 
 from cqsw import presets
 from cqsw.conditional import conditional_entropy
@@ -196,3 +198,77 @@ def test_rate_window_classical_oracle():
         math.log2(8.0 / ((1 - alpha) ** 2 * eps)) / n
     assert lo == pytest.approx(lo_ref, abs=1e-9)
     assert up == pytest.approx(up_ref, abs=1e-9)
+
+
+def _d0(rho, sig):
+    """D_0(rho || sigma) = -log2 Tr[Pi_rho sigma] from numpy's eigh."""
+    w, v = np.linalg.eigh(rho)
+    supp = v[:, w > 1e-12]
+    return -math.log2(np.real(np.trace(supp.conj().T @ sig @ supp)))
+
+
+def test_eps_zero_is_d0_on_rank_deficient_rho():
+    # the optimal threshold is t = 0; a search that stops at a small t > 0
+    # inside the 1e-12 slack is 6.2e-10 off on this pair
+    rng = np.random.default_rng(1)
+    random_density(rng, 3)
+    random_density(rng, 3, 2)
+    rho, sig = random_density(rng, 3, 1), random_density(rng, 3)
+    v, t = hypothesis_testing_divergence(rho, sig, 0.0)
+    assert v == pytest.approx(_d0(rho, sig), abs=1e-12)
+    assert t.type1 == pytest.approx(0.0, abs=1e-12)
+    rng = np.random.default_rng(2)
+    for _ in range(30):
+        d = int(rng.integers(2, 5))
+        rho = random_density(rng, d, int(rng.integers(1, d)))
+        sig = random_density(rng, d)
+        v, _ = hypothesis_testing_divergence(rho, sig, 0.0)
+        assert v == pytest.approx(_d0(rho, sig), abs=1e-12)
+
+
+def _pair(kind, d, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "commuting":
+        return np.diag(rng.dirichlet(np.ones(d))), np.diag(rng.dirichlet(np.ones(d)))
+    if kind == "commuting_ties":
+        # a tensor square: likelihood ratios repeat, so the mass has jumps
+        # carried by several eigenvectors at once
+        p, q = rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(2))
+        return np.diag(np.kron(p, p)), np.diag(np.kron(q, q))
+    rank = d if kind == "full" else int(rng.integers(1, d))
+    return random_density(rng, d, rank), random_density(rng, d)
+
+
+def _dual_beta(rho, sig, eps):
+    """max over t >= 0 of t (1 - eps) - Tr(t rho - sigma)_+, the dual of the
+    type-II error; the objective is concave, so its maximum is where the
+    derivative (1 - eps) - Tr[{t rho - sigma > 0} rho] changes sign."""
+    def positive(t):
+        w, v = np.linalg.eigh(t * rho - sig)
+        pos = v[:, w > 0]
+        return np.sum(w[w > 0]), np.real(np.trace(pos.conj().T @ rho @ pos))
+
+    def slope(t):
+        return (1.0 - eps) - positive(t)[1]
+
+    hi = 1.0
+    while slope(hi) >= 0.0:
+        hi *= 4.0
+    t = brentq(slope, 0.0, hi, xtol=1e-15, rtol=1e-15)
+    return t * (1.0 - eps) - positive(t)[0]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(("full", "deficient", "commuting", "commuting_ties")),
+       d=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1),
+       eps=st.floats(0.01, 0.9))
+@example(kind="commuting_ties", d=4, seed=3, eps=0.2)
+@example(kind="deficient", d=3, seed=4, eps=0.05)
+def test_dh_matches_dual_program_with_exact_type1(kind, d, seed, eps):
+    rho, sig = _pair(kind, d, seed)
+    v, t = hypothesis_testing_divergence(rho, sig, eps)
+    assert v == pytest.approx(-math.log2(_dual_beta(rho, sig, eps)), abs=1e-9)
+    assert t.type1 == pytest.approx(eps, abs=1e-10)
+    t1, t2 = t.errors_against(rho, sig)
+    assert t1 == pytest.approx(eps, abs=1e-10)
+    assert v == pytest.approx(-math.log2(t2), abs=1e-9)

@@ -102,3 +102,35 @@ def test_rate_window_work_count(monkeypatch):
     assert len(thresholds) == len(set(thresholds))
     assert len(eig_calls) <= 6 * len(set(thresholds))
     assert len(eig_calls) <= 400
+
+
+def _threshold_count(monkeypatch, s, n, eps):
+    """Threshold evaluations (`_threshold_masses` calls) of one rate window."""
+    thresholds = []
+    real_masses = hypotest._threshold_masses
+
+    def masses(blocks, t):
+        thresholds.append(t)
+        return real_masses(blocks, t)
+
+    monkeypatch.setattr(hypotest, "_threshold_masses", masses)
+    rate_window(s, n, eps, 0.5)
+    monkeypatch.undo()
+    return len(thresholds)
+
+
+# threshold evaluations of the 64-step bisection the root search replaced,
+# per doubly_symmetric(0.11) window at eps = 0.05, 0.1, 0.2
+_BISECTION_COUNTS = {1: (32, 32, 62), 2: (32, 32, 32), 3: (56, 31, 31), 4: (30, 53, 28)}
+
+
+def test_threshold_search_work_count(monkeypatch):
+    # the mass is smooth between jumps on zero_plus (the bisection made 107
+    # evaluations) and a step function on the commuting doubly_symmetric
+    # source, where the crossing-estimate steps land on the jumps
+    assert _threshold_count(monkeypatch, presets.zero_plus_source(), 3, 0.1) <= 30
+    ds = presets.doubly_symmetric(0.11)
+    assert _threshold_count(monkeypatch, ds, 5, 0.1) <= 20
+    for n, counts in _BISECTION_COUNTS.items():
+        for eps, bisection in zip((0.05, 0.1, 0.2), counts):
+            assert _threshold_count(monkeypatch, ds, n, eps) <= bisection
