@@ -200,37 +200,52 @@ def _sigma_from_params(x, basis, d) -> DensityOperator:
     return _exp_sigma(*eig_hermitian(np.tensordot(x, np.asarray(basis), 1)))
 
 
+def _divided_differences(k, f, on, c=None) -> np.ndarray:
+    """Divided differences F_ij = (f_i - f_j) / (k_i - k_j), F_ii = f'(k_i),
+    of a function f of the eigenvalues k of K, where `on` marks the
+    eigenvalues on the support: f = e^(c k) up to a constant factor, or, for
+    c None, log2(e^k / Z), whose slope is 1 / ln 2. Pairs on the support
+    with |c (k_i - k_j)| < _EXPM1_WINDOW take the expm1 form, which does not
+    cancel; equal eigenvalues off the support get 0."""
+    dk = k[:, None] - k[None, :]
+    both = on[:, None] & on[None, :]
+    safe = np.where(dk == 0.0, 1.0, dk)
+    quotient = np.where(dk == 0.0, 0.0, (f[:, None] - f[None, :]) / safe)
+    if c is None:
+        return np.where(both, 1.0 / LN2, quotient)
+    close = both & (np.abs(c * dk) < _EXPM1_WINDOW)
+    near = np.expm1(np.where(close, c * dk, 0.0)) / safe
+    return np.where(close, f[None, :] * np.where(dk == 0.0, c, near), quotient)
+
+
+def _k_gradient(v, sw, dd, gamma_v, basis) -> np.ndarray:
+    """dF / dx_i for sigma = exp(K) / Tr exp(K), K = v diag(k) v^dagger =
+    sum_i x_i basis_i, where dF = Tr[gamma dg(sigma)], gamma_v = v^dagger
+    gamma v is gamma in the eigenbasis of K, and dd are the divided
+    differences of f(k) = g(e^k / Z) (`_divided_differences`).
+
+    By the Daleckii-Krein formula the derivative of g(sigma) along dK is
+    v (dd o v^dagger dK v) v^dagger; the normaliser Z adds -Tr[sigma dK]
+    times the derivative along the identity. Hence
+    dF / dK = H - Tr[H] sigma, H = v (dd o gamma_v) v^dagger.
+    """
+    h = dd * gamma_v
+    h[np.diag_indices_from(h)] -= np.trace(h) * sw
+    return np.real(np.einsum("ab,iba->i", v @ h @ v.conj().T, basis))
+
+
 def _ln_q_gradient(k, v, sw, gamma, alpha: float, variant: str, basis) -> np.ndarray:
     """d ln Q / dx_i for sigma = exp(K) / Tr exp(K), K = v diag(k) v^dagger =
     sum_i x_i basis_i, given gamma = d ln Q / d g(sigma) (`divergences._ln_q`).
 
     In the eigenbasis of K, g(sigma) = v diag(f(k)) v^dagger with
-    f(k) = g(e^k / Z) (`_sigma_spectrum_op`), so by the Daleckii-Krein
-    formula its derivative along dK is v (F o v^dagger dK v) v^dagger, F the
-    matrix of divided differences of f; the normaliser Z adds -Tr[sigma dK]
-    times the derivative along the identity. Hence
-    d ln Q / dK = H - Tr[H] sigma, H = v (F o v^dagger gamma v) v^dagger.
-    """
+    f(k) = g(e^k / Z) (`_sigma_spectrum_op`): log2 sigma (flat) or
+    e^(c k) up to a constant, c = 1 - alpha (petz) or (1 - alpha) / alpha
+    (sandwiched)."""
     f, _ = _sigma_spectrum_op(sw, alpha, variant)
-    on = support_mask(sw)
-    dk = k[:, None] - k[None, :]
-    both = on[:, None] & on[None, :]
-    safe = np.where(dk == 0.0, 1.0, dk)
-    quotient = np.where(dk == 0.0, 0.0, (f[:, None] - f[None, :]) / safe)
-    if variant == "flat":
-        # log2 sigma = (K - ln Z) / ln 2 on the support: slope 1 / ln 2
-        dd = np.where(both, 1.0 / LN2, quotient)
-    else:
-        # f = e^(c k) up to a constant; close eigenvalues take the expm1
-        # form, which does not cancel
-        c = 1.0 - alpha if variant == "petz" else (1.0 - alpha) / alpha
-        close = both & (np.abs(c * dk) < _EXPM1_WINDOW)
-        near = np.expm1(np.where(close, c * dk, 0.0)) / safe
-        dd = np.where(close, f[None, :] * np.where(dk == 0.0, c, near), quotient)
-    h = dd * (v.conj().T @ gamma @ v)
-    h[np.diag_indices_from(h)] -= np.trace(h) * sw
-    grad_k = v @ h @ v.conj().T
-    return np.real(np.einsum("ab,iba->i", grad_k, basis))
+    c = None if variant == "flat" else (1.0 - alpha if variant == "petz" else (1.0 - alpha) / alpha)
+    dd = _divided_differences(k, f, support_mask(sw), c)
+    return _k_gradient(v, sw, dd, v.conj().T @ gamma @ v, basis)
 
 
 def _h_up_objective(s: CQState, alpha: float, variant: str, basis, grad: bool = False):

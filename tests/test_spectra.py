@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import cqsw.conditional as conditional
+import cqsw.variational as variational
 from cqsw import presets
 from cqsw.conditional import conditional_entropy, cq_renyi, h_up
 from cqsw.divergences import (
@@ -78,9 +79,9 @@ def test_pair_divergences_eigendecompose_each_operand_once(eig_count, rank):
 
 
 def test_dummy_divergence_uses_block_spectra(eig_count, warmed_zero_plus):
-    # per block: the dummy's own entropy term, plus the leak only where the
-    # source block is rank deficient; log2(p rho_x) and its support come
-    # from the kept block spectra
+    # per block: the spectrum of sigma_x on its first use, which sigma_x then
+    # keeps, plus the leak only where the source block is rank deficient;
+    # log2(p rho_x) and its support come from the kept block spectra
     rng = np.random.default_rng(8)
     s = presets.random_cq_state(rng, 3, 2)
     s.block_spectra()
@@ -88,27 +89,57 @@ def test_dummy_divergence_uses_block_spectra(eig_count, warmed_zero_plus):
     eig_count.clear()
     assert math.isfinite(dummy_divergence(s, d))
     assert len(eig_count) == 3
-    # validation adds nothing at full rank; the entropy adds |X| + 1
+    # validation adds nothing at full rank, the divergence nothing with the
+    # spectra kept; the entropy adds sigma_B only
     eig_count.clear()
     assert math.isfinite(variational_value(s, 0.5, "r", d))
-    assert len(eig_count) == 3 + 4
+    assert len(eig_count) == 1
 
     s = warmed_zero_plus
     d = DummyState(s.probs, list(s.side_info))
     eig_count.clear()
     assert dummy_divergence(s, d) == pytest.approx(0.0, abs=1e-10)
-    assert len(eig_count) == 2 * s.size_x
+    assert len(eig_count) == s.size_x
 
 
 def test_variational_value_tests_leaks_once(eig_count, warmed_zero_plus):
     # both zero_plus blocks are rank deficient: validation tests each leak
-    # (|X|), the divergence does not again; the rest is the dummy's entropy
-    # (|X| + 1) and its own blocks (|X|)
+    # (|X|), the divergence does not again; the dummy's blocks keep their
+    # spectra, so the entropy adds sigma_B only
     s = warmed_zero_plus
     d = DummyState(s.probs, list(s.side_info))
     eig_count.clear()
     assert math.isfinite(variational_value(s, 0.5, "r", d))
-    assert len(eig_count) == 7
+    assert len(eig_count) == s.size_x + 1
+
+
+@pytest.mark.parametrize("full_rank", (True, False))
+def test_dummy_states_keep_their_spectra(eig_count, full_rank):
+    # a geodesic candidate and a point of the refinement's parameter map
+    # carry the spectra of their sigma_x (kernel columns from the source
+    # block), so scoring one eigendecomposes sigma_B only, plus the leak
+    # test of each rank-deficient block in validation; one evaluation of the
+    # program decomposes each K_x of dimension 2 and up, and sigma_B
+    s = presets.random_cq_state(np.random.default_rng(4), 3, 3, full_rank=full_rank)
+    marginal_b(s)
+    layout = variational._layout(s)
+    leak_tests = sum(1 for _, _, kernel, _, _ in layout if kernel.size)
+    assert (leak_tests == 0) == full_rank
+    k_matrices = sum(1 for *_, tb in layout if len(tb))
+    cand = mo17_candidate(s, 0.7, marginal_b(s))
+    eig_count.clear()
+    assert math.isfinite(variational_value(s, 0.5, "r", cand))
+    assert len(eig_count) == 1 + leak_tests
+    theta = variational._params_from_dummy(layout, cand)
+    eig_count.clear()
+    d = variational._dummy_from_params(s, layout, theta)[0]
+    assert len(eig_count) == k_matrices
+    eig_count.clear()
+    assert math.isfinite(variational_value(s, 0.5, "r", d))
+    assert len(eig_count) == 1 + leak_tests
+    eig_count.clear()
+    variational._program_terms(s, layout, theta)
+    assert len(eig_count) == k_matrices + 1
 
 
 

@@ -1,5 +1,6 @@
 """Variational representations: objective bookkeeping, candidate family
-normalization, and duality against the sup-over-s exponent forms."""
+normalization, the exact gradients of the refinement's smooth programs, its
+work and diagnostics, and duality against the sup-over-s exponent forms."""
 
 from __future__ import annotations
 
@@ -7,10 +8,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+import cqsw.variational as variational
 from cqsw import presets
 from cqsw.conditional import conditional_entropy, h_up
-from cqsw.errors import InvariantViolation, SupportViolationError
+from cqsw.errors import InvariantViolation, NoConvergenceError, SupportViolationError
 from cqsw.exponents import exponent
 from cqsw.operators import random_density
 from cqsw.states import marginal_b
@@ -22,6 +25,8 @@ from cqsw.variational import (
     variational_minimize,
     variational_value,
 )
+from test_optimizer import _central_difference
+from test_type_classes import _source, _sources
 
 RNG = np.random.default_rng(77)
 
@@ -96,3 +101,78 @@ def test_dummy_divergence_support_violation_is_inf():
     d = DummyState(np.array([0.5, 0.5]),
                    [np.eye(2) / 2, np.eye(2) / 2])
     assert math.isinf(dummy_divergence(s, d))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(s=_sources, kind=st.sampled_from(variational.VKINDS),
+       offset=st.sampled_from((-0.2, 0.1, 0.3)), seed=st.integers(0, 2 ** 32 - 1))
+@example(s=_source("deficient", 3, 3, 2), kind="sp", offset=0.1, seed=1)
+@example(s=_source("deficient", 2, 3, 5), kind="r", offset=0.3, seed=2)
+@example(s=_source("zero_symbol", 3, 2, 1), kind="sc", offset=-0.2, seed=3)
+def test_program_gradients_match_central_differences(s, kind, offset, seed):
+    layout = variational._layout(s)
+    prog = variational._Program(s, conditional_entropy(s) + offset, kind, layout)
+    rng = np.random.default_rng(seed)
+    theta = 0.7 * rng.standard_normal(len(layout) - 1 + sum(len(tb) for *_, tb in layout))
+    z = np.append(theta, rng.uniform(0.0, 0.5)) if prog.epigraph else theta
+    assume(z.size)
+    for fn in (prog.objective, prog.constraint):
+        _, grad = fn(z)
+        fd = _central_difference(lambda x: fn(x)[0], z)
+        assert np.max(np.abs(grad - fd)) <= 1e-6 * max(1.0, float(np.max(np.abs(fd))))
+
+
+def _counting_program_terms(monkeypatch):
+    calls = []
+    real = variational._program_terms
+
+    def terms(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(variational, "_program_terms", terms)
+    return calls
+
+
+def test_sp_refinement_is_feasible_and_exact(monkeypatch):
+    # the scan alone ends 1.57e-5 above the exponent here; the sp program
+    # ends on H = R, where the solve's last iterate may fall a rounding
+    # error short, and the result must still be finite (the first state of
+    # test_a7_variational_duality)
+    s = presets.random_cq_state(np.random.default_rng(47), 2, 2, full_rank=True)
+    rate = conditional_entropy(s) + 0.1
+    calls = _counting_program_terms(monkeypatch)
+    val, dummy = variational_minimize(s, rate, "sp", restarts=1)
+    assert math.isfinite(val)
+    assert dummy_entropy(s, dummy) >= rate
+    assert val == pytest.approx(exponent(s, rate, "sphere_packing", variant="flat"), abs=1e-8)
+    assert 0 < len(calls) <= 60
+
+
+def test_refinement_work_count(monkeypatch):
+    # the coordinate-wise Nelder-Mead refinement evaluated its objective
+    # 1,016 times here
+    s = presets.doubly_symmetric(0.11)
+    rate = conditional_entropy(s) + 0.15
+    calls = _counting_program_terms(monkeypatch)
+    val, _ = variational_minimize(s, rate, "r", restarts=1)
+    assert val == pytest.approx(exponent(s, rate, "random_coding", variant="flat"), abs=1e-10)
+    assert 0 < len(calls) <= 60
+
+
+def test_disagreement_carries_solver_diagnostics(monkeypatch):
+    # a scan that sees only sigma = rho stays far above the optimum the
+    # program reaches, which aborts with the solve's report
+    s = presets.doubly_symmetric(0.11)
+    rate = conditional_entropy(s) + 0.15
+    monkeypatch.setattr(variational, "mo17_candidate",
+                        lambda s, alpha, tau: DummyState(s.probs, list(s.side_info)))
+    with pytest.raises(NoConvergenceError) as err:
+        variational_minimize(s, rate, "r", restarts=1)
+    diag = err.value.diagnostics
+    assert diag["scan"] - diag["refined"] > 1e-3
+    assert diag["refined"] == pytest.approx(exponent(s, rate, "random_coding", variant="flat"),
+                                            abs=1e-8)
+    assert diag["status"] == 0 and isinstance(diag["message"], str)
+    assert 0 < diag["iterations"] <= diag["evaluations"] <= 60
+    assert 0.0 <= diag["kkt_residual"] < 1e-6
