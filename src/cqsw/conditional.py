@@ -18,7 +18,9 @@ from cqsw.divergences import (
     _check_alpha,
     _check_variant,
     _divergence,
+    _ln_q,
     _relative_entropy,
+    _renyi_and_slope,
     _sigma_spectrum_op,
     _variance,
 )
@@ -26,6 +28,7 @@ from cqsw.errors import MethodUnsupportedError, NoConvergenceError
 from cqsw.operators import (
     LN2,
     eig_hermitian,
+    log2_on_support,
     power_from_spectrum,
     spectrum_of,
     support_mask,
@@ -52,7 +55,8 @@ class OptimizerReport:
     the optimizer (L-BFGS iterations of the best start, objective
     evaluations over all starts; 0 for a closed form); residual is the
     largest gradient component at the optimum; params are the optimizer
-    coordinates of sigma_star, for a warm start."""
+    coordinates of sigma_star, for a warm start; slope is dH_alpha/dalpha
+    where the solve was asked for it (`h_up` with slope=True), else None."""
 
     sigma_star: DensityOperator
     value: float
@@ -60,6 +64,7 @@ class OptimizerReport:
     residual: float
     evaluations: int = 0
     params: np.ndarray | None = None
+    slope: float | None = None
 
 
 def von_neumann_entropy(m) -> float:
@@ -109,11 +114,31 @@ def _richardson_zero_limit(f):
 
 
 def h_down(s: CQState, alpha: float, variant: str = "petz") -> float:
-    """Conditional Renyi entropy with sigma_B fixed to the marginal."""
+    """Conditional Renyi entropy with sigma_B fixed to the marginal. At
+    alpha = 0 the petz family takes its closed form (`_petz_down`), the
+    others the limit from `_ZERO_GRID`."""
     rho_b = marginal_b(s)
     if alpha == 0.0:
+        if variant == "petz":
+            return _petz_down(s, 0.0)[0]
         return _richardson_zero_limit(lambda a: -cq_renyi(s, rho_b, a, variant))
     return -cq_renyi(s, rho_b, alpha, variant)
+
+
+def _petz_down(s: CQState, alpha: float) -> tuple[float, float]:
+    """(H_alpha^down, dH_alpha^down/dalpha) of the petz family for alpha >= 0:
+    -D_alpha(rho_XB || 1_X (x) rho_B) and minus its alpha-partial
+    (`divergences._divergence`). At alpha = 0, where the divergences refuse
+    the order, both come from `_ln_q` directly, the value in closed form:
+    -D_0 = log2 sum_x Tr[Pi_x rho_B], Pi_x the support projector of block x."""
+    blocks = s.block_spectra()
+    sw, sv = marginal_b(s).spectrum()
+    if alpha == 0.0:
+        ln_q, _, dln_q = _ln_q(blocks, sw, sv, 0.0, "petz", slope=True)
+        d, dd = _renyi_and_slope(ln_q, dln_q, 0.0)
+    else:
+        d, dd = _divergence(blocks, sw, sv, alpha, "petz", slope=True)
+    return -d, -dd
 
 
 def _petz_acc_spectrum(s: CQState, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -134,13 +159,18 @@ def _petz_acc_spectrum(s: CQState, alpha: float) -> tuple[np.ndarray, np.ndarray
     return np.where(on, np.maximum(w, 0.0), 0.0), v
 
 
-def _petz_sibson(s: CQState, alpha: float) -> tuple[DensityOperator, float]:
+def _petz_sibson(s: CQState, alpha: float, slope: bool = False):
     """The petz optimizer sigma*, normalized (sum_x (p rho)^a)^(1/a), and
-    log2 Tr[(sum_x (p rho)^a)^(1/a)], which gives the optimum in Sibson's
-    closed form H_a^up = a/(1-a) log2 Tr[...] and E_0 (s = 1/a - 1).
+    L = log2 Tr[(sum_x (p rho)^a)^(1/a)], which gives the optimum in Sibson's
+    closed form H_a^up = a/(1-a) L and E_0 (s = 1/a - 1), and dL/da with
+    slope (else None).
 
-    Both come from the one eigendecomposition of sum_x (p rho)^a, so sigma*
-    is returned with its spectrum known."""
+    All come from the one eigendecomposition A = v diag(w) v^dagger of
+    sum_x (p rho)^a, so sigma* is returned with its spectrum known. With
+    T = Tr A^(1/a), d ln T/da = Tr[A^(1/a - 1) dA/da] / (a T) -
+    Tr[A^(1/a) ln A] / (a^2 T), dA/da = sum_x (p rho)^a ln(p rho), whose
+    diagonal in the eigenbasis of A comes from the block spectra; this
+    equals minus the alpha-partial of D_a at sigma* (the envelope theorem)."""
     w, v = _petz_acc_spectrum(s, alpha)
     # dividing the eigenvalues by the largest before the power 1/alpha keeps
     # it from overflowing at small alpha; the normalization of sigma cancels
@@ -148,8 +178,19 @@ def _petz_sibson(s: CQState, alpha: float) -> tuple[DensityOperator, float]:
     top = float(w[-1])
     x = (w / top) ** (1.0 / alpha)
     total = float(np.sum(x))
-    return (DensityOperator.from_spectrum(x / total, v),
-            math.log2(top) / alpha + math.log2(total))
+    sigma = DensityOperator.from_spectrum(x / total, v)
+    log2_trace = math.log2(top) / alpha + math.log2(total)
+    if not slope:
+        return sigma, log2_trace, None
+    # the diagonal of dA/da in the eigenbasis of A, with ln in place of log2
+    vh = v.conj().T
+    dacc = sum(np.abs(vh @ bv) ** 2 @ (np.abs(bw) ** alpha * log2_on_support(bw))
+               for _, bw, bv in s.block_spectra())
+    on = w > 0.0
+    ratio = np.divide(x, w, out=np.zeros_like(w), where=on)
+    ln_w = np.log(w, out=np.zeros_like(w), where=on)
+    dln_t = (LN2 * float(ratio @ dacc) / alpha - float(x @ ln_w) / alpha ** 2) / total
+    return sigma, log2_trace, dln_t / LN2
 
 
 def petz_sigma_star(s: CQState, alpha: float) -> DensityOperator:
@@ -310,33 +351,50 @@ def _tabulated(s: CQState, alpha: float, variant: str) -> OptimizerReport | None
     return s._h_up_table.get((variant, round(alpha, 12)))
 
 
-def _tabulated_solve(s: CQState, alpha: float, variant: str) -> OptimizerReport:
+def _tabulated_solve(s: CQState, alpha: float, variant: str,
+                     slope: bool = False) -> OptimizerReport:
     """The iterate solve of variant at alpha, from the state's table or
-    solved and added to it. The one restart policy: the first solve of a
+    solved and added to it, with its slope (`_with_slope`) added to the
+    table too where asked for. The one restart policy: the first solve of a
     variant on a state starts from sigma = 1/d and random points
     (_COLD_STARTS in all); later ones start only from the tabulated optimum
     at the nearest alpha."""
     rep = _tabulated(s, alpha, variant)
-    if rep is not None:
+    if rep is None:
+        near = [(abs(a - alpha), a) for v, a in s._h_up_table if v == variant]
+        if near:
+            x0 = s._h_up_table[(variant, min(near)[1])].params
+            rep = _iterate_h_up(s, alpha, variant, 1, x0)
+        else:
+            rep = _iterate_h_up(s, alpha, variant, _COLD_STARTS)
+    elif not slope or rep.slope is not None:
         return rep
-    near = [(abs(a - alpha), a) for v, a in s._h_up_table if v == variant]
-    if near:
-        x0 = s._h_up_table[(variant, min(near)[1])].params
-        rep = _iterate_h_up(s, alpha, variant, 1, x0)
-    else:
-        rep = _iterate_h_up(s, alpha, variant, _COLD_STARTS)
+    if slope:
+        rep = _with_slope(s, alpha, variant, rep)
     s._h_up_table[(variant, round(alpha, 12))] = rep
     return rep
 
 
+def _with_slope(s: CQState, alpha: float, variant: str,
+                rep: OptimizerReport) -> OptimizerReport:
+    """rep with its slope: by the envelope theorem dH_alpha/dalpha is minus
+    the alpha-partial of D_alpha(rho_XB || 1_X (x) sigma) at the optimizer
+    sigma_star the solve already holds (`divergences._divergence`)."""
+    _, dd = _divergence(s.block_spectra(), *rep.sigma_star.spectrum(), alpha, variant,
+                        slope=True)
+    return replace(rep, slope=None if dd is None else -dd)
+
+
 def h_up(s: CQState, alpha: float, variant: str = "petz",
-         method: str | None = None) -> OptimizerReport:
+         method: str | None = None, slope: bool = False) -> OptimizerReport:
     """Conditional Renyi entropy maximized over the side-information state.
 
     Petz defaults to Sibson's closed form, the other families to the iterate
     optimizer, whose solves are memoised on the state (`_tabulated_solve`);
     petz with method="iterate" is an untabulated cross-check of the closed
-    form."""
+    form. With slope, the report also carries dH_alpha/dalpha
+    (`_with_slope`; inside the alpha = 1 window, the slope of the
+    interpolation; none at alpha = 0); without it, no slope work is done."""
     if alpha == 0.0:
         if variant == "petz":
             rep = h_up(s, _ZERO_GRID[-1], variant, method)
@@ -347,25 +405,30 @@ def h_up(s: CQState, alpha: float, variant: str = "petz",
         return replace(reports[_ZERO_GRID[-1]], value=val,
                        evaluations=sum(r.evaluations for r in reports.values()))
     _check_alpha(alpha)
-    if alpha == 1.0:
+    if alpha == 1.0 and not slope:
         return OptimizerReport(marginal_b(s), conditional_entropy(s), 0, 0.0)
     if abs(alpha - 1.0) < _ALPHA_ONE_WINDOW:
         # the divergences return D itself inside this window; interpolate
         # between alpha = 1 and the solve at the window's edge on the same
-        # side, so H_alpha keeps its slope -V/2 at alpha = 1
-        edge = _ALPHA_ONE_EDGES[int(alpha > 1.0)]
+        # side (above it at alpha = 1), so H_alpha keeps its slope -V/2 at
+        # alpha = 1
+        edge = _ALPHA_ONE_EDGES[int(alpha >= 1.0)]
         rep = h_up(s, edge, variant, method)
         h = conditional_entropy(s)
-        return replace(rep, value=h + (alpha - 1.0) / (edge - 1.0) * (rep.value - h))
+        rate = (rep.value - h) / (edge - 1.0)
+        return replace(rep, value=h + (alpha - 1.0) * rate, slope=rate if slope else None)
     if method is None:
         method = "closed_form" if variant == "petz" else "iterate"
     if method == "closed_form":
         if variant != "petz":
             raise MethodUnsupportedError("closed form applies to the petz family only")
-        sig, log2_trace = _petz_sibson(s, alpha)
-        return OptimizerReport(sig, alpha / (1.0 - alpha) * log2_trace, 0, 0.0)
+        sig, log2_trace, dl = _petz_sibson(s, alpha, slope)
+        # d/da [a/(1-a) L] = L/(1-a)^2 + a/(1-a) dL/da
+        rate = log2_trace / (1.0 - alpha) ** 2 + alpha / (1.0 - alpha) * dl if slope else None
+        return OptimizerReport(sig, alpha / (1.0 - alpha) * log2_trace, 0, 0.0, slope=rate)
     if method != "iterate":
         raise MethodUnsupportedError(f"unknown method {method!r}")
-    if variant == "petz":
-        return _iterate_h_up(s, alpha, variant, _COLD_STARTS)
-    return _tabulated_solve(s, alpha, variant)
+    if variant != "petz":
+        return _tabulated_solve(s, alpha, variant, slope)
+    rep = _iterate_h_up(s, alpha, variant, _COLD_STARTS)
+    return _with_slope(s, alpha, variant, rep) if slope else rep

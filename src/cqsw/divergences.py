@@ -77,44 +77,45 @@ def _sigma_spectrum_op(sw: np.ndarray, alpha: float,
     return f, e * math.log(ref)
 
 
-def _sigma_operator(sw: np.ndarray, sv: np.ndarray, alpha: float,
-                    variant: str) -> tuple[np.ndarray, float]:
-    """(op, ln_scale): the operator of sigma = sv diag(sw) sv^dagger that
-    `_spectral_q` pairs with each rho, and the amount to add to its ln Q.
-
-    op is g(sigma) / e^shift (`_sigma_spectrum_op`), except for the
-    sandwiched family, where it is the square root of that, sigma^(e/2)
-    with e = (1-alpha)/alpha, the factor on either side of rho."""
-    f, shift = _sigma_spectrum_op(sw, alpha, variant)
-    if variant == "sandwiched":
-        return (sv * np.sqrt(f)) @ sv.conj().T, alpha * shift
-    return (sv * f) @ sv.conj().T, shift
-
-
 def _spectral_q(rw: np.ndarray, rv: np.ndarray, sigma_op: np.ndarray, alpha: float,
-                variant: str, sigma_support: np.ndarray | None = None, grad: bool = False):
+                variant: str, sigma_support: np.ndarray | None = None, grad: bool = False,
+                slope: bool = False):
     """ln Q_alpha of a PSD rho = rv diag(rw) rv^dagger against the family's
-    operator of sigma (`_sigma_operator`), before its ln_scale is added.
+    operator sigma_op of sigma (`_ln_q`), before its ln_scale is added.
     This is the one implementation of the three families, for single pairs
     and cq blocks.
 
-    Returns (ln q, kept, gamma), ln q = -inf where q = 0. The flat family restricts
-    both operators to the support of rho, intersected with sigma_support
-    (the support projector of sigma; None when sigma has full rank), and
-    compresses log2 rho and log2 sigma to that subspace; kept is the trace
-    of rho there. For the other families kept is the trace of rho.
+    Returns (ln q, kept, gamma, dq), ln q = -inf where q = 0. The flat
+    family restricts both operators to the support of rho, intersected with
+    sigma_support (the support projector of sigma; None when sigma has full
+    rank), and compresses log2 rho and log2 sigma to that subspace; kept is
+    the trace of rho there. For the other families kept is the trace of rho.
 
-    gamma is None unless grad is set and q > 0. It is then the derivative
-    of ln q with respect to g(sigma) (the operator `_sigma_spectrum_op`
-    describes; for sandwiched the square of sigma_op): the Hermitian gamma
-    with d ln q = Tr[gamma dg], built from the spectra the value takes.
+    gamma is None unless grad or slope is set and q > 0. It is then the
+    derivative of ln q with respect to g(sigma) (the operator
+    `_sigma_spectrum_op` describes; for sandwiched the square of sigma_op):
+    the Hermitian gamma with d ln q = Tr[gamma dg], built from the spectra
+    the value takes. dq is None unless slope is set and q > 0. It is then
+    the partial derivative of ln q in alpha with sigma_op held fixed:
+    Tr[rho^a ln rho g] / q (petz), sum_i w_i ln s_i^2 over the weights
+    w_i = s_i^(2a) / q of the singular values s of sigma_op rho^(1/2)
+    (sandwiched), ln 2 Tr[2^M (log2 rho - log2 sigma)] / Tr 2^M (flat).
     """
+    grad = grad or slope
     if variant == "petz":
+        # Tr[A B] of Hermitian A, B is vdot(A, B), with no product matrix
         ra = power_from_spectrum(rw, rv, alpha)
-        q = float(np.real(np.sum(ra * sigma_op.T)))
+        q = np.vdot(sigma_op, ra).real
+        trace = float(rw.sum())
         if q <= 0.0:
-            return -math.inf, float(np.sum(rw)), None
-        return math.log(q), float(np.sum(rw)), ra / q if grad else None
+            return -math.inf, trace, None, None
+        dq = None
+        if slope:
+            on = support_mask(rw)
+            rl = np.zeros_like(rw)
+            rl[on] = rw[on] ** alpha * np.log(rw[on])
+            dq = np.vdot(sigma_op, (rv * rl) @ rv.conj().T).real / q
+        return math.log(q), trace, ra / q if grad else None, dq
     if variant == "sandwiched":
         # spectrum of sigma^e rho sigma^e (e = (1-alpha)/(2alpha)) via the
         # singular values of sigma^e rho^(1/2): squaring the singular values
@@ -129,17 +130,19 @@ def _spectral_q(rw: np.ndarray, rv: np.ndarray, sigma_op: np.ndarray, alpha: flo
         scale = float(sv[0]) if sv.size else 0.0
         keep = sv > SUPPORT_CUTOFF * scale
         if not np.any(keep):
-            return -math.inf, float(np.sum(rw)), None
+            return -math.inf, float(np.sum(rw)), None, None
         # sum sv^(2 alpha) = scale^(2 alpha) sum (sv/scale)^(2 alpha)
         ratio = sv[keep] / scale
-        total = float(np.sum(ratio ** (2.0 * alpha)))
+        powers = ratio ** (2.0 * alpha)
+        total = float(np.sum(powers))
         ln_q = 2.0 * alpha * math.log(scale) + math.log(total)
         if not grad:
-            return ln_q, float(np.sum(rw)), None
+            return ln_q, float(np.sum(rw)), None, None
         # d Tr[(rho^1/2 g rho^1/2)^alpha] = alpha Tr[rho^1/2 W s^(2alpha-2)
         # W^dagger rho^1/2 dg], W the right singular vectors; over q
         y = half @ (wh[keep].conj().T * (ratio ** (alpha - 1.0) / (scale * math.sqrt(total))))
-        return ln_q, float(np.sum(rw)), alpha * (y @ y.conj().T)
+        dq = float(powers @ (2.0 * np.log(sv[keep]))) / total if slope else None
+        return ln_q, float(np.sum(rw)), alpha * (y @ y.conj().T), dq
     on = support_mask(rw)
     if sigma_support is None:
         # in the eigenbasis of rho its compression is diagonal
@@ -151,17 +154,23 @@ def _spectral_q(rw: np.ndarray, rv: np.ndarray, sigma_op: np.ndarray, alpha: flo
         log_rho = basis.conj().T @ log2_from_spectrum(rw, rv) @ basis
         kept = float(np.real(np.trace(basis.conj().T @ ((rv * rw) @ rv.conj().T) @ basis)))
     if basis.shape[1] == 0:
-        return -math.inf, 0.0, None
-    m = alpha * log_rho + (1.0 - alpha) * (basis.conj().T @ sigma_op @ basis)
-    mw, mv = eig_hermitian(m)
+        return -math.inf, 0.0, None, None
+    log_sigma = basis.conj().T @ sigma_op @ basis
+    mw, mv = eig_hermitian(alpha * log_rho + (1.0 - alpha) * log_sigma)
     top = float(mw[-1])
     e = np.exp2(mw - top)
     ln_q = top * LN2 + math.log(float(np.sum(e)))
     if not grad:
-        return ln_q, kept, None
+        return ln_q, kept, None, None
+    weights = e / np.sum(e)
+    dq = None
+    if slope:
+        # dM / dalpha = log2 rho - log2 sigma, in the eigenbasis of M
+        dm = np.real(np.einsum("ji,jk,ki->i", mv.conj(), log_rho - log_sigma, mv))
+        dq = LN2 * float(weights @ dm)
     # d Tr 2^M = ln2 Tr[2^M dM], dM = (1-alpha) basis^dagger dg basis
     pm = basis @ mv
-    return ln_q, kept, (1.0 - alpha) * LN2 * ((pm * (e / np.sum(e))) @ pm.conj().T)
+    return ln_q, kept, (1.0 - alpha) * LN2 * ((pm * weights) @ pm.conj().T), dq
 
 
 def _log_sum(logs) -> float:
@@ -172,33 +181,62 @@ def _log_sum(logs) -> float:
     return top + math.log(sum(math.exp(x - top) for x in logs))
 
 
-def _ln_q(blocks, sw, sv, alpha: float, variant: str, grad: bool = False):
+def _ln_q(blocks, sw, sv, alpha: float, variant: str, grad: bool = False,
+          slope: bool = False):
     """ln Q_alpha(rho || 1 (x) sigma) for the block spectra `blocks` and
     sigma = sv diag(sw) sv^dagger; -inf where Q = 0, nan where Q = +inf.
 
     The flat family keeps of each block only its part on the support of
     sigma; with part of the trace of rho cut off, Q is 0 below alpha = 1
-    and +inf above. With grad, also the derivative of ln Q with respect to
-    the family's operator g(sigma) of `_sigma_spectrum_op` (None where Q is
-    0 or +inf): the blocks' derivatives weighted by their shares of Q."""
+    and +inf above. With grad or slope, returns (ln Q, gamma, dln Q):
+    gamma (with grad) the derivative of ln Q with respect to the family's
+    operator g(sigma) of `_sigma_spectrum_op`, and dln Q (with slope) the
+    derivative of ln Q in alpha at fixed sigma, each the blocks' values
+    weighted by their shares of Q, and None where Q is 0 or +inf or where
+    it was not asked for.
+
+    The alpha-derivative adds to each block's `_spectral_q` partial at
+    fixed g the term Tr[gamma dg/dalpha], dg/dalpha = -g ln sigma (petz) or
+    -g ln sigma / alpha^2 (sandwiched; flat g does not depend on alpha),
+    and for sandwiched the scale of g, whose share of ln Q is alpha times
+    it while a block's partial counts it once."""
     support = None
     if variant == "flat" and not _full_rank(sw):
         support = power_from_spectrum(sw, sv, 0.0)
-    sigma_op, ln_scale = _sigma_operator(sw, sv, alpha, variant)
-    parts = [_spectral_q(w, v, sigma_op, alpha, variant, support, grad) for _, w, v in blocks]
+    # sigma_op is g(sigma) / e^shift (`_sigma_spectrum_op`), except for the
+    # sandwiched family, where it is the square root of that, sigma^(e/2)
+    # with e = (1-alpha)/alpha, the factor on either side of rho
+    f, shift = _sigma_spectrum_op(sw, alpha, variant)
+    sandwiched = variant == "sandwiched"
+    sigma_op = (sv * (np.sqrt(f) if sandwiched else f)) @ sv.conj().T
+    ln_scale = alpha * shift if sandwiched else shift
+    parts = [_spectral_q(w, v, sigma_op, alpha, variant, support, grad, slope)
+             for _, w, v in blocks]
     if variant == "flat":
         trace = sum(p for p, _, _ in blocks)
         if sum(part[1] for part in parts) < (1.0 - _FLAT_TRACE_SLACK) * trace:
             ln_q = -math.inf if alpha < 1.0 else math.nan
-            return (ln_q, None) if grad else ln_q
+            return (ln_q, None, None) if grad or slope else ln_q
     ln_q = _log_sum([part[0] for part in parts])
-    if not grad:
+    if not (grad or slope):
         return ln_q + ln_scale
     if ln_q == -math.inf:
-        return ln_q, None
-    gamma = sum(math.exp(part[0] - ln_q) * part[2] for part in parts
-                if part[0] > -math.inf)
-    return ln_q + ln_scale, gamma
+        return ln_q, None, None
+    live = [(math.exp(part[0] - ln_q), part) for part in parts if part[0] > -math.inf]
+    gamma = sum(share * part[2] for share, part in live) if grad else None
+    dln_q = None
+    if slope:
+        dln_q = 0.0
+        g_dot = None
+        if variant != "flat":
+            g_dot = -(sv * (f * LN2 * log2_on_support(sw))) @ sv.conj().T
+            if sandwiched:
+                g_dot /= alpha * alpha
+                dln_q = shift
+        for share, part in live:
+            chain = 0.0 if g_dot is None else np.vdot(g_dot, part[2]).real
+            dln_q += share * (part[3] + chain)
+    return ln_q + ln_scale, gamma, dln_q
 
 
 def _q_from_ln(ln_q: float) -> float:
@@ -227,18 +265,31 @@ def _outside(blocks, sw, sv) -> bool:
     return any(leaks((v * w) @ v.conj().T, sw, sv) for _, w, v in blocks)
 
 
-def _divergence(blocks, sw, sv, alpha: float, variant: str, grad: bool = False):
+def _divergence(blocks, sw, sv, alpha: float, variant: str, grad: bool = False,
+                slope: bool = False):
     """D_alpha(rho || 1 (x) sigma) in bits for the block spectra `blocks`
     and sigma = sv diag(sw) sv^dagger: D itself within _ALPHA_ONE_WINDOW of
     alpha = 1, +inf for every family where supp(rho) leaves supp(sigma) at
     alpha > 1 or the two are orthogonal at alpha < 1.
 
     With grad (alpha away from 1), returns (D, gamma), gamma the derivative
-    of ln Q with respect to g(sigma) (`_ln_q`), None where D is infinite."""
+    of ln Q with respect to g(sigma) (`_ln_q`), None where D is infinite.
+    With slope instead, returns (D, dD), dD the partial derivative of D_alpha
+    in alpha at fixed sigma (`_renyi_and_slope`), None where D is infinite.
+    Inside the window dD is the derivative at alpha = 1, V(rho || sigma) / 2,
+    for petz and sandwiched; flat's is a Kubo-Mori variance, not computed
+    here, so it is None."""
     _check_variant(variant)
     _check_alpha(alpha)
     if abs(alpha - 1.0) < _ALPHA_ONE_WINDOW:
-        return _relative_entropy(blocks, sw, sv)
+        d = _relative_entropy(blocks, sw, sv)
+        if grad:
+            return d, None
+        if slope:
+            # petz and sandwiched D_alpha = D + (alpha - 1) V / 2 + O((alpha - 1)^2)
+            finite = variant != "flat" and math.isfinite(d)
+            return d, _variance(blocks, sw, sv) / 2.0 if finite else None
+        return d
     if not _full_rank(sw):
         if alpha > 1.0:
             infinite = _outside(blocks, sw, sv)
@@ -248,11 +299,25 @@ def _divergence(blocks, sw, sv, alpha: float, variant: str, grad: bool = False):
                           for _, w, v in blocks)
             infinite = overlap <= SUPPORT_CUTOFF
         if infinite:
-            return (math.inf, None) if grad else math.inf
-    if not grad:
+            return (math.inf, None) if grad or slope else math.inf
+    if not (grad or slope):
         return _renyi_from_ln_q(_ln_q(blocks, sw, sv, alpha, variant), alpha)
-    ln_q, gamma = _ln_q(blocks, sw, sv, alpha, variant, grad=True)
-    return _renyi_from_ln_q(ln_q, alpha), gamma
+    ln_q, gamma, dln_q = _ln_q(blocks, sw, sv, alpha, variant, grad, slope)
+    if grad:
+        return _renyi_from_ln_q(ln_q, alpha), gamma
+    return _renyi_and_slope(ln_q, dln_q, alpha)
+
+
+def _renyi_and_slope(ln_q: float, dln_q: float | None, alpha: float):
+    """(D_alpha, dD_alpha/dalpha) in bits from ln Q_alpha and its
+    alpha-derivative dln_q (`_ln_q`): D = ln Q / ((alpha - 1) ln 2), so
+    dD = (dln_q / (alpha - 1) - ln Q / (alpha - 1)^2) / ln 2; the slope is
+    None where D is infinite."""
+    d = _renyi_from_ln_q(ln_q, alpha)
+    if dln_q is None or not math.isfinite(d):
+        return d, None
+    a1 = alpha - 1.0
+    return d, (dln_q / a1 - ln_q / (a1 * a1)) / LN2
 
 
 def _relative_entropy(blocks, sw, sv) -> float:

@@ -3,12 +3,21 @@ source, the sphere-packing saddle point, the critical rate, and the
 moderate-deviation and second-order helpers.
 
 Conventions: rates and exponents in bits; s and alpha related by
-alpha = 1/(1+s). Each supremum over alpha is a one-dimensional maximisation
-of a smooth function, unimodal by concavity of s -> E_0(s), found by
-Brent's bounded method (golden-section steps with parabolic interpolation)
-on the kind's bracket in `ALPHA_BRACKET`. Every bracket ends at alpha = 1,
-where H_alpha = H(X|B) and the prefactor s is 0, so the objective is finite
-there and a rate close to H(X|B), whose optimal alpha tends to 1, finds it.
+alpha = 1/(1+s). Each exponent is a supremum over alpha of
+f(alpha) = ((1 - alpha)/alpha)(R - H_alpha), unimodal by concavity of
+s -> E_0(s), on the kind's bracket in `ALPHA_BRACKET`. Every bracket ends at
+alpha = 1, where H_alpha = H(X|B), f = 0 and f' = H(X|B) - R, so that end
+costs nothing. Every probe returns f' with f: by the envelope theorem
+dH_alpha/dalpha is minus the alpha-partial of D_alpha(rho_XB || 1 (x)
+sigma*) at the optimizer sigma* the probe already holds (`h_up` with
+slope=True). So `golden_max` probes the other end once, and stops there if
+f' points out of the bracket (random coding above the critical rate at
+s = 1, the strong converse at the alpha = ALPHA_CAP cap); otherwise it
+finds the root of f' by Brent's root method. The search runs on s, in
+which f = E_0(s) + s R is concave, to a tolerance relative to |s|, so a
+rate close to H(X|B), whose optimal alpha tends to 1, finds it too. H_alpha
+and its slope do not depend on the rate, so the rates of one curve share
+their probes.
 Rates on the far side of H(X|B) return an exact 0.0 without any search:
 every H_alpha is nonincreasing in alpha and equals H(X|B) at alpha = 1, so
 s (R - H_alpha) <= 0 on the whole bracket there.
@@ -20,25 +29,29 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq
 from scipy.special import ndtri
 
 from cqsw.errors import DomainError, RateOutOfWindowError, ZeroVarianceError
 from cqsw.conditional import (
+    _petz_down,
     _petz_sibson,
     _tabulated,
     conditional_entropy,
     conditional_variance,
-    cq_renyi,
+    cq_relative_entropy,
     h_down,
     h_up,
     petz_sigma_star,
 )
-from cqsw.operators import support_contained
+from cqsw.divergences import _divergence
+from cqsw.operators import spectrum_of, support_contained
 from cqsw.states import CQState, DensityOperator
 
 _GOLDEN_TOL = 1e-8
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+# the absolute floor of golden_max's root tolerance, which is otherwise
+# relative to the argument
+_ROOT_FLOOR = 1e-16
 ALPHA_CAP = 64.0
 # V(X|B) at or below this is zero: no moderate-deviation or second-order
 # expansion exists
@@ -64,54 +77,81 @@ ALPHA_BRACKET = {
 }
 
 
-def golden_max(f, lo: float, hi: float, tol: float = _GOLDEN_TOL):
-    """Maximize a unimodal function on [lo, hi] by Brent's bounded method
-    (golden-section steps with parabolic interpolation) to an argument
-    tolerance tol; returns (x, f(x)). The exponent searches run it on the
-    brackets of `ALPHA_BRACKET`.
+def golden_max(f, lo: float, hi: float, tol: float = _GOLDEN_TOL, known=None):
+    """Maximize a unimodal function on [lo, hi] from its slope; returns
+    (x, f(x)[0]). f returns (value, slope) at x; known maps points of
+    [lo, hi] to their (value, slope) where the caller has them without a
+    probe.
 
-    Brent never evaluates the ends. It stops within 2 (sqrt(eps)|x| + tol/3)
-    of a maximum at an end, so an end that close is evaluated too and kept
-    if it is no lower."""
-    res = minimize_scalar(lambda x: -f(x), bounds=(lo, hi), method="bounded",
-                          options={"xatol": tol})
-    x, fx = float(res.x), -float(res.fun)
-    near = 2.0 * (_SQRT_EPS * abs(x) + tol / 3.0)
-    for end in (lo, hi):
-        if abs(x - end) <= near:
-            fe = f(end)
-            if fe >= fx:
-                x, fx = end, fe
-    return x, fx
+    The maximum lies right of every point whose slope rises and left of
+    every point whose slope falls, so the search starts from the tightest
+    such bracket the known points give, and probes an end only where no
+    known point bounds that side. An end whose slope points out of the
+    bracket (slope <= 0 at lo, >= 0 at hi) is the maximum. Otherwise the
+    maximum is the root of the slope inside, found by Brent's root method
+    (scipy's brentq), which probes the points it returns, to within
+    tol |x| + 1e-16: relative, so that the exponent searches, which put
+    alpha = 1 at x = 0, place an optimum near alpha = 1 to a tolerance
+    relative to its distance from it."""
+    probes = dict(known or {})
+
+    def probe(x):
+        if x not in probes:
+            probes[x] = f(x)
+        return probes[x]
+
+    def slope(x):
+        return probe(x)[1]
+
+    a = max((x for x, (_, g) in probes.items() if g > 0.0), default=lo)
+    b = min((x for x, (_, g) in probes.items() if g < 0.0), default=hi)
+    if a >= b:
+        a, b = lo, hi  # slopes that contradict unimodality: start from the ends
+    if slope(a) <= 0.0:
+        return a, probe(a)[0]
+    if slope(b) >= 0.0:
+        return b, probe(b)[0]
+    x = brentq(slope, a, b, xtol=_ROOT_FLOOR, rtol=tol, disp=False)
+    return x, probe(x)[0]
 
 
 class HUpEvaluator:
-    """Counting view of h_up on one state and variant. The iterate solves
-    are memoised on the state itself (`conditional._tabulated_solve`), so
-    every view of a state shares them; a view counts what its own calls
-    did: solves, table hits, optimizer objective evaluations and the largest
-    optimizer residual (`report`). Petz solves are closed forms and never
-    hit.
+    """Counting view of h_up on one state and variant, with its slope. The
+    iterate solves are memoised on the state itself
+    (`conditional._tabulated_solve`), so every view of a state shares them,
+    and a view keeps what it returned (`probes`), petz closed forms too. A
+    view counts what its own calls did: solves, hits (of the state's table
+    or its own probes), optimizer objective evaluations and the largest
+    optimizer residual (`report`).
     """
 
     def __init__(self, s: CQState, variant: str):
         self.state = s
         self.variant = variant
+        self.probes = {}
         self.solves = 0
         self.cache_hits = 0
         self.evaluations = 0
         self.residual = 0.0
 
-    def value(self, alpha: float) -> float:
+    def value(self, alpha: float) -> tuple[float, float]:
+        """(H_alpha^up, dH_alpha^up/dalpha): from the view's probes or the
+        state's table where they hold it, else from `h_up` with slope=True."""
+        if alpha in self.probes:
+            self.cache_hits += 1
+            return self.probes[alpha]
         rep = _tabulated(self.state, alpha, self.variant)
         if rep is not None:
             self.cache_hits += 1
-            return rep.value
-        rep = h_up(self.state, alpha, self.variant)
-        self.solves += 1
-        self.evaluations += rep.evaluations
-        self.residual = max(self.residual, rep.residual)
-        return rep.value
+            if rep.slope is None:
+                rep = h_up(self.state, alpha, self.variant, slope=True)
+        else:
+            rep = h_up(self.state, alpha, self.variant, slope=True)
+            self.solves += 1
+            self.evaluations += rep.evaluations
+            self.residual = max(self.residual, rep.residual)
+        self.probes[alpha] = (rep.value, rep.slope)
+        return self.probes[alpha]
 
     def report(self) -> dict:
         """h_up solves, table hits, optimizer objective evaluations and the
@@ -151,11 +191,14 @@ def exponent(s: CQState, rate: float, kind: str, variant: str | None = None) -> 
     """One exponent value at the given rate; +inf where the function diverges."""
     if variant is None:
         variant = DEFAULT_VARIANT.get(kind)
-    return _exponent(s, rate, kind, HUpEvaluator(s, variant))
+    return _exponent(s, rate, kind, HUpEvaluator(s, variant))[0]
 
 
-def _exponent(s: CQState, rate: float, kind: str, ev: HUpEvaluator) -> float:
-    """`exponent` of the variant of ev, whose counts then include this call."""
+def _exponent(s: CQState, rate: float, kind: str, ev: HUpEvaluator,
+              seen: dict | None = None):
+    """(`exponent`, alpha*) of the variant of ev, whose counts then include
+    this call; alpha* is None where no search ran. seen holds the
+    random_coding_down probes of earlier rates (`_alpha_search`)."""
     if not rate >= 0:
         raise DomainError(f"rate must be nonnegative, got {rate}")
     if kind not in KINDS:
@@ -164,40 +207,64 @@ def _exponent(s: CQState, rate: float, kind: str, ev: HUpEvaluator) -> float:
     h1 = conditional_entropy(s)
     if kind.startswith("strong_converse"):
         if rate >= h1:
-            return 0.0
+            return 0.0, None
     elif rate <= h1:
-        return 0.0
+        return 0.0, None
     if math.isinf(rate):
-        return math.inf  # s (R - H_alpha) is +inf at every s > 0
+        return math.inf, None  # s (R - H_alpha) is +inf at every s > 0
     if kind == "sphere_packing" and rate > h_up(s, 0.0, ev.variant).value + 1e-9:
-        return math.inf
-    return _clamp(_alpha_search(s, rate, kind, ev)[1])
+        return math.inf, None
+    alpha, sup = _alpha_search(s, rate, kind, ev, h1, seen)
+    return _clamp(sup), alpha
 
 
-def _alpha_search(s: CQState, rate: float, kind: str, ev: HUpEvaluator):
-    """(alpha*, sup) of s (R - H_alpha) over the kind's `ALPHA_BRACKET`, with
-    H_alpha from ev; random_coding_down takes H_(2 - 1/alpha)^down instead."""
+def _sup_over_alpha(g, kind: str, slope_at_one: float, known=()):
+    """(alpha*, sup) of alpha -> g(alpha) = (value, slope) over the kind's
+    `ALPHA_BRACKET`, where g(1) = 0 with slope slope_at_one; known lists
+    alphas where g costs no probe. `golden_max` runs on s = 1/alpha - 1, in
+    which every exponent objective is concave (E_0(s) + s R), so its slope
+    -alpha^2 g' falls through its root at a pace that does not depend on
+    alpha; the end s = 0 and the known alphas are given."""
+    lo, hi = next(b for prefix, b in ALPHA_BRACKET.items() if kind.startswith(prefix))
+
+    def on_s(alpha):
+        value, slope = g(alpha)
+        return value, -alpha * alpha * slope
+
+    start = {1.0 / a - 1.0: on_s(a) for a in known}
+    start[0.0] = (0.0, -slope_at_one)
+    x, sup = golden_max(lambda x: on_s(1.0 / (1.0 + x)), 1.0 / hi - 1.0, 1.0 / lo - 1.0,
+                        known=start)
+    return 1.0 / (1.0 + x), sup
+
+
+def _alpha_search(s: CQState, rate: float, kind: str, ev: HUpEvaluator, h1: float,
+                  seen: dict | None = None):
+    """(alpha*, sup) of f(alpha) = s (R - H_alpha), s = (1 - alpha)/alpha,
+    over the kind's `ALPHA_BRACKET`, with H_alpha and its slope from ev;
+    random_coding_down takes H_(2 - 1/alpha)^down instead, keeping its
+    probes in seen. h1 is H(X|B), which gives f'(1) = H(X|B) - R.
+
+    H_alpha and its slope do not depend on the rate, so every alpha probed
+    for an earlier rate (`HUpEvaluator.probes`, or seen) gives f and f' at
+    this one for free, and the search starts from the bracket they give."""
     if kind == "random_coding_down":
+        seen = {} if seen is None else seen
+
         def h(alpha):
-            return h_down(s, 2.0 - 1.0 / alpha, "petz")
+            if alpha not in seen:
+                value, slope = _petz_down(s, 2.0 - 1.0 / alpha)
+                seen[alpha] = value, slope / (alpha * alpha)
+            return seen[alpha]
     else:
-        h = ev.value
+        h, seen = ev.value, ev.probes
 
     def obj(alpha):
-        return (1.0 - alpha) / alpha * (rate - h(alpha))
+        value, slope = h(alpha)
+        pre = (1.0 - alpha) / alpha
+        return pre * (rate - value), -(rate - value) / (alpha * alpha) - pre * slope
 
-    bracket = next(b for prefix, b in ALPHA_BRACKET.items() if kind.startswith(prefix))
-    x, fx = golden_max(obj, *bracket)
-    # Brent places alpha only to about sqrt(eps) |alpha|, too coarse where
-    # alpha* lies that close to 1 (rates within about 1e-8 of H(X|B)):
-    # search the offset from alpha = 1 there instead
-    near = 2.0 * (_SQRT_EPS + _GOLDEN_TOL / 3.0)
-    if abs(x - 1.0) <= near:
-        side = 1.0 if bracket[0] == 1.0 else -1.0
-        u, fu = golden_max(lambda u: obj(1.0 + side * u), 0.0, 2.0 * near, 1e-3 * near)
-        if fu > fx:
-            x, fx = 1.0 + side * u, fu
-    return x, fx
+    return _sup_over_alpha(obj, kind, h1 - rate, list(seen))
 
 
 @dataclass
@@ -210,15 +277,23 @@ class ExponentCurve:
 
 def exponent_family(s: CQState, rates, kind: str,
                     variant: str | None = None) -> ExponentCurve:
+    """The exponent at each rate. The metadata add to the `HUpEvaluator`
+    counts cap_binding_rates: the rates whose supremum the alpha = ALPHA_CAP
+    end of the bracket bounds (the slope there still rises), so that the
+    value may lie below the supremum over all alpha > 1."""
     rates = np.asarray(rates, dtype=float)
     if rates.ndim != 1 or not np.all(np.diff(rates) > 0):
         raise DomainError("rates must be a strictly increasing 1-d array")
     if variant is None:
         variant = DEFAULT_VARIANT[kind]
     ev = HUpEvaluator(s, variant)
-    vals = np.array([_exponent(s, r, kind, ev) for r in rates])
+    seen = {}
+    found = [(r, *_exponent(s, r, kind, ev, seen)) for r in rates]
+    vals = np.array([v for _, v, _ in found])
+    capped = [float(r) for r, _, alpha in found if alpha == ALPHA_CAP]
     return ExponentCurve(rates, vals, kind,
-                         {"variant": variant, "alpha_cap": ALPHA_CAP, **ev.report()})
+                         {"variant": variant, "alpha_cap": ALPHA_CAP,
+                          "cap_binding_rates": capped, **ev.report()})
 
 
 @dataclass
@@ -238,17 +313,20 @@ class SaddleReport:
         return (1.0 - self.alpha_star) / self.alpha_star
 
 
-def _f_rate(s: CQState, rate: float, alpha: float, sigma_b) -> float:
-    d = cq_renyi(s, sigma_b, alpha, "petz")
+def _f_rate(s: CQState, rate: float, alpha: float, sigma_b):
+    """(f, f') at alpha of f(alpha) = ((1 - alpha)/alpha)(R + D_alpha(rho_XB
+    || 1 (x) sigma_b)), the sphere-packing objective at a fixed sigma_b."""
+    d, dd = _divergence(s.block_spectra(), *spectrum_of(sigma_b), alpha, "petz", slope=True)
     if math.isinf(d):
-        return math.inf if alpha < 1.0 else -math.inf
-    return ((1.0 - alpha) / alpha) * (rate - (-d))
+        return (math.inf if alpha < 1.0 else -math.inf), math.nan
+    pre = (1.0 - alpha) / alpha
+    return pre * (rate + d), -(rate + d) / (alpha * alpha) + pre * dd
 
 
 def saddle_point(s: CQState, rate: float) -> SaddleReport:
     """Saddle point of the sphere-packing objective: alpha* and sigma* from
     the sphere-packing search of `exponent`, certified by the sup over alpha
-    of the objective at sigma*."""
+    of the objective at sigma*, found by the same search."""
     h1 = conditional_entropy(s)
     h0 = h_up(s, 0.0, "petz").value
     if not (h1 < rate < h0):
@@ -256,22 +334,20 @@ def saddle_point(s: CQState, rate: float) -> SaddleReport:
             f"rate {rate} outside ({h1:.6f}, {h0:.6f})"
         )
     alpha_star, sup_inf = _alpha_search(s, rate, "sphere_packing",
-                                        HUpEvaluator(s, "petz"))
+                                        HUpEvaluator(s, "petz"), h1)
     sigma_star = petz_sigma_star(s, alpha_star)
-    _, sup_at_star = golden_max(lambda a: _f_rate(s, rate, a, sigma_star),
-                                *ALPHA_BRACKET["sphere_packing"])
+    _, sup_at_star = _sup_over_alpha(lambda a: _f_rate(s, rate, a, sigma_star),
+                                     "sphere_packing",
+                                     -(rate + cq_relative_entropy(s, sigma_star)))
     return SaddleReport(alpha_star, sigma_star, sup_inf, sup_at_star - sup_inf)
 
 
 def critical_rate(s: CQState) -> float:
     """Rate where the random-coding exponent departs from the sphere packing
-    curve: the negated slope of E_0 at s = 1, by Richardson-refined central
-    differences."""
-    def diff(h):
-        return -(e0(s, 1.0 + h) - e0(s, 1.0 - h)) / (2.0 * h)
-
-    h = 1e-5
-    return (4.0 * diff(h / 2.0) - diff(h)) / 3.0
+    curve: the negated slope of E_0 at s = 1. E_0(s) = -s H_(1/(1+s)), so
+    -E_0'(1) = H_(1/2) - H'_(1/2) / 4, from one petz solve with its slope."""
+    rep = h_up(s, 0.5, "petz", slope=True)
+    return rep.value - rep.slope / 4.0
 
 
 def _nonzero_variance(s: CQState) -> float:

@@ -11,9 +11,8 @@ root search (`_np_threshold`) that lands exactly on the jumps of the mass.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -36,20 +35,26 @@ _KER_TOL = 1e-10
 
 @dataclass
 class TestOperator:
-    """A binary test 0 <= Q <= 1 together with its two error probabilities."""
+    """A binary test 0 <= Q <= 1 together with its two error probabilities.
+
+    Construction checks that the eigenvalues of Q lie in [0, 1]: those given
+    as eigenvalues, where the builder knows them (the optimal test of
+    `hypothesis_testing_divergence` is v diag(weights) v^dagger with weights
+    0, c and 1), else from one eigendecomposition of Q."""
 
     __test__ = False  # not a pytest item despite the name
 
     q: np.ndarray
     type1: float
     type2: float
+    eigenvalues: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, eigenvalues):
         self.q = _as_matrix(self.q)
-        w, _ = eig_hermitian(self.q)
-        if w.size and (float(w[0]) < -1e-10 or float(w[-1]) > 1.0 + 1e-10):
+        w = eig_hermitian(self.q)[0] if eigenvalues is None else np.asarray(eigenvalues)
+        if w.size and (float(np.min(w)) < -1e-10 or float(np.max(w)) > 1.0 + 1e-10):
             raise InvariantViolation(
-                "test", f"eigenvalues outside [0, 1]: [{w[0]:.3e}, {w[-1]:.3e}]"
+                "test", f"eigenvalues outside [0, 1]: [{np.min(w):.3e}, {np.max(w):.3e}]"
             )
 
     def errors_against(self, rho, sigma) -> tuple[float, float]:
@@ -69,11 +74,12 @@ def _split(rb, sb, t):
     return w, v, w > cut, np.abs(w) <= cut
 
 
-def _threshold_masses(blocks, t):
+def _threshold_masses(blocks, t, splits=None):
     """Masses of rho and sigma on the strictly positive eigenspace and on the
     kernel of rho - t sigma, summed over blocks (weight, rho, sigma) with
     each block's masses counted weight times, and the nearest thresholds
-    above and below t where an eigenvalue of a block crosses zero.
+    above and below t where an eigenvalue of a block crosses zero. Each
+    block's `_split` is appended to the list splits where one is given.
 
     The crossings are Hellmann-Feynman estimates: eigenvalue w_i of
     rho - t sigma moves with slope -<v_i|sigma|v_i>, so it reaches zero near
@@ -83,7 +89,9 @@ def _threshold_masses(blocks, t):
     pos_r = pos_s = ker_r = ker_s = 0.0
     up, down = math.inf, -math.inf
     for wt, rb, sb in blocks:
-        w, v, pos, ker = _split(rb, sb, t)
+        w, v, pos, ker = split = _split(rb, sb, t)
+        if splits is not None:
+            splits.append(split)
         rd = np.real(np.einsum("ij,jk,ki->i", v.conj().T, rb, v))
         sd = np.real(np.einsum("ij,jk,ki->i", v.conj().T, sb, v))
         pos_r += wt * float(np.sum(rd[pos]))
@@ -101,10 +109,26 @@ def _threshold_masses(blocks, t):
     return pos_r, pos_s, ker_r, ker_s, up, down
 
 
-def _mass_memo(blocks):
+def _mass_memo(blocks, keep_last: bool = False):
     """t -> _threshold_masses(blocks, t), each t evaluated once. The memo
-    keeps the six scalars only, so its size does not grow with the blocks."""
-    return functools.cache(lambda t: _threshold_masses(blocks, t))
+    keeps the six scalars only, so its size does not grow with the blocks;
+    with keep_last, it also keeps the block splits of the t evaluated last,
+    as (t, splits) in its attribute last. Every search here evaluates its
+    final threshold last, so a single test can be assembled from them."""
+    table = {}
+
+    def masses(t):
+        if t not in table:
+            if keep_last:
+                splits = []
+                table[t] = _threshold_masses(blocks, t, splits)
+                masses.last = (t, splits)
+            else:
+                table[t] = _threshold_masses(blocks, t)
+        return table[t]
+
+    masses.last = None
+    return masses
 
 
 def _np_threshold(masses, target: float, match: str):
@@ -199,11 +223,12 @@ def _itp(masses, g, a, b, ga, gb) -> float:
     return 0.5 * (a + b)
 
 
-def _assemble_test(rho, sigma, t, c) -> np.ndarray:
-    """Q = P + c K from one eigendecomposition of rho - t sigma."""
-    _, v, pos, ker = _split(rho, sigma, t)
+def _assemble_test(split, c) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, its eigenvalues) for Q = P + c K, from the `_split` of
+    rho - t sigma at the final threshold t."""
+    _, v, pos, ker = split
     weights = pos.astype(float) + c * ker.astype(float)
-    return (v * weights) @ v.conj().T
+    return (v * weights) @ v.conj().T, weights
 
 
 def _dh_blocks(blocks, eps: float, masses=None):
@@ -233,11 +258,15 @@ def hypothesis_testing_divergence(rho, sigma, eps: float):
         raise InvalidEpsilonError(f"epsilon must lie in [0, 1), got {eps}")
     rho = _as_matrix(rho)
     sigma = _as_matrix(sigma)
-    value, type2, t, c, masses = _dh_blocks([(1, rho, sigma)], eps)
-    q = _assemble_test(rho, sigma, t, c)
+    blocks = [(1, rho, sigma)]
+    memo = _mass_memo(blocks, keep_last=True)
+    value, type2, t, c, masses = _dh_blocks(blocks, eps, memo)
+    last_t, splits = memo.last
+    split = splits[0] if last_t == t else _split(rho, sigma, t)
+    q, weights = _assemble_test(split, c)
     pr, ps, kr, ks = masses[:4]
     type1 = float(np.real(np.trace(rho))) - (pr + c * kr)
-    return value, TestOperator(q, type1, type2)
+    return value, TestOperator(q, type1, type2, weights)
 
 
 def hat_alpha(rho, sigma, mu: float) -> float:

@@ -1,5 +1,6 @@
 """Divergence families: closed forms on commuting states, scipy-based
-oracles for the matrix-geometric family, limits and orderings."""
+oracles for the matrix-geometric family, limits and orderings, and the
+alpha-slope against central differences."""
 
 from __future__ import annotations
 
@@ -7,11 +8,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm, logm
 
 from cqsw.conditional import cq_renyi
 from cqsw.divergences import (
     VARIANTS,
+    _divergence,
     d_max,
     q_alpha,
     relative_entropy,
@@ -19,8 +22,9 @@ from cqsw.divergences import (
     renyi_divergence,
 )
 from cqsw.errors import InvalidAlphaError, SupportViolationError
-from cqsw.operators import LN2, random_density
+from cqsw.operators import LN2, eig_hermitian, random_density
 from cqsw.states import CQState
+from test_type_classes import _source
 
 RNG = np.random.default_rng(21)
 
@@ -200,3 +204,42 @@ def test_support_conditions_on_commuting_inputs(q):
                     assert got == want, (variant, alpha)
                 else:
                     assert got == pytest.approx(want, abs=1e-10), (variant, alpha)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(("full", "deficient", "commuting")),
+       size_x=st.sampled_from((1, 2, 3)), dim_b=st.sampled_from((2, 3)),
+       seed=st.integers(0, 2 ** 32 - 1), variant=st.sampled_from(VARIANTS),
+       alpha=st.one_of(st.floats(0.3, 0.9), st.floats(1.1, 8.0)))
+def test_alpha_slope_matches_central_differences(kind, size_x, dim_b, seed, variant, alpha):
+    # the alpha-partial of D_alpha(rho || 1 (x) sigma) at fixed sigma, for
+    # the blocks of a full-rank, rank-deficient or commuting source against
+    # a full-rank sigma
+    s = _source(kind, size_x, dim_b, seed)
+    sw, sv = eig_hermitian(random_density(np.random.default_rng(seed + 1), dim_b))
+    blocks = s.block_spectra()
+    value, slope = _divergence(blocks, sw, sv, alpha, variant, slope=True)
+    assert value == pytest.approx(_divergence(blocks, sw, sv, alpha, variant), rel=1e-12)
+
+    def diff(h):
+        return (_divergence(blocks, sw, sv, alpha + h, variant)
+                - _divergence(blocks, sw, sv, alpha - h, variant)) / (2.0 * h)
+
+    h = 1e-3 * alpha
+    want = (4.0 * diff(h / 2.0) - diff(h)) / 3.0
+    assert slope == pytest.approx(want, rel=1e-6, abs=1e-9)
+
+
+@pytest.mark.parametrize("variant", ["petz", "sandwiched"])
+def test_alpha_slope_at_one_is_half_the_variance(variant):
+    # inside the alpha = 1 window the slope is the derivative at alpha = 1,
+    # V / 2 for petz and sandwiched; just outside it, the full formula
+    rho = random_density(RNG, 3)
+    sig = random_density(RNG, 3)
+    blocks = [(1.0, *np.linalg.eigh(rho))]
+    sw, sv = eig_hermitian(sig)
+    half_v = relative_entropy_variance(rho, sig) / 2.0
+    assert _divergence(blocks, sw, sv, 1.0, variant, slope=True)[1] == \
+        pytest.approx(half_v, rel=1e-12)
+    assert _divergence(blocks, sw, sv, 1.0 + 1e-4, variant, slope=True)[1] == \
+        pytest.approx(half_v, rel=1e-3)

@@ -201,10 +201,15 @@ def test_nan_rate_raises():
         assert exponent(s, math.inf, kind) == 0.0
 
 
+def log(x):
+    """The natural log with its slope (its name is the parameter's id)."""
+    return math.log(x), 1.0 / x
+
+
 @pytest.mark.parametrize("f, lo, hi, x_max, f_max", [
-    (lambda x: 2.0 - (x - 0.3) ** 2, 0.0, 1.0, 0.3, 2.0),
-    (lambda x: -x, 0.5, 1.0, 0.5, -0.5),
-    (math.log, 1.001, 64.0, 64.0, math.log(64.0)),
+    (lambda x: (2.0 - (x - 0.3) ** 2, -2.0 * (x - 0.3)), 0.0, 1.0, 0.3, 2.0),
+    (lambda x: (-x, -1.0), 0.5, 1.0, 0.5, -0.5),
+    (log, 1.001, 64.0, 64.0, math.log(64.0)),
 ])
 def test_golden_max_closed_forms(f, lo, hi, x_max, f_max):
     tol = 1e-8
@@ -310,3 +315,41 @@ def test_rates_inside_the_alpha_one_window(search_count):
     before = search_count["solves"]
     assert h_up(s, 1.0, "sandwiched").value == h
     assert search_count["solves"] == before
+
+
+@pytest.mark.parametrize("kind", ["strong_converse_star", "strong_converse_flat"])
+def test_cap_binding_strong_converse_is_one_probe(search_count, kind):
+    # zero_plus has rank-one blocks: at R = 0.08 the slope of the objective
+    # still rises at alpha = ALPHA_CAP, so the cap is the maximum after one
+    # probe there, and the curve names the rate (the Brent search made 37
+    # and 38 solves to crawl there)
+    s = presets.zero_plus_source()
+    curve = exponent_family(s, [0.08], kind)
+    assert search_count["solves"] <= 2
+    assert search_count["evals"] == 1
+    assert curve.metadata["cap_binding_rates"] == [0.08]
+    want = {"strong_converse_star": 0.1476891407, "strong_converse_flat": 0.3141376514}[kind]
+    assert curve.values[0] == pytest.approx(want, abs=1e-9)
+    # an interior maximum binds nothing
+    interior = exponent_family(presets.doubly_symmetric(0.11), [0.25, 0.4], kind)
+    assert interior.metadata["cap_binding_rates"] == []
+
+
+def test_curve_reuses_earlier_probes(search_count):
+    # H_alpha and its slope do not depend on the rate, so later rates of a
+    # curve start from the bracket the earlier probes give
+    s = presets.doubly_symmetric(0.11)
+    h = conditional_entropy(s)
+    rates = h + 0.025 * np.arange(1, 14)
+    exponent_family(s, rates, "sphere_packing")
+    assert search_count["evals"] <= 6 * len(rates)
+
+
+def test_critical_rate_from_one_slope(search_count):
+    # -E_0'(1) = H_(1/2) - H'_(1/2) / 4 from one petz solve; central
+    # differences of E_0 agree
+    for s in (presets.doubly_symmetric(0.11), presets.zero_plus_source()):
+        h = 1e-4
+        diff = [-(e0(s, 1.0 + t) - e0(s, 1.0 - t)) / (2.0 * t) for t in (h, h / 2.0)]
+        assert critical_rate(s) == pytest.approx((4.0 * diff[1] - diff[0]) / 3.0, abs=1e-9)
+    assert search_count == {"evals": 0, "solves": 0}

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
+import cqsw.hypotest as hypotest
 from cqsw import presets
 from cqsw.conditional import conditional_entropy
 from cqsw.errors import (
@@ -139,6 +140,30 @@ def test_test_operator_validation():
     from cqsw.errors import InvariantViolation
     with pytest.raises(InvariantViolation):
         TestOperator(np.diag([1.5, 0.0]), 0.0, 0.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_optimal_test_costs_no_eigendecomposition_after_the_search(eig_count, monkeypatch, d):
+    # the test is assembled from the split of rho - t sigma at the final
+    # threshold, which the search evaluated last, and checked in [0, 1]
+    # from its known eigenvalues 0, c and 1
+    thresholds = []
+    real = hypotest._threshold_masses
+
+    def masses(*args):
+        thresholds.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(hypotest, "_threshold_masses", masses)
+    rng = np.random.default_rng(d)
+    rho, sig = random_density(rng, d), random_density(rng, d)
+    eig_count.clear()
+    value, test = hypothesis_testing_divergence(rho, sig, 0.1)
+    assert len(eig_count) == len(thresholds) == len(set(thresholds))
+    assert test.type1 == pytest.approx(0.1, abs=1e-10)
+    assert test.errors_against(rho, sig)[1] == pytest.approx(2.0 ** -value, rel=1e-9)
+    w = np.linalg.eigvalsh(test.q)
+    assert w[0] >= -1e-10 and w[-1] <= 1.0 + 1e-10
 
 
 def test_one_shot_converse():

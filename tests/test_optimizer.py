@@ -1,8 +1,9 @@
 """The sigma_B optimizer behind h_up: its exact gradient against central
 differences on random sources, the eigendecompositions one evaluation
 makes, one solve per point of the alpha -> 0 grid, the solves a state
-tabulates, the optimizer report a curve carries, and the order relations
-of the three Renyi families and of exponent curves on random sources."""
+tabulates, the slope dH_alpha/dalpha a solve reports, the optimizer report
+a curve carries, and the order relations of the three Renyi families and of
+exponent curves on random sources."""
 
 from __future__ import annotations
 
@@ -97,6 +98,37 @@ def test_state_tabulates_iterate_solves(monkeypatch):
     first = h_up(s, 0.3, "flat")
     assert h_up(s, 0.3, "flat") is first
     assert len(alphas) == 4
+
+
+@pytest.mark.parametrize("variant, method", [("petz", None), ("petz", "iterate"),
+                                             ("sandwiched", None), ("flat", None)])
+@pytest.mark.parametrize("alpha", (0.4, 0.8, 1.6, 5.0))
+@pytest.mark.parametrize("make", [presets.zero_plus_source,
+                                  lambda: presets.random_cq_state(np.random.default_rng(12), 3, 2)],
+                         ids=["zero_plus", "random"])
+def test_h_up_slope_matches_central_differences(make, alpha, variant, method):
+    # each h_up on a fresh state, so that no table answers; the slope is
+    # minus the alpha-partial of D_alpha at sigma* (the envelope theorem),
+    # petz's in closed form from Sibson's optimizer
+    def value(a):
+        return h_up(make(), a, variant, method).value
+
+    rep = h_up(make(), alpha, variant, method, slope=True)
+    assert rep.value == pytest.approx(value(alpha), rel=1e-9, abs=1e-12)
+    h = 1e-3 * alpha
+    diff = [(value(alpha + t) - value(alpha - t)) / (2.0 * t) for t in (h, h / 2.0)]
+    assert rep.slope == pytest.approx((4.0 * diff[1] - diff[0]) / 3.0, rel=1e-6, abs=1e-9)
+
+
+def test_h_up_slope_is_tabulated():
+    # a tabulated solve asked for its slope computes it once, then the table
+    # answers both
+    s = presets.zero_plus_source()
+    rep = h_up(s, 2.0, "flat")
+    assert rep.slope is None
+    with_slope = h_up(s, 2.0, "flat", slope=True)
+    assert with_slope.value == rep.value and with_slope.slope is not None
+    assert h_up(s, 2.0, "flat") is with_slope
 
 
 def test_exponent_family_reports_optimizer():
