@@ -114,13 +114,9 @@ def _richardson_zero_limit(f):
 
 
 def h_down(s: CQState, alpha: float, variant: str = "petz") -> float:
-    """Conditional Renyi entropy with sigma_B fixed to the marginal. At
-    alpha = 0 the petz family takes its closed form (`_petz_down`), the
-    others the limit from `_ZERO_GRID`."""
+    """Conditional Renyi entropy with sigma_B fixed to the marginal."""
     rho_b = marginal_b(s)
     if alpha == 0.0:
-        if variant == "petz":
-            return _petz_down(s, 0.0)[0]
         return _richardson_zero_limit(lambda a: -cq_renyi(s, rho_b, a, variant))
     return -cq_renyi(s, rho_b, alpha, variant)
 

@@ -120,9 +120,12 @@ class HUpEvaluator:
     iterate solves are memoised on the state itself
     (`conditional._tabulated_solve`), so every view of a state shares them,
     and a view keeps what it returned (`probes`), petz closed forms too. A
-    view counts what its own calls did: solves, hits (of the state's table
-    or its own probes), optimizer objective evaluations and the largest
-    optimizer residual (`report`).
+    view counts what its own calls did: solves, hits, optimizer objective
+    evaluations and the largest optimizer residual (`report`). A hit is a
+    value from the state's table or the view's probes: one `value` answers
+    without a solve, or one stored probe a search starts from (`stored`).
+    The random_coding_down search keeps its H^down probes in `probes` too
+    (`_alpha_search`) and never calls `value`.
     """
 
     def __init__(self, s: CQState, variant: str):
@@ -152,6 +155,12 @@ class HUpEvaluator:
             self.residual = max(self.residual, rep.residual)
         self.probes[alpha] = (rep.value, rep.slope)
         return self.probes[alpha]
+
+    def stored(self) -> dict:
+        """The probes so far, alpha -> (H, dH/dalpha), for a search at a new
+        rate to start from; each one counts as a hit."""
+        self.cache_hits += len(self.probes)
+        return dict(self.probes)
 
     def report(self) -> dict:
         """h_up solves, table hits, optimizer objective evaluations and the
@@ -194,11 +203,9 @@ def exponent(s: CQState, rate: float, kind: str, variant: str | None = None) -> 
     return _exponent(s, rate, kind, HUpEvaluator(s, variant))[0]
 
 
-def _exponent(s: CQState, rate: float, kind: str, ev: HUpEvaluator,
-              seen: dict | None = None):
-    """(`exponent`, alpha*) of the variant of ev, whose counts then include
-    this call; alpha* is None where no search ran. seen holds the
-    random_coding_down probes of earlier rates (`_alpha_search`)."""
+def _exponent(s: CQState, rate: float, kind: str, ev: HUpEvaluator):
+    """(`exponent`, alpha*) of the variant of ev, whose counts and probes
+    then include this call; alpha* is None where no search ran."""
     if not rate >= 0:
         raise DomainError(f"rate must be nonnegative, got {rate}")
     if kind not in KINDS:
@@ -214,57 +221,58 @@ def _exponent(s: CQState, rate: float, kind: str, ev: HUpEvaluator,
         return math.inf, None  # s (R - H_alpha) is +inf at every s > 0
     if kind == "sphere_packing" and rate > h_up(s, 0.0, ev.variant).value + 1e-9:
         return math.inf, None
-    alpha, sup = _alpha_search(s, rate, kind, ev, h1, seen)
+    alpha, sup = _alpha_search(s, rate, kind, ev, h1)
     return _clamp(sup), alpha
 
 
-def _sup_over_alpha(g, kind: str, slope_at_one: float, known=()):
+def _sup_over_alpha(g, kind: str, slope_at_one: float, known=None):
     """(alpha*, sup) of alpha -> g(alpha) = (value, slope) over the kind's
-    `ALPHA_BRACKET`, where g(1) = 0 with slope slope_at_one; known lists
-    alphas where g costs no probe. `golden_max` runs on s = 1/alpha - 1, in
-    which every exponent objective is concave (E_0(s) + s R), so its slope
-    -alpha^2 g' falls through its root at a pace that does not depend on
-    alpha; the end s = 0 and the known alphas are given."""
+    `ALPHA_BRACKET`, where g(1) = 0 with slope slope_at_one; known maps
+    alphas to their g, which then costs no probe. `golden_max` runs on
+    s = 1/alpha - 1, in which every exponent objective is concave
+    (E_0(s) + s R), so its slope -alpha^2 g' falls through its root at a
+    pace that does not depend on alpha; the end s = 0 and the known alphas
+    are given."""
     lo, hi = next(b for prefix, b in ALPHA_BRACKET.items() if kind.startswith(prefix))
 
-    def on_s(alpha):
-        value, slope = g(alpha)
+    def on_s(alpha, value, slope):
         return value, -alpha * alpha * slope
 
-    start = {1.0 / a - 1.0: on_s(a) for a in known}
+    start = {1.0 / a - 1.0: on_s(a, *ga) for a, ga in (known or {}).items()}
     start[0.0] = (0.0, -slope_at_one)
-    x, sup = golden_max(lambda x: on_s(1.0 / (1.0 + x)), 1.0 / hi - 1.0, 1.0 / lo - 1.0,
-                        known=start)
+
+    def g_on_s(x):
+        alpha = 1.0 / (1.0 + x)
+        return on_s(alpha, *g(alpha))
+
+    x, sup = golden_max(g_on_s, 1.0 / hi - 1.0, 1.0 / lo - 1.0, known=start)
     return 1.0 / (1.0 + x), sup
 
 
-def _alpha_search(s: CQState, rate: float, kind: str, ev: HUpEvaluator, h1: float,
-                  seen: dict | None = None):
+def _alpha_search(s: CQState, rate: float, kind: str, ev: HUpEvaluator, h1: float):
     """(alpha*, sup) of f(alpha) = s (R - H_alpha), s = (1 - alpha)/alpha,
     over the kind's `ALPHA_BRACKET`, with H_alpha and its slope from ev;
     random_coding_down takes H_(2 - 1/alpha)^down instead, keeping its
-    probes in seen. h1 is H(X|B), which gives f'(1) = H(X|B) - R.
+    probes in `ev.probes` too. h1 is H(X|B), which gives f'(1) = H(X|B) - R.
 
     H_alpha and its slope do not depend on the rate, so every alpha probed
-    for an earlier rate (`HUpEvaluator.probes`, or seen) gives f and f' at
-    this one for free, and the search starts from the bracket they give."""
+    for an earlier rate gives f and f' at this one from the stored pair,
+    without a probe, and the search starts from the bracket they give."""
     if kind == "random_coding_down":
-        seen = {} if seen is None else seen
-
         def h(alpha):
-            if alpha not in seen:
+            if alpha not in ev.probes:
                 value, slope = _petz_down(s, 2.0 - 1.0 / alpha)
-                seen[alpha] = value, slope / (alpha * alpha)
-            return seen[alpha]
+                ev.probes[alpha] = value, slope / (alpha * alpha)
+            return ev.probes[alpha]
     else:
-        h, seen = ev.value, ev.probes
+        h = ev.value
 
-    def obj(alpha):
-        value, slope = h(alpha)
+    def obj(alpha, value, slope):
         pre = (1.0 - alpha) / alpha
         return pre * (rate - value), -(rate - value) / (alpha * alpha) - pre * slope
 
-    return _sup_over_alpha(obj, kind, h1 - rate, list(seen))
+    known = {a: obj(a, *hv) for a, hv in ev.stored().items()}
+    return _sup_over_alpha(lambda a: obj(a, *h(a)), kind, h1 - rate, known)
 
 
 @dataclass
@@ -287,8 +295,7 @@ def exponent_family(s: CQState, rates, kind: str,
     if variant is None:
         variant = DEFAULT_VARIANT[kind]
     ev = HUpEvaluator(s, variant)
-    seen = {}
-    found = [(r, *_exponent(s, r, kind, ev, seen)) for r in rates]
+    found = [(r, *_exponent(s, r, kind, ev)) for r in rates]
     vals = np.array([v for _, v, _ in found])
     capped = [float(r) for r, _, alpha in found if alpha == ALPHA_CAP]
     return ExponentCurve(rates, vals, kind,

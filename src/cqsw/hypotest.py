@@ -12,7 +12,7 @@ root search (`_np_threshold`) that lands exactly on the jumps of the mass.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,27 +35,17 @@ _KER_TOL = 1e-10
 
 @dataclass
 class TestOperator:
-    """A binary test 0 <= Q <= 1 together with its two error probabilities.
-
-    Construction checks that the eigenvalues of Q lie in [0, 1]: those given
-    as eigenvalues, where the builder knows them (the optimal test of
-    `hypothesis_testing_divergence` is v diag(weights) v^dagger with weights
-    0, c and 1), else from one eigendecomposition of Q."""
+    """A binary test 0 <= Q <= 1 together with its two error probabilities."""
 
     __test__ = False  # not a pytest item despite the name
 
     q: np.ndarray
     type1: float
     type2: float
-    eigenvalues: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, eigenvalues):
+    def __post_init__(self):
         self.q = _as_matrix(self.q)
-        w = eig_hermitian(self.q)[0] if eigenvalues is None else np.asarray(eigenvalues)
-        if w.size and (float(np.min(w)) < -1e-10 or float(np.max(w)) > 1.0 + 1e-10):
-            raise InvariantViolation(
-                "test", f"eigenvalues outside [0, 1]: [{np.min(w):.3e}, {np.max(w):.3e}]"
-            )
+        _check_test_spectrum(eig_hermitian(self.q)[0])
 
     def errors_against(self, rho, sigma) -> tuple[float, float]:
         rho = _as_matrix(rho)
@@ -63,6 +53,14 @@ class TestOperator:
         t1 = float(np.real(np.trace(rho))) - float(np.real(np.trace(self.q @ rho)))
         t2 = float(np.real(np.trace(self.q @ sigma)))
         return t1, t2
+
+
+def _check_test_spectrum(w):
+    """Raise unless the eigenvalues w of a test lie in [0, 1]."""
+    if w.size and (float(np.min(w)) < -1e-10 or float(np.max(w)) > 1.0 + 1e-10):
+        raise InvariantViolation(
+            "test", f"eigenvalues outside [0, 1]: [{np.min(w):.3e}, {np.max(w):.3e}]"
+        )
 
 
 def _split(rb, sb, t):
@@ -74,24 +72,24 @@ def _split(rb, sb, t):
     return w, v, w > cut, np.abs(w) <= cut
 
 
-def _threshold_masses(blocks, t, splits=None):
+def _threshold_masses(blocks, t):
     """Masses of rho and sigma on the strictly positive eigenspace and on the
     kernel of rho - t sigma, summed over blocks (weight, rho, sigma) with
     each block's masses counted weight times, and the nearest thresholds
-    above and below t where an eigenvalue of a block crosses zero. Each
-    block's `_split` is appended to the list splits where one is given.
+    above and below t where an eigenvalue of a block crosses zero, with the
+    `_split` of each block.
 
     The crossings are Hellmann-Feynman estimates: eigenvalue w_i of
     rho - t sigma moves with slope -<v_i|sigma|v_i>, so it reaches zero near
     t + w_i / <v_i|sigma|v_i>. They are exact when rho and sigma commute.
-    Returns (pos_r, pos_s, ker_r, ker_s, up, down); up is +inf and down
-    -inf where no eigenvalue crosses on that side."""
+    Returns ((pos_r, pos_s, ker_r, ker_s, up, down), splits); up is +inf
+    and down -inf where no eigenvalue crosses on that side."""
     pos_r = pos_s = ker_r = ker_s = 0.0
     up, down = math.inf, -math.inf
+    splits = []
     for wt, rb, sb in blocks:
         w, v, pos, ker = split = _split(rb, sb, t)
-        if splits is not None:
-            splits.append(split)
+        splits.append(split)
         rd = np.real(np.einsum("ij,jk,ki->i", v.conj().T, rb, v))
         sd = np.real(np.einsum("ij,jk,ki->i", v.conj().T, sb, v))
         pos_r += wt * float(np.sum(rd[pos]))
@@ -106,25 +104,22 @@ def _threshold_masses(blocks, t, splits=None):
             up = min(up, float(np.min(above)))
         if below.size:
             down = max(down, float(np.max(below)))
-    return pos_r, pos_s, ker_r, ker_s, up, down
+    return (pos_r, pos_s, ker_r, ker_s, up, down), splits
 
 
-def _mass_memo(blocks, keep_last: bool = False):
-    """t -> _threshold_masses(blocks, t), each t evaluated once. The memo
-    keeps the six scalars only, so its size does not grow with the blocks;
-    with keep_last, it also keeps the block splits of the t evaluated last,
-    as (t, splits) in its attribute last. Every search here evaluates its
-    final threshold last, so a single test can be assembled from them."""
+def _mass_memo(blocks):
+    """t -> the six masses of _threshold_masses(blocks, t), each t evaluated
+    once. The memo keeps the scalars of every t but the block splits of the
+    t evaluated last only, as (t, splits) in its attribute last: every
+    search here evaluates its final threshold last, so the optimal test can
+    be assembled from them."""
     table = {}
 
     def masses(t):
         if t not in table:
-            if keep_last:
-                splits = []
-                table[t] = _threshold_masses(blocks, t, splits)
-                masses.last = (t, splits)
-            else:
-                table[t] = _threshold_masses(blocks, t)
+            masses.last = None  # hold one set of splits at a time
+            table[t], splits = _threshold_masses(blocks, t)
+            masses.last = (t, splits)
         return table[t]
 
     masses.last = None
@@ -223,12 +218,17 @@ def _itp(masses, g, a, b, ga, gb) -> float:
     return 0.5 * (a + b)
 
 
-def _assemble_test(split, c) -> tuple[np.ndarray, np.ndarray]:
-    """(Q, its eigenvalues) for Q = P + c K, from the `_split` of
-    rho - t sigma at the final threshold t."""
+def _optimal_test(split, c, type1, type2) -> TestOperator:
+    """The test Q = P + c K from the `_split` of rho - t sigma at the final
+    threshold t. Q = v diag(weights) v^dagger with weights 0, c and 1, so
+    its [0, 1] check runs on the weights and Q is not eigendecomposed."""
     _, v, pos, ker = split
     weights = pos.astype(float) + c * ker.astype(float)
-    return (v * weights) @ v.conj().T, weights
+    _check_test_spectrum(weights)
+    test = object.__new__(TestOperator)
+    test.q = _as_matrix((v * weights) @ v.conj().T)
+    test.type1, test.type2 = type1, type2
+    return test
 
 
 def _dh_blocks(blocks, eps: float, masses=None):
@@ -259,14 +259,13 @@ def hypothesis_testing_divergence(rho, sigma, eps: float):
     rho = _as_matrix(rho)
     sigma = _as_matrix(sigma)
     blocks = [(1, rho, sigma)]
-    memo = _mass_memo(blocks, keep_last=True)
+    memo = _mass_memo(blocks)
     value, type2, t, c, masses = _dh_blocks(blocks, eps, memo)
     last_t, splits = memo.last
     split = splits[0] if last_t == t else _split(rho, sigma, t)
-    q, weights = _assemble_test(split, c)
     pr, ps, kr, ks = masses[:4]
     type1 = float(np.real(np.trace(rho))) - (pr + c * kr)
-    return value, TestOperator(q, type1, type2, weights)
+    return value, _optimal_test(split, c, type1, type2)
 
 
 def hat_alpha(rho, sigma, mu: float) -> float:

@@ -142,6 +142,21 @@ def test_test_operator_validation():
         TestOperator(np.diag([1.5, 0.0]), 0.0, 0.0)
 
 
+def test_user_built_test_checks_its_own_spectrum(eig_count):
+    # only the optimal test of hypothesis_testing_divergence is checked from
+    # known weights; a caller cannot hand the constructor eigenvalues, so a
+    # wrong list cannot stand in for the spectrum of Q
+    from cqsw.errors import InvariantViolation
+    with pytest.raises(TypeError):
+        TestOperator(np.diag([1.5, 0.0]), 0.0, 0.0, [0.5, 0.0])
+    eig_count.clear()
+    with pytest.raises(InvariantViolation):
+        TestOperator(np.diag([1.5, 0.0]), 0.0, 0.0)
+    assert len(eig_count) == 1
+    TestOperator(np.diag([0.5, 0.0]), 0.0, 0.0)
+    assert len(eig_count) == 2
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_optimal_test_costs_no_eigendecomposition_after_the_search(eig_count, monkeypatch, d):
     # the test is assembled from the split of rho - t sigma at the final
