@@ -9,6 +9,7 @@ Sequences are indexed lexicographically, matching the n-fold product order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -21,6 +22,7 @@ from cqsw.errors import (
     POVMInvalidError,
 )
 from cqsw.operators import (
+    check_hermitian,
     eig_hermitian,
     inv_sqrt_on_support,
     nonneg_projector,
@@ -137,25 +139,56 @@ def random_binning(n: int, w_size: int, seed: int) -> BinningEncoder:
     return BinningEncoder(n, w_size, seed)
 
 
+def _pgm_projectors(s: CQState, n: int, sn: CQState, w_size: int) -> list:
+    """Lambda_x = {p(x^n) rho_{x^n} - rho_B^(x)n / w_size >= 0} for every
+    string x^n of sn = power_state(s, n), kept on sn per w_size.
+
+    Only the sorted representative of each type class, the first string of
+    its class in lexicographic order, is eigendecomposed. The unitary U_pi
+    that permutes the tensor factors fixes rho_B^(x)n and p(x^n) and maps
+    the representative's block to that of any string of its class, so
+    Lambda of that string is U_pi Lambda_rep U_pi^dagger: a reshape and a
+    transpose of the representative's projector.
+    """
+    memo = sn._pgm_projectors
+    if w_size not in memo:
+        rho_b = marginal_b(sn).matrix
+        dim = rho_b.shape[0]
+        axes_shape = (s.dim_b,) * (2 * n)
+        reps = {}
+        lambdas = []
+        for i, idx in enumerate(itertools.product(range(s.size_x), repeat=n)):
+            key = tuple(sorted(idx))
+            if key not in reps:
+                reps[key] = nonneg_projector(
+                    sn.probs[i] * sn.side_info[i].matrix - rho_b / w_size)
+                lambdas.append(reps[key])
+                continue
+            # factor j of this string is factor inv[j] of the representative
+            inv = np.argsort(np.argsort(idx, kind="stable"))
+            axes = np.concatenate([inv, inv + n])
+            lambdas.append(reps[key].reshape(axes_shape).transpose(axes)
+                           .reshape(dim, dim))
+        memo[w_size] = lambdas
+    return memo[w_size]
+
+
 def pgm_decoder(s: CQState, n: int, encoder, w_size: int,
                 cap: int = DEFAULT_CAP) -> Code:
     """Pretty good measurement decoder for a given binning.
 
     Per sequence, Lambda is the projector onto the nonnegative eigenspace of
-    p(x) rho^x - rho_B / w_size (n-fold operators); within each bin the
-    elements are conjugated by the inverse square root of their sum, and the
-    deficiency goes to the first sequence of the bin (bin 0's first sequence
-    when the bin is empty).
+    p(x) rho^x - rho_B / w_size (n-fold operators), built once per
+    (source, n, w_size) with one eigendecomposition per type class
+    (`_pgm_projectors`); within each bin the elements are conjugated by the
+    inverse square root of their sum, and the deficiency goes to the first
+    sequence of the bin (bin 0's first sequence when the bin is empty).
     """
     sn = power_state(s, n, cap=cap)
     size = sn.size_x
     table = np.array([encoder(i) for i in range(size)], dtype=int)
-    rho_b = marginal_b(sn).matrix
-    d = rho_b.shape[0]
-    lambdas = [
-        nonneg_projector(p * r.matrix - rho_b / w_size)
-        for p, r in zip(sn.probs, sn.side_info)
-    ]
+    lambdas = _pgm_projectors(s, n, sn, w_size)
+    d = sn.dim_b
     decoder = []
     eye = np.eye(d)
     for w in range(w_size):
@@ -187,16 +220,44 @@ def _complete_povm(mats: list, dim: int) -> list:
     return [m + gap for m in mats]
 
 
+def _dual_operator(weighted: list, povm: list) -> np.ndarray:
+    """Y = sum_i w_i rho_i Pi_i, made Hermitian."""
+    y = sum(g @ p for g, p in zip(weighted, povm))
+    return (y + y.conj().T) / 2.0
+
+
+def _dominates(y: np.ndarray, weighted: list) -> bool:
+    """The dual certificate: Y - w_i rho_i >= -_CERT_GAP 1 for every member,
+    tested as the positive definiteness of Y - w_i rho_i + _CERT_GAP 1 by
+    one Cholesky factorization each."""
+    shift = _CERT_GAP * np.eye(y.shape[0])
+    try:
+        for g in weighted:
+            np.linalg.cholesky(y - g + shift)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _certificate_gap(y: np.ndarray, weighted: list) -> float:
+    """max(0, max_i -lambda_min(Y - w_i rho_i)): how far Y is from
+    dominating every member."""
+    return max(0.0, max(-float(eig_hermitian(y - g)[0][0]) for g in weighted))
+
+
 def min_error_discrimination(ensemble):
     """Optimal discrimination of weighted states: POVM and success value.
 
     The success value is sum_i w_i Tr[Pi_i rho_i] with the weights taken as
-    given (they need not be normalized). Two states are solved in closed
-    form; larger ensembles by a damped fixed-point iteration whose result is
-    certified against the dual optimality condition.
+    given (they need not be normalized). Each member must be Hermitian. Two
+    states are solved in closed form; larger ensembles by a damped
+    fixed-point iteration, starting from the PGM, whose first iterate that
+    satisfies the dual optimality condition Y >= w_i rho_i (up to _CERT_GAP,
+    tested by Cholesky factorizations) is returned. When none does within
+    _FP_MAX_ITERS iterations, NoConvergenceError carries the iteration
+    count and the eigenvalue gap of the last iterate.
     """
-    ens = [(float(w), np.asarray(getattr(r, "matrix", r), dtype=np.complex128))
-           for w, r in ensemble]
+    ens = [(float(w), check_hermitian(r)) for w, r in ensemble]
     if not ens:
         raise InvariantViolation("ensemble", "need at least one state")
     if any(w < 0 for w, _ in ens):
@@ -219,42 +280,32 @@ def min_error_discrimination(ensemble):
         return [p0, p1], succ
 
     weighted = [w * r for w, r in ens]
-    msum = sum(weighted)
-    half = inv_sqrt_on_support(msum)
+    half = inv_sqrt_on_support(sum(weighted))
     povm = _complete_povm([half @ g @ half for g in weighted], dim)
-
-    def certificate_gap(povm):
-        y = sum(g @ p for g, p in zip(weighted, povm))
-        y = (y + y.conj().T) / 2.0
-        worst = 0.0
-        for g in weighted:
-            w, _ = eig_hermitian(y - g)
-            worst = max(worst, -float(w[0]))
-        return worst
-
-    best_povm, best_gap = povm, certificate_gap(povm)
-    for _ in range(_FP_MAX_ITERS):
-        if best_gap <= _CERT_GAP:
-            break
+    y = _dual_operator(weighted, povm)
+    certified = _dominates(y, weighted)
+    iterations = 0
+    while not certified and iterations < _FP_MAX_ITERS:
         m = sum(g @ p @ g for g, p in zip(weighted, povm))
         m = (m + m.conj().T) / 2.0
         half = inv_sqrt_on_support(m)
         new = _complete_povm([half @ g @ p @ g @ half
                               for g, p in zip(weighted, povm)], dim)
         povm = [0.5 * (a + b) for a, b in zip(povm, new)]
-        gap = certificate_gap(povm)
-        if gap < best_gap:
-            best_povm, best_gap = povm, gap
+        iterations += 1
+        y = _dual_operator(weighted, povm)
+        certified = _dominates(y, weighted)
     succ = sum(float(np.real(np.trace(p @ g)))
-               for g, p in zip(weighted, best_povm))
-    residual = float(np.max(np.abs(sum(best_povm) - np.eye(dim))))
-    if best_gap > _CERT_GAP or residual > _FP_RESIDUAL:
+               for g, p in zip(weighted, povm))
+    residual = float(np.max(np.abs(sum(povm) - np.eye(dim))))
+    if not certified or residual > _FP_RESIDUAL:
         raise NoConvergenceError(
             "discrimination fixed point did not certify",
-            diagnostics={"gap": best_gap, "residual": residual,
-                         "povm": best_povm, "success": succ},
+            diagnostics={"iterations": iterations,
+                         "gap": _certificate_gap(y, weighted),
+                         "residual": residual, "povm": povm, "success": succ},
         )
-    return best_povm, succ
+    return povm, succ
 
 
 def _canonical_encoders(size: int, w_size: int):

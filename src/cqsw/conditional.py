@@ -114,9 +114,13 @@ def _richardson_zero_limit(f):
 
 
 def h_down(s: CQState, alpha: float, variant: str = "petz") -> float:
-    """Conditional Renyi entropy with sigma_B fixed to the marginal."""
+    """Conditional Renyi entropy with sigma_B fixed to the marginal. At
+    alpha = 0 the petz value is the closed form log2 sum_x Tr[Pi_x rho_B]
+    (`_petz_down`); the other families take the limit by extrapolation."""
     rho_b = marginal_b(s)
     if alpha == 0.0:
+        if variant == "petz":
+            return _petz_down(s, 0.0)[0]
         return _richardson_zero_limit(lambda a: -cq_renyi(s, rho_b, a, variant))
     return -cq_renyi(s, rho_b, alpha, variant)
 

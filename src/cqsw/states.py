@@ -86,7 +86,10 @@ class CQState:
     p(x) rho_B^x (`block_spectra`) and the marginal rho_B (`marginal_b`) are
     computed once per state, on first use, and shared by every divergence,
     entropy and exponent evaluated on it; so are the reports of iterate
-    `h_up` solves, keyed by (variant, alpha) (`conditional._tabulated_solve`).
+    `h_up` solves, keyed by (variant, alpha) (`conditional._tabulated_solve`),
+    the n-fold extensions, keyed by n (`power_state`), and the PGM
+    projectors of a code decoded on this state, keyed by the number of bins
+    (`coding._pgm_projectors`).
     """
 
     def __init__(self, alphabet, probs, side_info, check: bool = True):
@@ -109,6 +112,8 @@ class CQState:
         self._block_spectra = None
         self._marginal = None
         self._h_up_table = {}
+        self._nfold = {}
+        self._pgm_projectors = {}
         if check:
             if np.any(self.probs < 0):
                 raise InvariantViolation("probs", "negative probability")
@@ -184,10 +189,17 @@ def _check_nfold(s: CQState, n: int, cap: int) -> None:
 
 
 def power_state(s: CQState, n: int, cap: int = DEFAULT_CAP) -> CQState:
-    """The n-fold memoryless extension over the alphabet of length-n strings."""
+    """The n-fold memoryless extension over the alphabet of length-n strings,
+    built once per (state, n); the cap is checked on every call."""
     _check_nfold(s, n, cap)
     if n == 1:
         return s
+    if n not in s._nfold:
+        s._nfold[n] = _build_power_state(s, n)
+    return s._nfold[n]
+
+
+def _build_power_state(s: CQState, n: int) -> CQState:
     alphabet = []
     probs = []
     ops = []

@@ -335,3 +335,27 @@ def test_a11_dummy_state_inequality():
     ok = violations == 0
     _report("A11 dummy state inequality", ok,
             f"{violations} violations out of 50 tuples")
+
+
+def test_a12_strong_converse_every_blocklength():
+    """Every blocklength-n code with W bins obeys
+    1 - P*_e(n, W) <= 2^(-n E_sc_star(log2 W / n)) + 1e-9 (A4's slack), the
+    optimal error P*_e by brute force: n <= 3 and W <= 2 on zero_plus and
+    doubly_symmetric(0.11); on A4's random source W = 1 up to n = 3 and
+    W = 2 up to n = 2."""
+    rng = np.random.default_rng(11)
+    cases = [(s, n, w) for s in (presets.zero_plus_source(),
+                                 presets.doubly_symmetric(0.11))
+             for n in (1, 2, 3) for w in (1, 2)]
+    a4_source = presets.random_cq_state(rng, 2, 2, full_rank=True)
+    cases += [(a4_source, n, 1) for n in (1, 2, 3)]
+    cases += [(a4_source, n, 2) for n in (1, 2)]
+    worst = -math.inf
+    for s, n, w_size in cases:
+        rate = math.log2(w_size) / n
+        bound = 2.0 ** (-n * exponent(s, rate, "strong_converse_star"))
+        rep, _ = optimal_error_bruteforce(s, n, w_size)
+        worst = max(worst, (1.0 - rep.p_error) - bound)
+    ok = worst <= 1e-9
+    _report("A12 strong converse at every blocklength", ok,
+            f"worst excess {worst:.2e} <= 1e-9 over {len(cases)} codes")

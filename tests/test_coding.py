@@ -9,6 +9,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import cqsw.coding as coding
 from cqsw import presets
 from cqsw.coding import (
     BinningEncoder,
@@ -25,12 +26,22 @@ from cqsw.coding import (
 from cqsw.errors import (
     CapExceededError,
     InvariantViolation,
+    NonHermitianError,
+    NoConvergenceError,
     POVMInvalidError,
 )
-from cqsw.operators import random_density
+from cqsw.operators import nonneg_projector, random_density
+from cqsw.states import marginal_b, power_state
 from cqsw.variational import DummyState
+from test_type_classes import _source
 
 RNG = np.random.default_rng(13)
+
+
+def _three_state_ensemble(seed):
+    """Three weighted random qubit states whose PGM does not certify."""
+    rng = np.random.default_rng(seed)
+    return [(w, random_density(rng, 2)) for w in rng.dirichlet(np.ones(3))]
 
 
 def test_code_validation():
@@ -198,3 +209,82 @@ def test_dummy_state_inequality():
         d = DummyState(RNG.dirichlet([1.0, 1.0]),
                        [random_density(RNG, 2) for _ in range(2)])
         assert dummy_state_inequality_check(s, d, code, a)
+
+
+def test_discrimination_rejects_non_hermitian_member():
+    # the strictly upper parts cancel in the sum of the members, and a
+    # Cholesky factorization reads only the lower triangle, so without a
+    # check of each member on entry this ensemble certifies unseen
+    upper = np.array([[0.0, 0.2], [0.0, 0.0]])
+    ens = [(0.475, np.diag([1.0, 0.0]) + upper),
+           (0.475, np.diag([0.0, 1.0]) - upper), (0.05, np.ones((2, 2)) / 2)]
+    with pytest.raises(NonHermitianError):
+        min_error_discrimination(ens)
+    with pytest.raises(NonHermitianError):
+        min_error_discrimination(ens[:2])
+
+
+def test_discrimination_failure_reports_last_gap(monkeypatch):
+    monkeypatch.setattr(coding, "_FP_MAX_ITERS", 0)
+    ens = _three_state_ensemble(0)
+    with pytest.raises(NoConvergenceError) as err:
+        min_error_discrimination(ens)
+    diag = err.value.diagnostics
+    assert diag["iterations"] == 0
+    y = sum(w * r @ p for (w, r), p in zip(ens, diag["povm"]))
+    y = (y + y.conj().T) / 2
+    want = max(-float(np.min(np.linalg.eigvalsh(y - w * r))) for w, r in ens)
+    assert diag["gap"] == pytest.approx(want, abs=1e-12)
+    assert diag["gap"] > 1e-6
+
+
+def test_certified_discrimination_makes_no_certificate_eig(monkeypatch, eig_count):
+    # every eigendecomposition is the inverse square root of a fixed-point
+    # step (or of the PGM's sum); the certificate is a Cholesky test
+    steps = {"inv_sqrt": 0}
+    orig = coding.inv_sqrt_on_support
+
+    def counted(a):
+        steps["inv_sqrt"] += 1
+        return orig(a)
+    monkeypatch.setattr(coding, "inv_sqrt_on_support", counted)
+    ens = _three_state_ensemble(0)
+    povm, _ = min_error_discrimination(ens)
+    assert steps["inv_sqrt"] >= 2  # the PGM did not certify, so it iterated
+    assert len(eig_count) == steps["inv_sqrt"]
+    y = sum(w * r @ p for (w, r), p in zip(ens, povm))
+    y = (y + y.conj().T) / 2
+    for w, r in ens:
+        assert float(np.min(np.linalg.eigvalsh(y - w * r))) > -1e-6
+
+
+@pytest.mark.parametrize("s", [presets.zero_plus_source(),
+                               presets.doubly_symmetric(0.11),
+                               _source("zero_symbol", 3, 2, 5)],
+                         ids=["zero_plus", "dsbs", "zero_symbol"])
+def test_pgm_projectors_per_type_match_direct(s):
+    assert s.size_x == 2 or np.any(s.probs == 0.0)
+    for n in (1, 2, 3):
+        sn = power_state(s, n)
+        rho_b = marginal_b(sn).matrix
+        for w_size in (1, 3):
+            lambdas = coding._pgm_projectors(s, n, sn, w_size)
+            assert len(lambdas) == sn.size_x
+            for lam, p, r in zip(lambdas, sn.probs, sn.side_info):
+                direct = nonneg_projector(p * r.matrix - rho_b / w_size)
+                assert np.max(np.abs(lam - direct)) <= 1e-12
+
+
+def test_second_pgm_decoder_makes_only_bin_eigs(eig_count):
+    s = presets.zero_plus_source()
+    n, w_size = 3, 4
+    encoders = [random_binning(n, w_size, seed) for seed in (1, 2)]
+    used = [len(set(enc.table(2 ** n))) for enc in encoders]
+    eig_count.clear()  # the validation of the source's own blocks
+    pgm_decoder(s, n, encoders[0], w_size)
+    # the marginal, one projector per type class, one inverse square root
+    # per nonempty bin
+    assert len(eig_count) == 1 + (n + 1) + used[0]
+    eig_count.clear()
+    pgm_decoder(s, n, encoders[1], w_size)
+    assert len(eig_count) == used[1]

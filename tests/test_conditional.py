@@ -24,6 +24,7 @@ from cqsw.errors import InvalidAlphaError, MethodUnsupportedError
 from cqsw.operators import LN2
 from cqsw.states import marginal_b
 from grid_oracle import grid_h_up
+from test_type_classes import _source
 
 RNG = np.random.default_rng(33)
 
@@ -173,3 +174,21 @@ def test_alpha_domain_typed_errors():
             h_down(s, -0.5, variant)
     assert math.isfinite(h_up(s, 0.0, "petz").value)
     assert math.isfinite(h_down(s, 0.0, "petz"))
+
+
+@pytest.mark.parametrize("kind, size_x, dim_b, seed",
+                         [("commuting", 2, 3, 1022), ("deficient", 3, 3, 4),
+                          ("zero_symbol", 3, 2, 5)])
+def test_h_down_petz_at_zero_is_closed_form(kind, size_x, dim_b, seed):
+    # H_0^down = log2 sum_x Tr[Pi_x rho_B], Pi_x the support projector of
+    # rho_B^x over the symbols with p(x) > 0; the commuting source 1022 is
+    # where an extrapolated limit misses it most (by 8.6e-5)
+    s = _source(kind, size_x, dim_b, seed)
+    rho_b = marginal_b(s).matrix
+    total = 0.0
+    for p, r in zip(s.probs, s.side_info):
+        if p > 0.0:
+            w, v = np.linalg.eigh(r.matrix)
+            on = v[:, w > 1e-12 * w[-1]]
+            total += float(np.real(np.trace(on.conj().T @ rho_b @ on)))
+    assert h_down(s, 0.0, "petz") == pytest.approx(math.log2(total), abs=1e-12)

@@ -76,6 +76,16 @@ def test_power_state_cap():
         power_state(s, 8, cap=100)
 
 
+def test_power_state_built_once_per_n_and_cap_checked_every_call():
+    s = presets.doubly_symmetric(0.11)
+    s2 = power_state(s, 2)
+    assert power_state(s, 2) is s2
+    assert power_state(s, 3) is not s2
+    assert power_state(s, 1) is s
+    with pytest.raises(CapExceededError):
+        power_state(s, 2, cap=8)  # 2^2 * 2^2 = 16 > 8, memoised or not
+
+
 def test_save_load_roundtrip(tmp_path):
     s = presets.random_cq_state(RNG, 3, 2)
     path = tmp_path / "state.json"
