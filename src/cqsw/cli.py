@@ -25,7 +25,7 @@ from cqsw.errors import (
 from cqsw.conditional import conditional_entropy, conditional_variance
 from cqsw.coding import empirical_exponents, optimal_error_bruteforce
 from cqsw.divergences import renyi_divergence
-from cqsw.exponents import KINDS, exponent, moderate_ratio, saddle_point
+from cqsw.exponents import KINDS, exponent, exponent_family, moderate_ratio, saddle_point
 from cqsw.hypotest import hypothesis_testing_divergence, rate_window
 from cqsw.operators import random_density
 from cqsw.states import DEFAULT_CAP, load_state
@@ -76,9 +76,11 @@ def cmd_exponents(args) -> int:
     if args.steps < 2:
         raise _ConfigError("steps", "need at least 2 grid points")
     rates = np.linspace(args.rate_min, args.rate_max, args.steps)
+    # one curve per kind, so that its rates share their probes
+    columns = np.array([exponent_family(s, rates, kind).values for kind in KINDS])
     lines = ["R,E_r_down,E_r,E_sp,E_sc_star,E_sc_flat,alpha_star"]
-    for r in rates:
-        row = [float(r)] + [exponent(s, r, kind) for kind in KINDS]
+    for r, values in zip(rates, columns.T):
+        row = [float(r), *values]
         try:
             row.append(saddle_point(s, float(r)).alpha_star)
         except RateOutOfWindowError:

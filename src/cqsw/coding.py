@@ -27,8 +27,7 @@ from cqsw.operators import (
     inv_sqrt_on_support,
     nonneg_projector,
     positive_part,
-    positive_projector,
-    trace_norm,
+    positive_projector_from_spectrum,
 )
 from cqsw.states import DEFAULT_CAP, CQState, marginal_b, power_state
 from cqsw.variational import DummyState
@@ -267,13 +266,14 @@ def min_error_discrimination(ensemble):
         return [np.eye(dim)], ens[0][0]
     if len(ens) == 2:
         (w0, r0), (w1, r1) = ens
-        diff = w0 * r0 - w1 * r1
-        p0 = positive_projector(diff)
+        # one eigendecomposition gives P0 and the trace norm
+        w, v = eig_hermitian(w0 * r0 - w1 * r1)
+        p0 = positive_projector_from_spectrum(w, v)
         p1 = np.eye(dim) - p0
         succ = w0 * float(np.real(np.trace(p0 @ r0))) \
             + w1 * float(np.real(np.trace(p1 @ r1)))
         # closed form cross-check: (w0 + w1 + ||w0 r0 - w1 r1||_1) / 2
-        succ_tn = 0.5 * (w0 + w1 + trace_norm(diff))
+        succ_tn = 0.5 * (w0 + w1 + float(np.sum(np.abs(w))))
         if abs(succ - succ_tn) > 1e-9 * max(1.0, succ_tn):
             raise InvariantViolation("helstrom", "projector and trace-norm "
                                      "routes disagree")

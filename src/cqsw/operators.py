@@ -1,5 +1,5 @@
 """Dense Hermitian operator calculus: eigendecomposition, spectral functions
-under support conventions, tensor products, partial traces, pinching.
+under support conventions, tensor products, pinching.
 
 All logarithms and exponentials are base 2. Powers, logs and support
 projectors act on the support only: eigenvalues below SUPPORT_CUTOFF times
@@ -225,18 +225,9 @@ def spectral_power(a, p: float) -> np.ndarray:
     return power_from_spectrum(*eig_hermitian(a), p)
 
 
-def support_projector(a) -> np.ndarray:
-    return spectral_power(a, 0.0)
-
-
 def spectral_log2(a) -> np.ndarray:
     """log2(A) on the support of A (zero off support)."""
     return log2_from_spectrum(*eig_hermitian(a))
-
-
-def spectral_exp2(a) -> np.ndarray:
-    """2^A for Hermitian A (full exponential, no support restriction)."""
-    return _spectral_map(a, lambda w: np.exp2(w))
 
 
 def tensor(*ops) -> np.ndarray:
@@ -244,32 +235,6 @@ def tensor(*ops) -> np.ndarray:
     for b in ops[1:]:
         out = np.kron(out, _as_matrix(b))
     return out
-
-
-def partial_trace(a, dims: list[int], keep) -> np.ndarray:
-    """Trace out all subsystems except those in `keep` (indices into dims)."""
-    a = _as_matrix(a)
-    dims = list(dims)
-    total = int(np.prod(dims))
-    if a.shape != (total, total):
-        raise DimensionMismatchError(
-            f"matrix of dim {a.shape[0]} does not match subsystem dims {dims}"
-        )
-    keep = sorted(keep if isinstance(keep, (list, tuple, set)) else [keep])
-    if any(k < 0 or k >= len(dims) for k in keep):
-        raise DimensionMismatchError(f"keep indices {keep} out of range")
-    n = len(dims)
-    t = a.reshape(dims + dims)
-    traced = 0
-    for sub in range(n):
-        if sub in keep:
-            continue
-        ax1 = sub - traced
-        ax2 = sub - traced + (n - traced)
-        t = np.trace(t, axis1=ax1, axis2=ax2)
-        traced += 1
-    d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return t.reshape(d_keep, d_keep)
 
 
 def eigenvalue_groups(w: np.ndarray, rel_gap: float = _GROUP_GAP) -> list[np.ndarray]:
@@ -306,12 +271,18 @@ def positive_part(a) -> np.ndarray:
     return _spectral_map(a, lambda w: np.where(w > 0.0, w, 0.0))
 
 
-def positive_projector(a) -> np.ndarray:
-    """Projector onto the strictly positive eigenspace (cutoff-relative)."""
-    w, v = eig_hermitian(a)
+def positive_projector_from_spectrum(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Projector onto the strictly positive eigenspace of a Hermitian
+    A = v diag(w) v^dagger: eigenvalues above SUPPORT_CUTOFF times the
+    largest magnitude."""
     scale = float(np.max(np.abs(w))) if w.size else 0.0
     on = w > SUPPORT_CUTOFF * scale
     return (v * on.astype(float)) @ v.conj().T
+
+
+def positive_projector(a) -> np.ndarray:
+    """Projector onto the strictly positive eigenspace (cutoff-relative)."""
+    return positive_projector_from_spectrum(*eig_hermitian(a))
 
 
 def nonneg_projector(a) -> np.ndarray:
@@ -320,12 +291,6 @@ def nonneg_projector(a) -> np.ndarray:
     scale = float(np.max(np.abs(w))) if w.size else 0.0
     on = w >= -SUPPORT_CUTOFF * scale
     return (v * on.astype(float)) @ v.conj().T
-
-
-def op_norm(a) -> float:
-    """Spectral norm of a Hermitian matrix."""
-    w, _ = eig_hermitian(a)
-    return float(np.max(np.abs(w))) if w.size else 0.0
 
 
 def trace_norm(a) -> float:
@@ -369,12 +334,6 @@ def intersection_basis(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     projectors pa and pb: the eigenvectors of pa + pb at eigenvalue 2."""
     w, v = eig_hermitian(pa + pb)
     return v[:, w > 2.0 - 1e-8]
-
-
-def intersection_projector(a, b) -> np.ndarray:
-    """Projector onto supp(A) intersected with supp(B)."""
-    basis = intersection_basis(support_projector(a), support_projector(b))
-    return basis @ basis.conj().T
 
 
 def inv_sqrt_on_support(a) -> np.ndarray:

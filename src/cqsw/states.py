@@ -172,10 +172,6 @@ def marginal_b(s: CQState) -> DensityOperator:
     return s._marginal
 
 
-def uniform_tau(size: int) -> np.ndarray:
-    return np.eye(size) / size
-
-
 def _check_nfold(s: CQState, n: int, cap: int) -> None:
     """n must be positive, and above n = 1 the n-fold joint dimension
     |X|^n d^n must not exceed cap."""

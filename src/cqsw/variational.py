@@ -4,9 +4,12 @@ states of a relative-entropy-plus-rate-penalty objective (the dual form of
 Mosonyi-Ogawa, CMP 2017). Serves as an independent route for
 cross-checking the sup-over-s forms.
 
-`variational_minimize` refines the best state of a geodesic candidate scan
-by solving each representation as one smooth program over all parameters
-of the dummy state at once, with SLSQP (Kraft 1988) and exact gradients.
+At the saddle point the geodesic candidate (`mo17_candidate`) at the
+optimal alpha* of the sup-over-s form attains the minimum, so
+`variational_minimize` starts from that one candidate, alpha* taken from
+the flat exponent's own search, and solves each representation as one
+smooth program over all parameters of the dummy state at once, with SLSQP
+(Kraft 1988) and exact gradients.
 With D = D(sigma_XB || rho_XB) and H = H(X|B)_sigma, the r and sc
 representations take the epigraph form
 
@@ -39,6 +42,7 @@ from cqsw.conditional import (
     h_up,
 )
 from cqsw.divergences import _supported_relative_entropy
+from cqsw.exponents import HUpEvaluator, _exponent
 from cqsw.operators import (
     LN2,
     eig_hermitian,
@@ -50,7 +54,9 @@ from cqsw.operators import (
 )
 from cqsw.states import CQState, DensityOperator
 
-VKINDS = ("r", "sp", "sc")
+# each representation with the flat exponent it is the dual form of
+FLAT_KIND = {"r": "random_coding", "sp": "sphere_packing", "sc": "strong_converse_flat"}
+VKINDS = tuple(FLAT_KIND)
 # precision goal of an SLSQP solve on the objective (its default is 1e-6)
 _SLSQP_FTOL = 1e-12
 # a constraint within this of zero is active in the KKT residual
@@ -384,89 +390,52 @@ def _refine(s: CQState, rate: float, kind: str, layout, theta0):
     return _dummy_from_params(s, layout, theta)[0], report
 
 
-def _s_grid(kind: str, points: int = 80):
-    if kind == "r":
-        return np.linspace(1e-4, 1.0, points)
-    if kind == "sp":
-        # alpha from near 1 down to 0.01
-        return np.geomspace(1e-4, 99.0, points)
-    # sc: s in (-1, 0); the alpha = 1/(1+s) values are capped at 64
-    return -np.linspace(1e-4, 1.0 - 1.0 / 64.0, points)
-
-
 def variational_minimize(s: CQState, rate: float, kind: str,
                          restarts: int = 3, seed: int = 11):
     """Minimize the representation objective; returns (value, DummyState).
 
-    Stage one scans the geodesic candidate family over a grid of s with
-    the inner state set to the flat conditional-entropy optimizer (whose
-    solves the state memoises). Stage two solves the kind's smooth program
-    (the module docstring) by SLSQP with exact gradients over all dummy
-    parameters at once, from the best candidate and from restarts - 1
-    random perturbations of it. A refinement more than 1e-3 below the scan
-    aborts with NoConvergenceError, whose diagnostics carry both values and
-    the winning solve's SLSQP status, message, iterations, objective
-    evaluations and KKT stationarity residual.
+    The seed is the geodesic candidate (`mo17_candidate`) at the alpha*
+    that the search of the flat exponent of the kind (`FLAT_KIND`) finds,
+    with the inner state the flat `h_up` optimizer there. The search's
+    solves are memoised on the state, so after `exponent` the seed costs
+    no solve. Where no search runs (rates on the far side of H(X|B), +inf
+    exponents) the seed is sigma = rho, and a seed of value +inf there is
+    the answer. The value is that of an SLSQP solve of the kind's smooth
+    program (the module docstring) with exact gradients over all dummy
+    parameters at once, from the seed and from restarts - 1 random
+    perturbations of it. A refinement more than 1e-3 below the seed's
+    value aborts with NoConvergenceError, whose diagnostics carry both
+    values (the seed's as "scan") and the winning solve's SLSQP status,
+    message, iterations, objective evaluations and KKT stationarity
+    residual. An sp seed sits on H = R and may fall a rounding error short
+    of it, so there the seed's value in that check is its divergence.
     """
     if kind not in VKINDS:
         raise ValueError(f"kind must be one of {VKINDS}")
-
-    def candidate_at(sval):
-        alpha = 1.0 / (1.0 + sval)
-        try:
-            cand = mo17_candidate(s, alpha, h_up(s, alpha, "flat").sigma_star)
-        except ZeroDivisionError:
-            return None, math.inf  # candidate underflowed at extreme alpha
-        return cand, variational_value(s, rate, kind, cand)
-
-    best_val = math.inf
-    best_dummy = None
-    grid = _s_grid(kind)
-    best_idx = 0
-    for i, sval in enumerate(grid):
-        cand, val = candidate_at(sval)
-        if val < best_val:
-            best_val, best_dummy, best_idx = val, cand, i
-    # zoom the s-scan around the best grid point; near the sphere-packing
-    # feasibility boundary the coarse grid is not fine enough on its own
-    lo = grid[max(best_idx - 1, 0)]
-    hi = grid[min(best_idx + 1, len(grid) - 1)]
-    for _ in range(3):
-        sub = np.linspace(lo, hi, 13)
-        vals = []
-        cands = []
-        for sval in sub:
-            cand, val = candidate_at(sval)
-            vals.append(val)
-            cands.append(cand)
-        j = int(np.argmin(vals))
-        if vals[j] < best_val:
-            best_val, best_dummy = vals[j], cands[j]
-        lo = sub[max(j - 1, 0)]
-        hi = sub[min(j + 1, len(sub) - 1)]
-    # sigma = rho itself is always admissible and sometimes optimal
-    rho_dummy = DummyState(np.array(s.probs, dtype=float), list(s.side_info))
-    rho_val = variational_value(s, rate, kind, rho_dummy)
-    if rho_val < best_val:
-        best_val, best_dummy = rho_val, rho_dummy
-
-    if best_dummy is None or math.isinf(best_val):
-        return math.inf, rho_dummy
+    _, alpha = _exponent(s, rate, FLAT_KIND[kind], HUpEvaluator(s, "flat"))
+    if alpha is None:
+        seed_dummy = DummyState(np.array(s.probs, dtype=float), list(s.side_info))
+    else:
+        seed_dummy = mo17_candidate(s, alpha, h_up(s, alpha, "flat").sigma_star)
+    best_val = variational_value(s, rate, kind, seed_dummy)
+    if alpha is None and math.isinf(best_val):
+        return math.inf, seed_dummy
+    seed_val = _supported_divergence(s, seed_dummy) if kind == "sp" else best_val
 
     layout = _layout(s)
     rng = np.random.default_rng(seed)
-    x_center = _params_from_dummy(layout, best_dummy)
-    refined_val, refined_dummy, report = best_val, best_dummy, {}
+    x_center = _params_from_dummy(layout, seed_dummy)
+    best_dummy, report = seed_dummy, {}
     for trial in range(restarts if x_center.size else 0):
         x = x_center if trial == 0 else x_center + 0.2 * rng.standard_normal(x_center.size)
         cand, rep = _refine(s, rate, kind, layout, x)
         val = variational_value(s, rate, kind, cand)
-        if val < refined_val:
-            refined_val, refined_dummy, report = val, cand, rep
+        if val < best_val:
+            best_val, best_dummy, report = val, cand, rep
 
-    if best_val - refined_val > 1e-3:
+    if seed_val - best_val > 1e-3:
         raise NoConvergenceError(
-            "candidate scan and refinement disagree",
-            diagnostics={"scan": best_val, "refined": refined_val, **report},
+            "seed and refinement disagree",
+            diagnostics={"scan": seed_val, "refined": best_val, **report},
         )
-    return refined_val, refined_dummy
+    return best_val, best_dummy

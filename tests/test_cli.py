@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from cqsw import presets
+from cqsw import exponents, presets
 from cqsw.cli import main
 from cqsw.exponents import exponent
 from cqsw.states import save_state
@@ -73,6 +73,26 @@ def test_exponents_matches_library(dsbs_path, tmp_path):
                                         abs=1e-9)
         assert vals[3] == pytest.approx(exponent(s, r, "sphere_packing"),
                                         abs=1e-9)
+
+
+def test_exponents_curves_share_probes(dsbs_path, tmp_path, monkeypatch):
+    # one exponent_family curve per kind: the 21 rates share their probes
+    # (evaluated one rate at a time, the searches took 662 evaluations)
+    evals = []
+    real = exponents.golden_max
+
+    def counted(f, *args, **kwargs):
+        def g(x):
+            evals.append(x)
+            return f(x)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(exponents, "golden_max", counted)
+    out = tmp_path / "curve.csv"
+    assert main(["exponents", "--state", dsbs_path, "--rate-min", "0",
+                 "--rate-max", "1", "--steps", "21", "--out", str(out)]) == 0
+    assert len(_read(out).decode().strip().split("\n")) == 22
+    assert len(evals) <= 530
 
 
 def test_simulate_deterministic(dsbs_path, tmp_path):

@@ -288,3 +288,15 @@ def test_second_pgm_decoder_makes_only_bin_eigs(eig_count):
     eig_count.clear()
     pgm_decoder(s, n, encoders[1], w_size)
     assert len(eig_count) == used[1]
+
+
+def test_helstrom_makes_one_eig(eig_count):
+    # the projector and the trace-norm cross-check share one
+    # eigendecomposition of w0 rho0 - w1 rho1
+    rho0, rho1 = random_density(np.random.default_rng(3), 3), random_density(np.random.default_rng(4), 3)
+    eig_count.clear()
+    (p0, p1), succ = min_error_discrimination([(0.4, rho0), (0.6, rho1)])
+    assert len(eig_count) == 1
+    diff = 0.4 * rho0 - 0.6 * rho1
+    assert succ == pytest.approx(0.5 * (1.0 + np.sum(np.abs(np.linalg.eigvalsh(diff)))), abs=1e-12)
+    assert np.allclose(p0 + p1, np.eye(3))

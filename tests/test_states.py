@@ -17,7 +17,6 @@ from cqsw.states import (
     marginal_b,
     power_state,
     save_state,
-    uniform_tau,
 )
 
 RNG = np.random.default_rng(7)
@@ -52,11 +51,6 @@ def test_marginal_b():
     rb = marginal_b(s).matrix
     expect = 0.5 * (np.diag([1.0, 0.0]) + np.ones((2, 2)) / 2)
     assert np.allclose(rb, expect, atol=1e-12)
-
-
-def test_uniform_tau():
-    t = uniform_tau(3)
-    assert np.allclose(t, np.eye(3) / 3)
 
 
 def test_power_state_probabilities_and_order():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import cqsw.variational as variational
-from cqsw import presets
+from cqsw import conditional, presets
 from cqsw.conditional import conditional_entropy, h_up
 from cqsw.errors import InvariantViolation, NoConvergenceError, SupportViolationError
 from cqsw.exponents import exponent
@@ -176,3 +176,64 @@ def test_disagreement_carries_solver_diagnostics(monkeypatch):
     assert diag["status"] == 0 and isinstance(diag["message"], str)
     assert 0 < diag["iterations"] <= diag["evaluations"] <= 60
     assert 0.0 <= diag["kkt_residual"] < 1e-6
+
+
+def _counting_solves(monkeypatch):
+    calls = []
+    real = conditional._iterate_h_up
+
+    def iterate(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(conditional, "_iterate_h_up", iterate)
+    return calls
+
+
+@pytest.mark.parametrize("make", [presets.zero_plus_source, lambda: presets.doubly_symmetric(0.11)],
+                         ids=["zero_plus", "dsbs"])
+@pytest.mark.parametrize("kind", variational.VKINDS)
+def test_seed_costs_no_solve_beyond_the_flat_search(monkeypatch, make, kind):
+    # the seed is the candidate at the flat exponent's own alpha*, whose
+    # search fills the state's table: on a fresh state the variational route
+    # solves no more than that search, and after it nothing (a scan of 119
+    # candidates per call made 110 solves on dsbs at the random-coding rate)
+    h = conditional_entropy(make())
+    rate = h - 0.05 if kind == "sc" else h + 0.05
+    ref_kind = variational.FLAT_KIND[kind]
+    solves = _counting_solves(monkeypatch)
+    exponent(make(), rate, ref_kind, variant="flat")
+    search = len(solves)
+    assert search > 0
+    s = make()
+    del solves[:]
+    val, _ = variational_minimize(s, rate, kind, restarts=1)
+    assert len(solves) <= search
+    del solves[:]
+    ref = exponent(s, rate, ref_kind, variant="flat")
+    assert variational_minimize(s, rate, kind, restarts=1)[0] == pytest.approx(val, abs=1e-12)
+    assert len(solves) == 0
+    # zero_plus's sc optimum lies beyond the alpha = 64 cap of the search
+    assert val == pytest.approx(ref, abs=1e-8) or ref < val
+
+
+def test_sp_seed_short_of_the_rate_is_refined(monkeypatch):
+    # a candidate at alpha*(1 + 1e-4), just on the rho side of the saddle
+    # point, falls short of H >= R, where the representation is +inf; the
+    # refinement must still reach the feasible minimum
+    s = presets.random_cq_state(np.random.default_rng(47), 2, 2, full_rank=True)
+    rate = conditional_entropy(s) + 0.1
+    real = variational.mo17_candidate
+    seeds = []
+
+    def pushed(s, alpha, tau):
+        seeds.append(real(s, alpha * (1.0 + 1e-4), tau))
+        return seeds[-1]
+
+    monkeypatch.setattr(variational, "mo17_candidate", pushed)
+    val, dummy = variational_minimize(s, rate, "sp", restarts=1)
+    assert len(seeds) == 1 and dummy_entropy(s, seeds[0]) < rate
+    assert math.isfinite(val)
+    assert dummy_entropy(s, dummy) >= rate
+    assert val == dummy_divergence(s, dummy)
+    assert val == pytest.approx(exponent(s, rate, "sphere_packing", variant="flat"), abs=1e-8)
