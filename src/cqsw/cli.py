@@ -19,13 +19,12 @@ import numpy as np
 from cqsw.errors import (
     CqswError,
     ParseError,
-    RateOutOfWindowError,
     ZeroVarianceError,
 )
-from cqsw.conditional import conditional_entropy, conditional_variance
+from cqsw.conditional import conditional_entropy, conditional_variance, petz_h0
 from cqsw.coding import empirical_exponents, optimal_error_bruteforce
 from cqsw.divergences import renyi_divergence
-from cqsw.exponents import KINDS, exponent, exponent_family, moderate_ratio, saddle_point
+from cqsw.exponents import KINDS, exponent, exponent_family, moderate_ratio
 from cqsw.hypotest import hypothesis_testing_divergence, rate_window
 from cqsw.operators import random_density
 from cqsw.states import DEFAULT_CAP, load_state
@@ -77,15 +76,15 @@ def cmd_exponents(args) -> int:
         raise _ConfigError("steps", "need at least 2 grid points")
     rates = np.linspace(args.rate_min, args.rate_max, args.steps)
     # one curve per kind, so that its rates share their probes
-    columns = np.array([exponent_family(s, rates, kind).values for kind in KINDS])
+    curves = {kind: exponent_family(s, rates, kind) for kind in KINDS}
+    # alpha* of the sphere-packing saddle point, inside its window
+    # (H(X|B), H_0) only
+    inside = (conditional_entropy(s) < rates) & (rates < petz_h0(s))
+    alpha_star = np.where(inside, curves["sphere_packing"].alpha_stars, math.nan)
+    columns = np.array([curves[kind].values for kind in KINDS] + [alpha_star])
     lines = ["R,E_r_down,E_r,E_sp,E_sc_star,E_sc_flat,alpha_star"]
     for r, values in zip(rates, columns.T):
-        row = [float(r), *values]
-        try:
-            row.append(saddle_point(s, float(r)).alpha_star)
-        except RateOutOfWindowError:
-            row.append(math.nan)
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(_fmt(v) for v in [float(r), *values]))
     _write(args.out, "\n".join(lines) + "\n")
     return 0
 

@@ -44,16 +44,12 @@ _PENALTY = 1e6
 # below this |c dk| a divided difference of e^(c k) is taken as
 # e^(c k_j) expm1(c dk) / dk instead of a difference quotient
 _EXPM1_WINDOW = 1e-3
-_RESTART_MARGIN = 1e-12
-# starts of the first iterate solve of a variant on a state (`_tabulated_solve`)
-_COLD_STARTS = 5
 
 
 @dataclass
 class OptimizerReport:
     """What an h_up solve returns. iterations and evaluations are those of
-    the optimizer (L-BFGS iterations of the best start, objective
-    evaluations over all starts; 0 for a closed form); residual is the
+    the optimizer's one L-BFGS run (0 for a closed form); residual is the
     largest gradient component at the optimum; params are the optimizer
     coordinates of sigma_star, for a warm start; slope is dH_alpha/dalpha
     where the solve was asked for it (`h_up` with slope=True), else None."""
@@ -314,36 +310,18 @@ def _h_up_objective(s: CQState, alpha: float, variant: str, basis, grad: bool = 
     return objective
 
 
-def _iterate_h_up(s, alpha, variant, restarts, x0=None, seed=7) -> OptimizerReport:
-    """L-BFGS over sigma = exp(K) / Tr exp(K) from several starts, with the
-    exact gradient of `_h_up_objective`."""
-    d = s.dim_b
-    basis = _traceless_basis(d)
-    npar = len(basis)
-    rng = np.random.default_rng(seed)
-    objective = _h_up_objective(s, alpha, variant, basis, grad=True)
-
-    starts = [] if x0 is None else [np.asarray(x0, dtype=float)]
-    starts.append(np.zeros(npar))
-    while len(starts) < restarts:
-        starts.append(rng.standard_normal(npar))
-
-    best = None
-    evaluations = 0
-    for start in starts[:restarts]:
-        res = minimize(objective, start, jac=True, method="L-BFGS-B",
-                       options={"maxiter": 200, "ftol": 1e-14, "gtol": 1e-10})
-        evaluations += int(res.nfev)
-        # a later start wins only by more than the objective's rounding
-        # noise: on a tie the earlier one (the warm start, else sigma = 1/d)
-        # stays, and warm starts do not inherit an offset at the noise floor
-        if best is None or res.fun < best.fun - _RESTART_MARGIN * max(1.0, abs(best.fun)):
-            best = res
-    if not math.isfinite(best.fun):
+def _iterate_h_up(s, alpha, variant, x0=None) -> OptimizerReport:
+    """One L-BFGS run over sigma = exp(K) / Tr exp(K), with the exact
+    gradient of `_h_up_objective`, from the parameters x0, or from x = 0
+    (sigma = 1/d) without them."""
+    basis = _traceless_basis(s.dim_b)
+    start = np.zeros(len(basis)) if x0 is None else np.asarray(x0, dtype=float)
+    res = minimize(_h_up_objective(s, alpha, variant, basis, grad=True), start, jac=True,
+                   method="L-BFGS-B", options={"maxiter": 200, "ftol": 1e-14, "gtol": 1e-10})
+    if not math.isfinite(res.fun):
         raise NoConvergenceError("optimizer produced no finite value")
-    return OptimizerReport(_sigma_from_params(best.x, basis, d), -float(best.fun),
-                           int(best.nit), float(np.max(np.abs(best.jac))),
-                           evaluations, best.x)
+    return OptimizerReport(_sigma_from_params(res.x, basis, s.dim_b), -float(res.fun),
+                           int(res.nit), float(np.max(np.abs(res.jac))), int(res.nfev), res.x)
 
 
 def _tabulated(s: CQState, alpha: float, variant: str) -> OptimizerReport | None:
@@ -355,18 +333,14 @@ def _tabulated_solve(s: CQState, alpha: float, variant: str,
                      slope: bool = False) -> OptimizerReport:
     """The iterate solve of variant at alpha, from the state's table or
     solved and added to it, with its slope (`_with_slope`) added to the
-    table too where asked for. The one restart policy: the first solve of a
-    variant on a state starts from sigma = 1/d and random points
-    (_COLD_STARTS in all); later ones start only from the tabulated optimum
-    at the nearest alpha."""
+    table too where asked for. A solve starts from the tabulated optimum of
+    the variant at the nearest alpha, or from sigma = 1/d where the table
+    has none."""
     rep = _tabulated(s, alpha, variant)
     if rep is None:
         near = [(abs(a - alpha), a) for v, a in s._h_up_table if v == variant]
-        if near:
-            x0 = s._h_up_table[(variant, min(near)[1])].params
-            rep = _iterate_h_up(s, alpha, variant, 1, x0)
-        else:
-            rep = _iterate_h_up(s, alpha, variant, _COLD_STARTS)
+        x0 = s._h_up_table[(variant, min(near)[1])].params if near else None
+        rep = _iterate_h_up(s, alpha, variant, x0)
     elif not slope or rep.slope is not None:
         return rep
     if slope:
@@ -394,7 +368,13 @@ def h_up(s: CQState, alpha: float, variant: str = "petz",
     petz with method="iterate" is an untabulated cross-check of the closed
     form. With slope, the report also carries dH_alpha/dalpha
     (`_with_slope`; inside the alpha = 1 window, the slope of the
-    interpolation; none at alpha = 0); without it, no slope work is done."""
+    interpolation; none at alpha = 0); without it, no slope work is done.
+
+    The minimum over sigma_B is a convex program for flat at every alpha,
+    sandwiched for alpha >= 1/2 (Frank-Lieb) and petz for alpha <= 2 (Lieb,
+    Ando), so there the stationary point an iterate solve reaches is the
+    optimum. Outside that domain (sandwiched alpha < 1/2, petz iterate
+    alpha > 2) the solve returns the stationary point its start reaches."""
     if alpha == 0.0:
         if variant == "petz":
             rep = h_up(s, _ZERO_GRID[-1], variant, method)
@@ -430,5 +410,5 @@ def h_up(s: CQState, alpha: float, variant: str = "petz",
         raise MethodUnsupportedError(f"unknown method {method!r}")
     if variant != "petz":
         return _tabulated_solve(s, alpha, variant, slope)
-    rep = _iterate_h_up(s, alpha, variant, _COLD_STARTS)
+    rep = _iterate_h_up(s, alpha, variant)
     return _with_slope(s, alpha, variant, rep) if slope else rep

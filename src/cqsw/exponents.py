@@ -277,9 +277,13 @@ def _alpha_search(s: CQState, rate: float, kind: str, ev: HUpEvaluator, h1: floa
 
 @dataclass
 class ExponentCurve:
+    """An exponent at each rate, with the alpha* its search found there
+    (NaN where no search ran)."""
+
     rates: np.ndarray
     values: np.ndarray
     kind: str
+    alpha_stars: np.ndarray
     metadata: dict = field(default_factory=dict)
 
 
@@ -295,10 +299,10 @@ def exponent_family(s: CQState, rates, kind: str,
     if variant is None:
         variant = DEFAULT_VARIANT[kind]
     ev = HUpEvaluator(s, variant)
-    found = [(r, *_exponent(s, r, kind, ev)) for r in rates]
-    vals = np.array([v for _, v, _ in found])
-    capped = [float(r) for r, _, alpha in found if alpha == ALPHA_CAP]
-    return ExponentCurve(rates, vals, kind,
+    found = [_exponent(s, r, kind, ev) for r in rates]
+    vals, alphas = np.array(found, dtype=float).reshape(-1, 2).T
+    capped = [float(r) for r in rates[alphas == ALPHA_CAP]]
+    return ExponentCurve(rates, vals, kind, alphas,
                          {"variant": variant, "alpha_cap": ALPHA_CAP,
                           "cap_binding_rates": capped, **ev.report()})
 

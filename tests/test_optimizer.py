@@ -1,9 +1,10 @@
 """The sigma_B optimizer behind h_up: its exact gradient against central
 differences on random sources, the eigendecompositions one evaluation
 makes, one solve per point of the alpha -> 0 grid, the solves a state
-tabulates, the slope dH_alpha/dalpha a solve reports, the optimizer report
-a curve carries, and the order relations of the three Renyi families and of
-exponent curves on random sources."""
+tabulates, one L-BFGS run per solve whatever the solve order, the slope
+dH_alpha/dalpha a solve reports, the optimizer report a curve carries, and
+the order relations of the three Renyi families and of exponent curves on
+random sources."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cqsw.conditional as conditional
-from cqsw import presets
+from cqsw import exponents, presets
 from cqsw.conditional import conditional_entropy, cq_renyi, h_up
 from cqsw.exponents import exponent, exponent_family
 from cqsw.operators import random_density
@@ -98,6 +99,33 @@ def test_state_tabulates_iterate_solves(monkeypatch):
     first = h_up(s, 0.3, "flat")
     assert h_up(s, 0.3, "flat") is first
     assert len(alphas) == 4
+
+
+def test_solve_does_not_depend_on_solve_order():
+    # sandwiched alpha = 0.1 lies outside the convex domain; on this
+    # commuting source the solve stays at the diagonal stationary point
+    # whether it starts at sigma = 1/d or at the alpha = 0.6 optimum
+    fresh = h_up(presets.doubly_symmetric(0.11), 0.1, "sandwiched").value
+    s = presets.doubly_symmetric(0.11)
+    h_up(s, 0.6, "sandwiched")
+    assert h_up(s, 0.1, "sandwiched").value == pytest.approx(fresh, abs=1e-9)
+
+
+@pytest.mark.parametrize("variant", ("sandwiched", "flat"))
+def test_first_solve_is_one_run(monkeypatch, variant):
+    # the first solve of a family on a state, at the alpha a strong-converse
+    # search probes first, is a single L-BFGS run from sigma = 1/d
+    runs = []
+    real = conditional.minimize
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(conditional, "minimize", counted)
+    rep = h_up(presets.doubly_symmetric(0.11), exponents.ALPHA_CAP, variant)
+    assert len(runs) == 1
+    assert rep.residual < 1e-8
 
 
 @pytest.mark.parametrize("variant, method", [("petz", None), ("petz", "iterate"),
