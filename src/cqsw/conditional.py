@@ -24,7 +24,7 @@ from cqsw.divergences import (
     _sigma_spectrum_op,
     _variance,
 )
-from cqsw.errors import MethodUnsupportedError, NoConvergenceError
+from cqsw.errors import NoConvergenceError
 from cqsw.operators import (
     LN2,
     eig_hermitian,
@@ -313,7 +313,9 @@ def _h_up_objective(s: CQState, alpha: float, variant: str, basis, grad: bool = 
 def _iterate_h_up(s, alpha, variant, x0=None) -> OptimizerReport:
     """One L-BFGS run over sigma = exp(K) / Tr exp(K), with the exact
     gradient of `_h_up_objective`, from the parameters x0, or from x = 0
-    (sigma = 1/d) without them."""
+    (sigma = 1/d) without them. `h_up` never runs it for petz, which has
+    Sibson's closed form; a petz run is the reference that closed form is
+    checked against, a convex program for alpha <= 2 (Lieb, Ando)."""
     basis = _traceless_basis(s.dim_b)
     start = np.zeros(len(basis)) if x0 is None else np.asarray(x0, dtype=float)
     res = minimize(_h_up_objective(s, alpha, variant, basis, grad=True), start, jac=True,
@@ -360,27 +362,27 @@ def _with_slope(s: CQState, alpha: float, variant: str,
 
 
 def h_up(s: CQState, alpha: float, variant: str = "petz",
-         method: str | None = None, slope: bool = False) -> OptimizerReport:
+         slope: bool = False) -> OptimizerReport:
     """Conditional Renyi entropy maximized over the side-information state.
 
-    Petz defaults to Sibson's closed form, the other families to the iterate
-    optimizer, whose solves are memoised on the state (`_tabulated_solve`);
-    petz with method="iterate" is an untabulated cross-check of the closed
-    form. With slope, the report also carries dH_alpha/dalpha
-    (`_with_slope`; inside the alpha = 1 window, the slope of the
-    interpolation; none at alpha = 0); without it, no slope work is done.
+    Petz takes Sibson's closed form, the other families the iterate
+    optimizer, whose solves are memoised on the state (`_tabulated_solve`).
+    With slope, the report also carries dH_alpha/dalpha (`_with_slope`;
+    inside the alpha = 1 window, the slope of the interpolation; none at
+    alpha = 0); without it, no slope work is done. An unknown variant
+    raises ValueError whatever alpha is.
 
-    The minimum over sigma_B is a convex program for flat at every alpha,
-    sandwiched for alpha >= 1/2 (Frank-Lieb) and petz for alpha <= 2 (Lieb,
-    Ando), so there the stationary point an iterate solve reaches is the
-    optimum. Outside that domain (sandwiched alpha < 1/2, petz iterate
-    alpha > 2) the solve returns the stationary point its start reaches."""
+    The minimum over sigma_B is a convex program for flat at every alpha
+    and sandwiched for alpha >= 1/2 (Frank-Lieb), so there the stationary
+    point an iterate solve reaches is the optimum. Below 1/2 a sandwiched
+    solve returns the stationary point its start reaches."""
+    _check_variant(variant)
     if alpha == 0.0:
         if variant == "petz":
-            rep = h_up(s, _ZERO_GRID[-1], variant, method)
+            rep = h_up(s, _ZERO_GRID[-1], variant)
             return replace(rep, value=petz_h0(s))
         # sigma from the smallest alpha of the grid
-        reports = {a: h_up(s, a, variant, method) for a in _ZERO_GRID}
+        reports = {a: h_up(s, a, variant) for a in _ZERO_GRID}
         val = _richardson_zero_limit(lambda a: reports[a].value)
         return replace(reports[_ZERO_GRID[-1]], value=val,
                        evaluations=sum(r.evaluations for r in reports.values()))
@@ -393,22 +395,13 @@ def h_up(s: CQState, alpha: float, variant: str = "petz",
         # side (above it at alpha = 1), so H_alpha keeps its slope -V/2 at
         # alpha = 1
         edge = _ALPHA_ONE_EDGES[int(alpha >= 1.0)]
-        rep = h_up(s, edge, variant, method)
+        rep = h_up(s, edge, variant)
         h = conditional_entropy(s)
         rate = (rep.value - h) / (edge - 1.0)
         return replace(rep, value=h + (alpha - 1.0) * rate, slope=rate if slope else None)
-    if method is None:
-        method = "closed_form" if variant == "petz" else "iterate"
-    if method == "closed_form":
-        if variant != "petz":
-            raise MethodUnsupportedError("closed form applies to the petz family only")
-        sig, log2_trace, dl = _petz_sibson(s, alpha, slope)
-        # d/da [a/(1-a) L] = L/(1-a)^2 + a/(1-a) dL/da
-        rate = log2_trace / (1.0 - alpha) ** 2 + alpha / (1.0 - alpha) * dl if slope else None
-        return OptimizerReport(sig, alpha / (1.0 - alpha) * log2_trace, 0, 0.0, slope=rate)
-    if method != "iterate":
-        raise MethodUnsupportedError(f"unknown method {method!r}")
     if variant != "petz":
         return _tabulated_solve(s, alpha, variant, slope)
-    rep = _iterate_h_up(s, alpha, variant)
-    return _with_slope(s, alpha, variant, rep) if slope else rep
+    sig, log2_trace, dl = _petz_sibson(s, alpha, slope)
+    # d/da [a/(1-a) L] = L/(1-a)^2 + a/(1-a) dL/da
+    rate = log2_trace / (1.0 - alpha) ** 2 + alpha / (1.0 - alpha) * dl if slope else None
+    return OptimizerReport(sig, alpha / (1.0 - alpha) * log2_trace, 0, 0.0, slope=rate)

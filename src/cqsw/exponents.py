@@ -3,21 +3,22 @@ source, the sphere-packing saddle point, the critical rate, and the
 moderate-deviation and second-order helpers.
 
 Conventions: rates and exponents in bits; s and alpha related by
-alpha = 1/(1+s). Each exponent is a supremum over alpha of
-f(alpha) = ((1 - alpha)/alpha)(R - H_alpha), unimodal by concavity of
-s -> E_0(s), on the kind's bracket in `ALPHA_BRACKET`. Every bracket ends at
-alpha = 1, where H_alpha = H(X|B), f = 0 and f' = H(X|B) - R, so that end
-costs nothing. Every probe returns f' with f: by the envelope theorem
-dH_alpha/dalpha is minus the alpha-partial of D_alpha(rho_XB || 1 (x)
-sigma*) at the optimizer sigma* the probe already holds (`h_up` with
-slope=True). So `golden_max` probes the other end once, and stops there if
-f' points out of the bracket (random coding above the critical rate at
-s = 1, the strong converse at the alpha = ALPHA_CAP cap); otherwise it
-finds the root of f' by Brent's root method. The search runs on s, in
-which f = E_0(s) + s R is concave, to a tolerance relative to |s|, so a
-rate close to H(X|B), whose optimal alpha tends to 1, finds it too. H_alpha
-and its slope do not depend on the rate, so the rates of one curve share
-their probes.
+alpha = 1/(1+s). Each exponent is a Legendre transform: the supremum of
+f(s) = E_0(s) + s R over the kind's bracket in `S_BRACKET`, with
+E_0(s) = -s H_(1/(1+s))^up of the kind's Renyi family (random_coding_down:
+E_0^down(s) = -s H_(1-s)^down). E_0 is concave, so f is unimodal. A probe
+holds the pair (H(s), dH/ds), which gives f = s (R - H) and
+f' = R - H - s dH/ds; dH/ds = -alpha^2 dH_alpha/dalpha, and by the
+envelope theorem dH_alpha/dalpha is minus the alpha-partial of
+D_alpha(rho_XB || 1 (x) sigma*) at the optimizer sigma* the probe already
+holds (`h_up` with slope=True). Every bracket ends at s = 0, where f = 0
+and f' = R - H(X|B), so that end costs nothing, and `golden_max` probes
+the other end once and stops there if f' points out of the bracket
+(random coding above the critical rate at s = 1, the strong converse at
+the alpha = ALPHA_CAP cap); otherwise it finds the root of f' by Brent's
+root method, to a tolerance relative to |s|, so a rate close to H(X|B),
+whose optimal s tends to 0, finds it too. H and its slope do not depend
+on the rate, so the rates of one curve share their probes.
 Rates on the far side of H(X|B) return an exact 0.0 without any search:
 every H_alpha is nonincreasing in alpha and equals H(X|B) at alpha = 1, so
 s (R - H_alpha) <= 0 on the whole bracket there.
@@ -44,7 +45,7 @@ from cqsw.conditional import (
     h_up,
     petz_sigma_star,
 )
-from cqsw.divergences import _divergence
+from cqsw.divergences import _check_variant, _divergence
 from cqsw.operators import spectrum_of, support_contained
 from cqsw.states import CQState, DensityOperator
 
@@ -67,13 +68,13 @@ DEFAULT_VARIANT = {
     "strong_converse_flat": "flat",
 }
 KINDS = tuple(DEFAULT_VARIANT)
-# The alpha bracket of each kind, looked up by the prefix of its name: both
-# random-coding kinds search s in [0, 1], sphere packing s in [0, 99], the
-# strong converse alpha in [1, ALPHA_CAP].
-ALPHA_BRACKET = {
-    "random_coding": (0.5, 1.0),
-    "sphere_packing": (0.01, 1.0),
-    "strong_converse": (1.0, ALPHA_CAP),
+# The s bracket of each kind, looked up by the prefix of its name: random
+# coding s in [0, 1] (alpha in [1/2, 1]), sphere packing s in [0, 99]
+# (alpha in [0.01, 1]), the strong converse alpha in [1, ALPHA_CAP].
+S_BRACKET = {
+    "random_coding": (0.0, 1.0),
+    "sphere_packing": (0.0, 99.0),
+    "strong_converse": (1.0 / ALPHA_CAP - 1.0, 0.0),
 }
 
 
@@ -91,7 +92,7 @@ def golden_max(f, lo: float, hi: float, tol: float = _GOLDEN_TOL, known=None):
     maximum is the root of the slope inside, found by Brent's root method
     (scipy's brentq), which probes the points it returns, to within
     tol |x| + 1e-16: relative, so that the exponent searches, which put
-    alpha = 1 at x = 0, place an optimum near alpha = 1 to a tolerance
+    alpha = 1 at s = 0, place an optimum near alpha = 1 to a tolerance
     relative to its distance from it."""
     probes = dict(known or {})
 
@@ -115,34 +116,54 @@ def golden_max(f, lo: float, hi: float, tol: float = _GOLDEN_TOL, known=None):
     return x, probe(x)[0]
 
 
+def _legendre_max(h_pair, rate: float, kind: str, h_zero: float, known=None):
+    """(s*, sup) of f(s) = E_0(s) + s R = s (R - H(s)) over the kind's
+    `S_BRACKET`, where E_0(s) = -s H(s) and h_pair(s) = (H(s), dH/ds), so
+    f'(s) = R - H(s) - s dH/ds; R - H is formed first, so that near the
+    root f' keeps the precision of R - H. known maps s to its pair, which
+    then costs no probe; s = 0 costs none either: f = 0, f' = R - h_zero."""
+    lo, hi = next(b for prefix, b in S_BRACKET.items() if kind.startswith(prefix))
+
+    def f(x, pair):
+        h, dh = pair
+        return x * (rate - h), (rate - h) - x * dh
+
+    start = {x: f(x, pair) for x, pair in (known or {}).items()}
+    start[0.0] = 0.0, rate - h_zero
+    return golden_max(lambda x: f(x, h_pair(x)), lo, hi, known=start)
+
+
 class HUpEvaluator:
-    """Counting view of h_up on one state and variant, with its slope. The
-    iterate solves are memoised on the state itself
+    """Counting view of h_up on one state and variant, at s = 1/alpha - 1,
+    with its slope in s. The iterate solves are memoised on the state itself
     (`conditional._tabulated_solve`), so every view of a state shares them,
-    and a view keeps what it returned (`probes`), petz closed forms too. A
-    view counts what its own calls did: solves, hits, optimizer objective
-    evaluations and the largest optimizer residual (`report`). A hit is a
-    value from the state's table or the view's probes: one `value` answers
-    without a solve, or one stored probe a search starts from (`stored`).
-    The random_coding_down search keeps its H^down probes in `probes` too
-    (`_alpha_search`) and never calls `value`.
+    and a view keeps what it returned (`probes`, s -> (H, dH/ds)), petz
+    closed forms too. A view counts what its own calls did: solves, hits,
+    optimizer objective evaluations and the largest optimizer residual
+    (`report`). A hit is a value from the state's table or the view's
+    probes: one `value` answers without a solve, or one stored probe a
+    search starts from (`stored`). The random_coding_down search keeps its
+    H_(1-s)^down probes in `probes` too (`_exponent`) and never calls
+    `value`.
     """
 
     def __init__(self, s: CQState, variant: str):
         self.state = s
-        self.variant = variant
+        self.variant = _check_variant(variant)
         self.probes = {}
         self.solves = 0
         self.cache_hits = 0
         self.evaluations = 0
         self.residual = 0.0
 
-    def value(self, alpha: float) -> tuple[float, float]:
-        """(H_alpha^up, dH_alpha^up/dalpha): from the view's probes or the
-        state's table where they hold it, else from `h_up` with slope=True."""
-        if alpha in self.probes:
+    def value(self, sval: float) -> tuple[float, float]:
+        """(H_alpha^up, dH_alpha^up/ds = -alpha^2 dH_alpha^up/dalpha) at
+        alpha = 1/(1+s): from the view's probes or the state's table where
+        they hold it, else from `h_up` with slope=True."""
+        if sval in self.probes:
             self.cache_hits += 1
-            return self.probes[alpha]
+            return self.probes[sval]
+        alpha = 1.0 / (1.0 + sval)
         rep = _tabulated(self.state, alpha, self.variant)
         if rep is not None:
             self.cache_hits += 1
@@ -153,12 +174,12 @@ class HUpEvaluator:
             self.solves += 1
             self.evaluations += rep.evaluations
             self.residual = max(self.residual, rep.residual)
-        self.probes[alpha] = (rep.value, rep.slope)
-        return self.probes[alpha]
+        self.probes[sval] = rep.value, -alpha * alpha * rep.slope
+        return self.probes[sval]
 
     def stored(self) -> dict:
-        """The probes so far, alpha -> (H, dH/dalpha), for a search at a new
-        rate to start from; each one counts as a hit."""
+        """The probes so far, s -> (H, dH/ds), for a search at a new rate
+        to start from; each one counts as a hit."""
         self.cache_hits += len(self.probes)
         return dict(self.probes)
 
@@ -171,6 +192,7 @@ class HUpEvaluator:
 
 def e0(s: CQState, sval: float, variant: str = "petz") -> float:
     """E_0(s) = -s H_(1/(1+s))^up; petz uses the Sibson closed form."""
+    _check_variant(variant)
     if sval <= -1.0:
         raise DomainError(f"s must exceed -1, got {sval}")
     if sval == 0.0:
@@ -192,24 +214,33 @@ def e0_down(s: CQState, sval: float) -> float:
     return -sval * h_down(s, 1.0 - sval, "petz")
 
 
-def _clamp(v: float) -> float:
-    return v if v > 0.0 else 0.0
+def _evaluator(s: CQState, kind: str, variant: str | None) -> HUpEvaluator:
+    """The view of a kind's search, in variant or the kind's default;
+    refuses an unknown kind or variant, and random_coding_down in any
+    family but petz."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown exponent kind {kind!r}")
+    if variant is None:
+        variant = DEFAULT_VARIANT[kind]
+    elif kind == "random_coding_down" and variant != "petz":
+        raise ValueError(f"random_coding_down is petz only, got {variant!r}")
+    return HUpEvaluator(s, variant)
 
 
 def exponent(s: CQState, rate: float, kind: str, variant: str | None = None) -> float:
     """One exponent value at the given rate; +inf where the function diverges."""
-    if variant is None:
-        variant = DEFAULT_VARIANT.get(kind)
-    return _exponent(s, rate, kind, HUpEvaluator(s, variant))[0]
+    return _exponent(s, rate, kind, _evaluator(s, kind, variant))[0]
 
 
 def _exponent(s: CQState, rate: float, kind: str, ev: HUpEvaluator):
     """(`exponent`, alpha*) of the variant of ev, whose counts and probes
-    then include this call; alpha* is None where no search ran."""
+    then include this call; alpha* is None where no search ran.
+
+    H and its slope do not depend on the rate, so every s probed for an
+    earlier rate gives f and f' at this one from the stored pair, without a
+    probe, and the search starts from the bracket they give."""
     if not rate >= 0:
         raise DomainError(f"rate must be nonnegative, got {rate}")
-    if kind not in KINDS:
-        raise ValueError(f"unknown exponent kind {kind!r}")
     # far side of H(X|B): s (R - H_alpha) <= 0 on the whole bracket
     h1 = conditional_entropy(s)
     if kind.startswith("strong_converse"):
@@ -221,58 +252,16 @@ def _exponent(s: CQState, rate: float, kind: str, ev: HUpEvaluator):
         return math.inf, None  # s (R - H_alpha) is +inf at every s > 0
     if kind == "sphere_packing" and rate > h_up(s, 0.0, ev.variant).value + 1e-9:
         return math.inf, None
-    alpha, sup = _alpha_search(s, rate, kind, ev, h1)
-    return _clamp(sup), alpha
-
-
-def _sup_over_alpha(g, kind: str, slope_at_one: float, known=None):
-    """(alpha*, sup) of alpha -> g(alpha) = (value, slope) over the kind's
-    `ALPHA_BRACKET`, where g(1) = 0 with slope slope_at_one; known maps
-    alphas to their g, which then costs no probe. `golden_max` runs on
-    s = 1/alpha - 1, in which every exponent objective is concave
-    (E_0(s) + s R), so its slope -alpha^2 g' falls through its root at a
-    pace that does not depend on alpha; the end s = 0 and the known alphas
-    are given."""
-    lo, hi = next(b for prefix, b in ALPHA_BRACKET.items() if kind.startswith(prefix))
-
-    def on_s(alpha, value, slope):
-        return value, -alpha * alpha * slope
-
-    start = {1.0 / a - 1.0: on_s(a, *ga) for a, ga in (known or {}).items()}
-    start[0.0] = (0.0, -slope_at_one)
-
-    def g_on_s(x):
-        alpha = 1.0 / (1.0 + x)
-        return on_s(alpha, *g(alpha))
-
-    x, sup = golden_max(g_on_s, 1.0 / hi - 1.0, 1.0 / lo - 1.0, known=start)
-    return 1.0 / (1.0 + x), sup
-
-
-def _alpha_search(s: CQState, rate: float, kind: str, ev: HUpEvaluator, h1: float):
-    """(alpha*, sup) of f(alpha) = s (R - H_alpha), s = (1 - alpha)/alpha,
-    over the kind's `ALPHA_BRACKET`, with H_alpha and its slope from ev;
-    random_coding_down takes H_(2 - 1/alpha)^down instead, keeping its
-    probes in `ev.probes` too. h1 is H(X|B), which gives f'(1) = H(X|B) - R.
-
-    H_alpha and its slope do not depend on the rate, so every alpha probed
-    for an earlier rate gives f and f' at this one from the stored pair,
-    without a probe, and the search starts from the bracket they give."""
     if kind == "random_coding_down":
-        def h(alpha):
-            if alpha not in ev.probes:
-                value, slope = _petz_down(s, 2.0 - 1.0 / alpha)
-                ev.probes[alpha] = value, slope / (alpha * alpha)
-            return ev.probes[alpha]
+        def h_pair(x):
+            if x not in ev.probes:
+                h, dh = _petz_down(s, 1.0 - x)
+                ev.probes[x] = h, -dh
+            return ev.probes[x]
     else:
-        h = ev.value
-
-    def obj(alpha, value, slope):
-        pre = (1.0 - alpha) / alpha
-        return pre * (rate - value), -(rate - value) / (alpha * alpha) - pre * slope
-
-    known = {a: obj(a, *hv) for a, hv in ev.stored().items()}
-    return _sup_over_alpha(lambda a: obj(a, *h(a)), kind, h1 - rate, known)
+        h_pair = ev.value
+    x, sup = _legendre_max(h_pair, rate, kind, h1, ev.stored())
+    return (sup if sup > 0.0 else 0.0), 1.0 / (1.0 + x)
 
 
 @dataclass
@@ -296,61 +285,59 @@ def exponent_family(s: CQState, rates, kind: str,
     rates = np.asarray(rates, dtype=float)
     if rates.ndim != 1 or not np.all(np.diff(rates) > 0):
         raise DomainError("rates must be a strictly increasing 1-d array")
-    if variant is None:
-        variant = DEFAULT_VARIANT[kind]
-    ev = HUpEvaluator(s, variant)
+    ev = _evaluator(s, kind, variant)
     found = [_exponent(s, r, kind, ev) for r in rates]
     vals, alphas = np.array(found, dtype=float).reshape(-1, 2).T
     capped = [float(r) for r in rates[alphas == ALPHA_CAP]]
     return ExponentCurve(rates, vals, kind, alphas,
-                         {"variant": variant, "alpha_cap": ALPHA_CAP,
-                          "cap_binding_rates": capped, **ev.report()})
+                         {"variant": ev.variant, "cap_binding_rates": capped, **ev.report()})
 
 
 @dataclass
 class SaddleReport:
     """The sphere-packing saddle point at one rate. value is the sup over
-    alpha of the inf over sigma, the sphere-packing exponent; gap is
-    sup_alpha f(alpha, sigma*) - value, the weak-duality bound at sigma*:
-    it is at least the inf-sup gap, and nonnegative up to rounding."""
+    s of the inf over sigma, the sphere-packing exponent; gap is
+    sup_s f(s, sigma*) - value, the weak-duality bound at sigma*: it is at
+    least the inf-sup gap, and nonnegative up to rounding."""
 
-    alpha_star: float
+    s_star: float
     sigma_star: DensityOperator
     value: float
     gap: float
 
     @property
-    def s_star(self) -> float:
-        return (1.0 - self.alpha_star) / self.alpha_star
+    def alpha_star(self) -> float:
+        return 1.0 / (1.0 + self.s_star)
 
 
-def _f_rate(s: CQState, rate: float, alpha: float, sigma_b):
-    """(f, f') at alpha of f(alpha) = ((1 - alpha)/alpha)(R + D_alpha(rho_XB
-    || 1 (x) sigma_b)), the sphere-packing objective at a fixed sigma_b."""
-    d, dd = _divergence(s.block_spectra(), *spectrum_of(sigma_b), alpha, "petz", slope=True)
-    if math.isinf(d):
-        return (math.inf if alpha < 1.0 else -math.inf), math.nan
-    pre = (1.0 - alpha) / alpha
-    return pre * (rate + d), -(rate + d) / (alpha * alpha) + pre * dd
+def _h_at(s: CQState, sigma_b):
+    """s -> (H(s), dH/ds) of the sphere-packing objective at a fixed
+    sigma_b, where E_0(s) = -s H(s): H = -D_alpha(rho_XB || 1 (x) sigma_b),
+    alpha = 1/(1+s), and dH/ds = alpha^2 dD_alpha/dalpha."""
+    blocks, (sw, sv) = s.block_spectra(), spectrum_of(sigma_b)
+
+    def pair(x):
+        alpha = 1.0 / (1.0 + x)
+        d, dd = _divergence(blocks, sw, sv, alpha, "petz", slope=True)
+        return -d, (math.nan if math.isinf(d) else alpha * alpha * dd)
+    return pair
 
 
 def saddle_point(s: CQState, rate: float) -> SaddleReport:
-    """Saddle point of the sphere-packing objective: alpha* and sigma* from
-    the sphere-packing search of `exponent`, certified by the sup over alpha
-    of the objective at sigma*, found by the same search."""
+    """Saddle point of the sphere-packing objective: s* and sigma* from the
+    sphere-packing search of `exponent`, certified by the sup over s of the
+    objective at sigma*, found by the same search."""
     h1 = conditional_entropy(s)
     h0 = h_up(s, 0.0, "petz").value
     if not (h1 < rate < h0):
         raise RateOutOfWindowError(
             f"rate {rate} outside ({h1:.6f}, {h0:.6f})"
         )
-    alpha_star, sup_inf = _alpha_search(s, rate, "sphere_packing",
-                                        HUpEvaluator(s, "petz"), h1)
-    sigma_star = petz_sigma_star(s, alpha_star)
-    _, sup_at_star = _sup_over_alpha(lambda a: _f_rate(s, rate, a, sigma_star),
-                                     "sphere_packing",
-                                     -(rate + cq_relative_entropy(s, sigma_star)))
-    return SaddleReport(alpha_star, sigma_star, sup_inf, sup_at_star - sup_inf)
+    s_star, sup_inf = _legendre_max(HUpEvaluator(s, "petz").value, rate, "sphere_packing", h1)
+    sigma_star = petz_sigma_star(s, 1.0 / (1.0 + s_star))
+    _, sup_at_star = _legendre_max(_h_at(s, sigma_star), rate, "sphere_packing",
+                                   -cq_relative_entropy(s, sigma_star))
+    return SaddleReport(s_star, sigma_star, sup_inf, sup_at_star - sup_inf)
 
 
 def critical_rate(s: CQState) -> float:

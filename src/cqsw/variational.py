@@ -5,11 +5,14 @@ Mosonyi-Ogawa, CMP 2017). Serves as an independent route for
 cross-checking the sup-over-s forms.
 
 At the saddle point the geodesic candidate (`mo17_candidate`) at the
-optimal alpha* of the sup-over-s form attains the minimum, so
-`variational_minimize` starts from that one candidate, alpha* taken from
-the flat exponent's own search, and solves each representation as one
-smooth program over all parameters of the dummy state at once, with SLSQP
-(Kraft 1988) and exact gradients.
+optimal alpha* = 1/(1+s*) of the sup-over-s form attains the minimum, so
+`variational_minimize` starts from that one candidate, s* taken from the
+flat exponent's own search over the kind's s bracket
+(`exponents.S_BRACKET`), and solves each representation as one smooth
+program over all parameters of the dummy state at once, with SLSQP
+(Kraft 1988) and exact gradients. An sp program starts and ends on
+H >= R: Newton steps on H restore it where the seed or the solve falls a
+rounding error short.
 With D = D(sigma_XB || rho_XB) and H = H(X|B)_sigma, the r and sc
 representations take the epigraph form
 
@@ -61,7 +64,7 @@ VKINDS = tuple(FLAT_KIND)
 _SLSQP_FTOL = 1e-12
 # a constraint within this of zero is active in the KKT residual
 _ACTIVE = 1e-8
-# Newton steps that restore H >= R after an sp solve, aimed this far past R
+# Newton steps that restore H >= R around an sp solve, aimed this far past R
 _RESTORE_STEPS = 3
 _RESTORE_MARGIN = 1e-12
 
@@ -345,10 +348,21 @@ class _Program:
         _, h, _, g_h = self.terms(z[:-1])
         return z[-1] - self.sign * (self.rate - h), np.append(self.sign * g_h, 1.0)
 
+    def restore(self, theta):
+        """theta moved by at most _RESTORE_STEPS Newton steps on H, each
+        aimed _RESTORE_MARGIN past R, until H >= R holds."""
+        for _ in range(_RESTORE_STEPS):
+            _, h, _, g_h = self.terms(theta)
+            if h >= self.rate or not np.any(g_h):
+                break
+            theta = theta + (self.rate - h + _RESTORE_MARGIN) / float(g_h @ g_h) * g_h
+        return theta
+
     def start(self, theta):
-        """theta, with the least feasible t in epigraph form."""
+        """theta, with the least feasible t in epigraph form; an sp theta
+        restored to H >= R (`restore`), so that SLSQP starts feasible."""
         if not self.epigraph:
-            return theta
+            return self.restore(theta)
         return np.append(theta, max(0.0, -self.constraint(np.append(theta, 0.0))[0]))
 
     def kkt_residual(self, z) -> float:
@@ -368,8 +382,9 @@ class _Program:
 def _refine(s: CQState, rate: float, kind: str, layout, theta0):
     """One SLSQP solve of the kind's program from theta0: the dummy state it
     ends at and a report (SLSQP status and message, iterations, evaluations,
-    KKT residual). An sp solve can end a rounding error short of H >= R,
-    where the representation is +inf; Newton steps on H then restore it."""
+    KKT residual). An sp seed or solve can sit a rounding error short of
+    H >= R, where the representation is +inf; Newton steps on H restore it
+    before the solve and after it (`_Program.restore`)."""
     prog = _Program(s, rate, kind, layout)
     z0 = prog.start(theta0)
     res = minimize(prog.objective, z0, jac=True, method="SLSQP",
@@ -379,13 +394,7 @@ def _refine(s: CQState, rate: float, kind: str, layout, theta0):
                    options={"ftol": _SLSQP_FTOL})
     report = {"status": int(res.status), "message": str(res.message),
               "iterations": int(res.nit), "kkt_residual": prog.kkt_residual(res.x)}
-    theta = res.x[:-1] if prog.epigraph else res.x
-    if kind == "sp":
-        for _ in range(_RESTORE_STEPS):
-            _, h, _, g_h = prog.terms(theta)
-            if h >= rate or not np.any(g_h):
-                break
-            theta = theta + (rate - h + _RESTORE_MARGIN) / float(g_h @ g_h) * g_h
+    theta = res.x[:-1] if prog.epigraph else prog.restore(res.x)
     report["evaluations"] = prog.evaluations
     return _dummy_from_params(s, layout, theta)[0], report
 

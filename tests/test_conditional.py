@@ -10,6 +10,7 @@ import pytest
 
 from cqsw import presets
 from cqsw.conditional import (
+    _iterate_h_up,
     conditional_entropy,
     conditional_variance,
     cq_relative_entropy,
@@ -20,7 +21,7 @@ from cqsw.conditional import (
     von_neumann_entropy,
 )
 from cqsw.divergences import VARIANTS
-from cqsw.errors import InvalidAlphaError, MethodUnsupportedError
+from cqsw.errors import InvalidAlphaError
 from cqsw.operators import LN2
 from cqsw.states import marginal_b
 from grid_oracle import grid_h_up
@@ -69,20 +70,20 @@ def test_h_up_down_order_and_alpha_one():
     s = presets.random_cq_state(RNG, 2, 2, full_rank=True)
     h = conditional_entropy(s)
     for alpha in (0.3, 0.7):
-        up = h_up(s, alpha, "petz", "closed_form").value
+        up = h_up(s, alpha, "petz").value
         down = h_down(s, alpha, "petz")
         assert up >= down - 1e-9
         assert up >= h - 1e-9  # alpha < 1 lifts the entropy
     for alpha in (1.5, 3.0):
-        up = h_up(s, alpha, "petz", "closed_form").value
+        up = h_up(s, alpha, "petz").value
         assert up <= h + 1e-9
 
 
 def test_h_up_methods_agree_petz():
     s = presets.random_cq_state(RNG, 2, 2, full_rank=True)
     for alpha in (0.4, 0.8, 1.6):
-        cf = h_up(s, alpha, "petz", "closed_form").value
-        it = h_up(s, alpha, "petz", "iterate").value
+        cf = h_up(s, alpha, "petz").value
+        it = _iterate_h_up(s, alpha, "petz").value
         gr = grid_h_up(s, alpha, "petz").value
         assert it == pytest.approx(cf, abs=2e-6)
         assert gr == pytest.approx(cf, abs=2e-6)
@@ -92,15 +93,9 @@ def test_h_up_grid_matches_iterate_other_variants():
     s = presets.random_cq_state(RNG, 2, 2, full_rank=True)
     for variant in ("sandwiched", "flat"):
         for alpha in (0.5, 2.0):
-            it = h_up(s, alpha, variant, "iterate").value
+            it = h_up(s, alpha, variant).value
             gr = grid_h_up(s, alpha, variant).value
             assert it == pytest.approx(gr, abs=5e-6), (variant, alpha)
-
-
-def test_closed_form_only_for_petz():
-    s = presets.doubly_symmetric(0.11)
-    with pytest.raises(MethodUnsupportedError):
-        h_up(s, 0.5, "sandwiched", "closed_form")
 
 
 def test_petz_sigma_star_is_optimal():

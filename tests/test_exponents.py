@@ -353,3 +353,20 @@ def test_critical_rate_from_one_slope(search_count):
         diff = [-(e0(s, 1.0 + t) - e0(s, 1.0 - t)) / (2.0 * t) for t in (h, h / 2.0)]
         assert critical_rate(s) == pytest.approx((4.0 * diff[1] - diff[0]) / 3.0, abs=1e-9)
     assert search_count == {"evals": 0, "solves": 0}
+
+
+@pytest.mark.parametrize("call", [
+    lambda s, h: h_up(s, 1.0, "bogus"),
+    lambda s, h: exponent(s, h + 0.1, "strong_converse_star", variant="bogus"),
+    lambda s, h: e0(s, 0.0, "bogus"),
+    lambda s, h: exponent(s, h + 0.1, "random_coding_down", variant="bogus"),
+    lambda s, h: exponent_family(s, [h + 0.1], "random_coding_down", variant="flat"),
+    lambda s, h: exponent_family(s, [h + 0.1], "bogus_kind"),
+], ids=["h_up_at_one", "exponent_far_side", "e0_at_zero", "random_coding_down_bogus",
+        "random_coding_down_flat", "family_kind"])
+def test_bad_variant_or_kind_is_refused(call):
+    # each entry checks its variant and kind before any shortcut (alpha = 1,
+    # s = 0, a far-side rate) could answer without them
+    s = presets.doubly_symmetric(0.11)
+    with pytest.raises(ValueError):
+        call(s, conditional_entropy(s))

@@ -128,20 +128,28 @@ def test_first_solve_is_one_run(monkeypatch, variant):
     assert rep.residual < 1e-8
 
 
-@pytest.mark.parametrize("variant, method", [("petz", None), ("petz", "iterate"),
-                                             ("sandwiched", None), ("flat", None)])
+@pytest.mark.parametrize("variant, route", [("petz", None), ("petz", "iterate"),
+                                            ("sandwiched", None), ("flat", None)])
 @pytest.mark.parametrize("alpha", (0.4, 0.8, 1.6, 5.0))
 @pytest.mark.parametrize("make", [presets.zero_plus_source,
                                   lambda: presets.random_cq_state(np.random.default_rng(12), 3, 2)],
                          ids=["zero_plus", "random"])
-def test_h_up_slope_matches_central_differences(make, alpha, variant, method):
-    # each h_up on a fresh state, so that no table answers; the slope is
+def test_h_up_slope_matches_central_differences(make, alpha, variant, route):
+    # each solve on a fresh state, so that no table answers; the slope is
     # minus the alpha-partial of D_alpha at sigma* (the envelope theorem),
-    # petz's in closed form from Sibson's optimizer
-    def value(a):
-        return h_up(make(), a, variant, method).value
+    # petz's in closed form from Sibson's optimizer, and on the "iterate"
+    # route from petz's untabulated L-BFGS reference solve
+    def report(a, slope=False):
+        s = make()
+        if route is None:
+            return h_up(s, a, variant, slope=slope)
+        rep = conditional._iterate_h_up(s, a, variant)
+        return conditional._with_slope(s, a, variant, rep) if slope else rep
 
-    rep = h_up(make(), alpha, variant, method, slope=True)
+    def value(a):
+        return report(a).value
+
+    rep = report(alpha, slope=True)
     assert rep.value == pytest.approx(value(alpha), rel=1e-9, abs=1e-12)
     h = 1e-3 * alpha
     diff = [(value(alpha + t) - value(alpha - t)) / (2.0 * t) for t in (h, h / 2.0)]

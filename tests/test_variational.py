@@ -63,7 +63,7 @@ def test_variational_value_kinds():
 
 def test_mo17_candidate_is_valid_dummy():
     s = presets.random_cq_state(RNG, 2, 2, full_rank=True)
-    tau = h_up(s, 0.7, "flat", "iterate").sigma_star
+    tau = h_up(s, 0.7, "flat").sigma_star
     cand = mo17_candidate(s, 0.7, tau)
     cand.validate_against(s)
     assert abs(float(np.sum(cand.q)) - 1.0) < 1e-9
@@ -237,3 +237,20 @@ def test_sp_seed_short_of_the_rate_is_refined(monkeypatch):
     assert dummy_entropy(s, dummy) >= rate
     assert val == dummy_divergence(s, dummy)
     assert val == pytest.approx(exponent(s, rate, "sphere_packing", variant="flat"), abs=1e-8)
+
+
+def test_sp_seed_nudged_off_alpha_star_refines_cheaply(monkeypatch):
+    # a seed at alpha*(1 + 1e-8) sits a rounding error short of H >= R;
+    # restoring H >= R before the solve, not only after it, keeps the
+    # refinement's cost from depending on the last bits of alpha* (SLSQP
+    # from the infeasible seed made 147 evaluations here)
+    s = presets.random_cq_state(np.random.default_rng(47), 2, 2, full_rank=True)
+    rate = conditional_entropy(s) + 0.1
+    real = variational.mo17_candidate
+    monkeypatch.setattr(variational, "mo17_candidate",
+                        lambda s, alpha, tau: real(s, alpha * (1.0 + 1e-8), tau))
+    calls = _counting_program_terms(monkeypatch)
+    val, dummy = variational_minimize(s, rate, "sp", restarts=1)
+    assert dummy_entropy(s, dummy) >= rate
+    assert val == pytest.approx(exponent(s, rate, "sphere_packing", variant="flat"), abs=1e-8)
+    assert 0 < len(calls) <= 60
