@@ -29,7 +29,6 @@ from cqsw.operators import (
     LN2,
     eig_hermitian,
     log2_on_support,
-    power_from_spectrum,
     spectrum_of,
     support_mask,
     wlog2w,
@@ -148,8 +147,10 @@ def _petz_acc_spectrum(s: CQState, alpha: float) -> tuple[np.ndarray, np.ndarray
     relative to the largest eigenvalue would drop genuine ones as soon as
     alpha > 1 pushes their ratio below it.
     """
-    acc = sum(power_from_spectrum(bw, bv, alpha) for _, bw, bv in s.block_spectra())
-    w, v = eig_hermitian(acc)
+    blocks = s.block_spectra()
+    wa = np.power(blocks.w, alpha, out=np.zeros_like(blocks.w), where=blocks.support)
+    # Hermitian by construction, so not validated
+    w, v = eig_hermitian(np.einsum("kij,kj,klj->il", blocks.v, wa, blocks.v.conj()), check=False)
     rank = int(np.count_nonzero(support_mask(marginal_b(s).spectrum()[0])))
     on = np.arange(w.size) >= w.size - rank
     return np.where(on, np.maximum(w, 0.0), 0.0), v
@@ -178,10 +179,11 @@ def _petz_sibson(s: CQState, alpha: float, slope: bool = False):
     log2_trace = math.log2(top) / alpha + math.log2(total)
     if not slope:
         return sigma, log2_trace, None
-    # the diagonal of dA/da in the eigenbasis of A, with ln in place of log2
-    vh = v.conj().T
-    dacc = sum(np.abs(vh @ bv) ** 2 @ (np.abs(bw) ** alpha * log2_on_support(bw))
-               for _, bw, bv in s.block_spectra())
+    # the diagonal of dA/da in the eigenbasis of A, with ln in place of log2:
+    # sum_k |<v_i|u_kj>|^2 w_kj^a log2 w_kj over the block spectra (u_k, w_k)
+    blocks = s.block_spectra()
+    wa = np.power(blocks.w, alpha, out=np.zeros_like(blocks.w), where=blocks.support)
+    dacc = np.einsum("kji,kj->i", blocks.overlaps(v), wa * blocks.log2w)
     on = w > 0.0
     ratio = np.divide(x, w, out=np.zeros_like(w), where=on)
     ln_w = np.log(w, out=np.zeros_like(w), where=on)
@@ -233,8 +235,11 @@ def _exp_sigma(k, v) -> DensityOperator:
 
 def _sigma_from_params(x, basis, d) -> DensityOperator:
     """exp(K) / Tr exp(K) for K = sum_i x_i basis_i, returned with its
-    spectrum: it shares the eigenvectors of K."""
-    return _exp_sigma(*eig_hermitian(np.tensordot(x, np.asarray(basis), 1)))
+    spectrum: it shares the eigenvectors of K, which the traceless basis
+    makes Hermitian by construction, so it is not validated."""
+    basis = np.asarray(basis)
+    k = (x @ basis.reshape(len(basis), -1)).reshape(d, d)
+    return _exp_sigma(*eig_hermitian(k, check=False))
 
 
 def _divided_differences(k, f, on, c=None) -> np.ndarray:
@@ -267,13 +272,15 @@ def _k_gradient(v, sw, dd, gamma_v, basis) -> np.ndarray:
     dF / dK = H - Tr[H] sigma, H = v (dd o gamma_v) v^dagger.
     """
     h = dd * gamma_v
-    h[np.diag_indices_from(h)] -= np.trace(h) * sw
-    return np.real(np.einsum("ab,iba->i", v @ h @ v.conj().T, basis))
+    h.flat[::len(h) + 1] -= np.trace(h) * sw
+    # Tr[(dF / dK) basis_i], a dot product with each flattened basis_i^T
+    return (basis.reshape(len(basis), -1) @ (v @ h @ v.conj().T).T.ravel()).real
 
 
-def _ln_q_gradient(k, v, sw, gamma, alpha: float, variant: str, basis) -> np.ndarray:
+def _ln_q_gradient(k, v, sw, gamma_v, alpha: float, variant: str, basis) -> np.ndarray:
     """d ln Q / dx_i for sigma = exp(K) / Tr exp(K), K = v diag(k) v^dagger =
-    sum_i x_i basis_i, given gamma = d ln Q / d g(sigma) (`divergences._ln_q`).
+    sum_i x_i basis_i, given gamma_v = v^dagger gamma v, gamma = d ln Q /
+    d g(sigma) in the eigenbasis of sigma, as `divergences._ln_q` returns it.
 
     In the eigenbasis of K, g(sigma) = v diag(f(k)) v^dagger with
     f(k) = g(e^k / Z) (`_sigma_spectrum_op`): log2 sigma (flat) or
@@ -282,7 +289,7 @@ def _ln_q_gradient(k, v, sw, gamma, alpha: float, variant: str, basis) -> np.nda
     f, _ = _sigma_spectrum_op(sw, alpha, variant)
     c = None if variant == "flat" else (1.0 - alpha if variant == "petz" else (1.0 - alpha) / alpha)
     dd = _divided_differences(k, f, support_mask(sw), c)
-    return _k_gradient(v, sw, dd, v.conj().T @ gamma @ v, basis)
+    return _k_gradient(v, sw, dd, gamma_v, basis)
 
 
 def _h_up_objective(s: CQState, alpha: float, variant: str, basis, grad: bool = False):
@@ -291,12 +298,15 @@ def _h_up_objective(s: CQState, alpha: float, variant: str, basis, grad: bool = 
 
     With grad, x -> (value, exact gradient), from the same eigendecompositions
     as the value (`_ln_q_gradient`); the gradient is zero on the 1e6 plateau.
+    K is Hermitian by construction and is not validated.
     """
     _check_variant(variant)
     stack = np.asarray(basis)
+    rows = stack.reshape(len(stack), -1)
+    d = s.dim_b
 
     def objective(x):
-        k, v = eig_hermitian(np.tensordot(x, stack, 1))
+        k, v = eig_hermitian((x @ rows).reshape(d, d), check=False)
         sigma = _exp_sigma(k, v)
         if not grad:
             val = cq_renyi(s, sigma, alpha, variant)

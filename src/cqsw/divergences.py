@@ -3,11 +3,18 @@ variance, and the max-relative entropy. All values in bits; +inf is
 represented by math.inf.
 
 One core computes every divergence here: that of a block-diagonal
-rho = (+)_x rho_x against 1_X (x) sigma, from the spectra (p, w, v) of the
-blocks (`CQState.block_spectra`, with p the trace of the block) and the
-spectrum (sw, sv) of sigma. A single pair (rho, sigma) is the one-block
-case, which the public functions below pass; `conditional` passes the
-blocks of a cq state, and its optimizer the candidate states sigma_B.
+rho = (+)_x rho_x against 1_X (x) sigma, from the spectra of the blocks and
+the spectrum (sw, sv) of sigma. The blocks come as one stack
+(`operators.BlockSpectra`, built by `CQState.block_spectra`): their traces
+p (k,), eigenvalues w (k, d) and eigenvectors v (k, d, d). Each family
+computes over the whole stack at once, from the blocks expressed in the
+eigenbasis of sigma (v_k^dagger sv, (k, d, d)): petz by sums of squared
+overlaps, sandwiched by one stacked SVD, flat by stacked
+eigendecompositions of its exponent matrices; the per-block values then
+meet in a log-sum-exp along the block axis. A single pair (rho, sigma) is
+the one-block stack, which the public functions below pass; `conditional`
+passes the blocks of a cq state, and its optimizer the candidate states
+sigma_B.
 """
 
 from __future__ import annotations
@@ -20,17 +27,16 @@ from cqsw.errors import InvalidAlphaError, SupportViolationError
 from cqsw.operators import (
     LN2,
     SUPPORT_CUTOFF,
+    BlockSpectra,
     _as_matrix,
     _full_rank,
     eig_hermitian,
-    intersection_basis,
+    eig_hermitian_stack,
     leaks,
-    log2_from_spectrum,
     log2_on_support,
     power_from_spectrum,
     spectrum_of,
     support_mask,
-    wlog2w,
 )
 
 VARIANTS = ("petz", "sandwiched", "flat")
@@ -77,166 +83,176 @@ def _sigma_spectrum_op(sw: np.ndarray, alpha: float,
     return f, e * math.log(ref)
 
 
-def _spectral_q(rw: np.ndarray, rv: np.ndarray, sigma_op: np.ndarray, alpha: float,
-                variant: str, sigma_support: np.ndarray | None = None, grad: bool = False,
-                slope: bool = False):
-    """ln Q_alpha of a PSD rho = rv diag(rw) rv^dagger against the family's
-    operator sigma_op of sigma (`_ln_q`), before its ln_scale is added.
-    This is the one implementation of the three families, for single pairs
-    and cq blocks.
-
-    Returns (ln q, kept, gamma, dq), ln q = -inf where q = 0. The flat
-    family restricts both operators to the support of rho, intersected with
-    sigma_support (the support projector of sigma; None when sigma has full
-    rank), and compresses log2 rho and log2 sigma to that subspace; kept is
-    the trace of rho there. For the other families kept is the trace of rho.
-
-    gamma is None unless grad or slope is set and q > 0. It is then the
-    derivative of ln q with respect to g(sigma) (the operator
-    `_sigma_spectrum_op` describes; for sandwiched the square of sigma_op):
-    the Hermitian gamma with d ln q = Tr[gamma dg], built from the spectra
-    the value takes. dq is None unless slope is set and q > 0. It is then
-    the partial derivative of ln q in alpha with sigma_op held fixed:
-    Tr[rho^a ln rho g] / q (petz), sum_i w_i ln s_i^2 over the weights
-    w_i = s_i^(2a) / q of the singular values s of sigma_op rho^(1/2)
-    (sandwiched), ln 2 Tr[2^M (log2 rho - log2 sigma)] / Tr 2^M (flat).
-    """
-    grad = grad or slope
-    if variant == "petz":
-        # Tr[A B] of Hermitian A, B is vdot(A, B), with no product matrix
-        ra = power_from_spectrum(rw, rv, alpha)
-        q = np.vdot(sigma_op, ra).real
-        trace = float(rw.sum())
-        if q <= 0.0:
-            return -math.inf, trace, None, None
-        dq = None
-        if slope:
-            on = support_mask(rw)
-            rl = np.zeros_like(rw)
-            rl[on] = rw[on] ** alpha * np.log(rw[on])
-            dq = np.vdot(sigma_op, (rv * rl) @ rv.conj().T).real / q
-        return math.log(q), trace, ra / q if grad else None, dq
-    if variant == "sandwiched":
-        # spectrum of sigma^e rho sigma^e (e = (1-alpha)/(2alpha)) via the
-        # singular values of sigma^e rho^(1/2): squaring the singular values
-        # resolves eigenvalues far below the noise floor of the product
-        # matrix itself, which matters when alpha < 1 because w ** alpha
-        # keeps tiny eigenvalues relevant
-        half = power_from_spectrum(rw, rv, 0.5)
-        if grad:
-            _, sv, wh = np.linalg.svd(sigma_op @ half)
-        else:
-            sv = np.linalg.svd(sigma_op @ half, compute_uv=False)
-        scale = float(sv[0]) if sv.size else 0.0
-        keep = sv > SUPPORT_CUTOFF * scale
-        if not np.any(keep):
-            return -math.inf, float(np.sum(rw)), None, None
-        # sum sv^(2 alpha) = scale^(2 alpha) sum (sv/scale)^(2 alpha)
-        ratio = sv[keep] / scale
-        powers = ratio ** (2.0 * alpha)
-        total = float(np.sum(powers))
-        ln_q = 2.0 * alpha * math.log(scale) + math.log(total)
-        if not grad:
-            return ln_q, float(np.sum(rw)), None, None
-        # d Tr[(rho^1/2 g rho^1/2)^alpha] = alpha Tr[rho^1/2 W s^(2alpha-2)
-        # W^dagger rho^1/2 dg], W the right singular vectors; over q
-        y = half @ (wh[keep].conj().T * (ratio ** (alpha - 1.0) / (scale * math.sqrt(total))))
-        dq = float(powers @ (2.0 * np.log(sv[keep]))) / total if slope else None
-        return ln_q, float(np.sum(rw)), alpha * (y @ y.conj().T), dq
-    on = support_mask(rw)
-    if sigma_support is None:
-        # in the eigenbasis of rho its compression is diagonal
-        basis = rv[:, on]
-        log_rho = np.diag(np.log2(rw[on]))
-        kept = float(np.sum(rw[on]))
-    else:
-        basis = intersection_basis(power_from_spectrum(rw, rv, 0.0), sigma_support)
-        log_rho = basis.conj().T @ log2_from_spectrum(rw, rv) @ basis
-        kept = float(np.real(np.trace(basis.conj().T @ ((rv * rw) @ rv.conj().T) @ basis)))
-    if basis.shape[1] == 0:
-        return -math.inf, 0.0, None, None
-    log_sigma = basis.conj().T @ sigma_op @ basis
-    mw, mv = eig_hermitian(alpha * log_rho + (1.0 - alpha) * log_sigma)
-    top = float(mw[-1])
-    e = np.exp2(mw - top)
-    ln_q = top * LN2 + math.log(float(np.sum(e)))
-    if not grad:
-        return ln_q, kept, None, None
-    weights = e / np.sum(e)
-    dq = None
-    if slope:
-        # dM / dalpha = log2 rho - log2 sigma, in the eigenbasis of M
-        dm = np.real(np.einsum("ji,jk,ki->i", mv.conj(), log_rho - log_sigma, mv))
-        dq = LN2 * float(weights @ dm)
-    # d Tr 2^M = ln2 Tr[2^M dM], dM = (1-alpha) basis^dagger dg basis
-    pm = basis @ mv
-    return ln_q, kept, (1.0 - alpha) * LN2 * ((pm * weights) @ pm.conj().T), dq
-
-
-def _log_sum(logs) -> float:
-    """ln sum_i e^(logs_i) of the few per-block values; -inf when all are."""
-    top = max(logs, default=-math.inf)
+def _log_sum_exp(x: np.ndarray):
+    """(ln sum e^x, e^x / sum e^x) over every entry of x, which may hold
+    -inf; (-inf, None) when all do."""
+    top = float(x.max())
     if top == -math.inf:
-        return top
-    return top + math.log(sum(math.exp(x - top) for x in logs))
+        return top, None
+    e = np.exp(x - top)
+    total = float(e.sum())
+    return top + math.log(total), e / total
+
+
+def _petz_q(blocks, sw, sv, f, alpha, grad, slope):
+    """The petz Q = sum_k Tr[rho_k^alpha g], g = sv diag(f) sv^dagger: a
+    weighted sum sum_kij w_ki^alpha |<v_ki|s_j>|^2 f_j of the squared
+    overlaps of the block and sigma eigenvectors (`BlockSpectra.overlaps`).
+    The alpha-slope adds the term of dg/dalpha = -g ln sigma."""
+    w = blocks.w
+    wa = np.power(w, alpha, out=np.zeros_like(w), where=blocks.support)
+    o2 = blocks.overlaps(sv)
+    # t_ki = <v_ki| g |v_ki>
+    t = o2 @ f
+    q = float(np.vdot(wa, t))
+    if q <= 0.0:
+        return -math.inf, None, None
+    gamma = dq = None
+    if grad:
+        a = blocks.rotated(sv)
+        gamma = np.einsum("kij,ki,kil->jl", a.conj(), wa, a) / q
+    if slope:
+        t_ln = o2 @ (f * log2_on_support(sw))
+        dq = LN2 * float(np.vdot(wa, blocks.log2w * t - t_ln)) / q
+    return math.log(q), gamma, dq
+
+
+def _sandwiched_q(blocks, sw, sv, f, alpha, grad, slope):
+    """The sandwiched Q = sum_ki s_ki^(2 alpha) over the singular values s_k
+    of g^(1/2) rho_k^(1/2), g = sv diag(f) sv^dagger, taken by one stacked
+    SVD of that product in the eigenbases of sigma and of block k,
+    diag(f^(1/2)) <s_a|v_ki> w_ki^(1/2); squaring singular values resolves
+    eigenvalues far below the noise floor of the product matrix itself,
+    which matters when alpha < 1 because s ** (2 alpha) keeps tiny ones
+    relevant. Singular values at or below SUPPORT_CUTOFF times a block's
+    largest are dropped.
+
+    By d Tr[(rho^1/2 g rho^1/2)^alpha] = alpha Tr[rho^1/2 W s^(2alpha-2)
+    W^dagger rho^1/2 dg], W the right singular vectors, gamma is alpha
+    sum_ki s_ki^(2alpha-2) y_ki y_ki^dagger / Q with y_ki = rho_k^1/2 W_ki.
+    The alpha-slope at fixed g is sum_ki s_ki^(2alpha) ln s_ki^2 / Q, plus
+    the term of dg/dalpha = -g ln sigma / alpha^2."""
+    root = np.sqrt(blocks.w, out=np.zeros_like(blocks.w), where=blocks.support)
+    # <s_a|v_ki> w_ki^(1/2): rho_k^(1/2) v_k in the sigma eigenbasis
+    ar = blocks.rotated(sv).conj().transpose(0, 2, 1) * root[:, None, :]
+    x = np.sqrt(f)[:, None] * ar
+    if grad or slope:
+        _, s, wh = np.linalg.svd(x)
+    else:
+        s = np.linalg.svd(x, compute_uv=False)
+    keep = s > SUPPORT_CUTOFF * s[:, :1]
+    ln_s = np.log(s, out=np.zeros_like(s), where=keep)
+    ln_q, weights = _log_sum_exp(np.where(keep, 2.0 * alpha * ln_s, -math.inf))
+    if weights is None or not (grad or slope):
+        return ln_q, None, None
+    # s^(2 alpha - 2) / Q per singular value, zero where dropped
+    coef = np.divide(weights, s * s, out=np.zeros_like(s), where=keep)
+    y = ar @ wh.conj().transpose(0, 2, 1)
+    gamma = dq = None
+    if grad:
+        gamma = alpha * np.einsum("kai,ki,kbi->ab", y, coef, y.conj())
+    if slope:
+        g_diag = alpha * np.einsum("kai,ki->a", (y * y.conj()).real, coef)
+        chain = float(g_diag @ (f * log2_on_support(sw))) * LN2 / (alpha * alpha)
+        dq = 2.0 * float(np.vdot(weights, ln_s)) - chain
+    return ln_q, gamma, dq
+
+
+def _flat_q(blocks, sw, sv, f, alpha, grad, slope):
+    """The flat Q = sum_k Tr 2^(M_k), M_k = alpha log2 rho_k + (1 - alpha)
+    log2 sigma, both compressed to the support of rho_k (intersected with
+    that of sigma where sigma is rank deficient): Q = 0 below alpha = 1 and
+    +inf (nan) above when the compression loses trace of rho.
+
+    Each block works in a frame of its own whose last m_k vectors span that
+    subspace: its eigenbasis, whose support is the top m_k eigenvalues, for
+    full-rank sigma, else the eigenvectors of P_rho_k + P_sigma, eigenvalue
+    2 last. The M_k of one size m are eigendecomposed as one stack, so
+    directions off a block's support never enter it. By d Tr 2^M = ln2
+    Tr[2^M dM], gamma = (1 - alpha) ln2 sum_k U_k diag(2^mw_k) U_k^dagger / Q,
+    U_k the eigenvectors of M_k, and the alpha-slope is ln2 sum_k
+    Tr[2^M_k (log2 rho_k - log2 sigma)] / Q."""
+    w, on, lw = blocks.w, blocks.support, blocks.log2w
+    k, d = w.shape
+    a = blocks.rotated(sv)
+    if _full_rank(sw):
+        frame = a
+        log_rho = lw[:, :, None] * np.eye(d)
+        kept = float(np.sum(w, where=on))
+        size = on.sum(axis=1)
+    else:
+        # in the block eigenbasis P_rho_k is diag(on), P_sigma a diag(on_sigma) a^dagger
+        both = (a * support_mask(sw)) @ a.conj().transpose(0, 2, 1)
+        both[:, range(d), range(d)] += on
+        ew, ev = eig_hermitian_stack(both)
+        size = np.count_nonzero(ew > 2.0 - 1e-8, axis=1)
+        evh = ev.conj().transpose(0, 2, 1)
+        frame = evh @ a
+        log_rho = (evh * lw[:, None, :]) @ ev
+        held = np.arange(d) >= (d - size)[:, None]
+        kept = float(np.sum(np.einsum("kji,kj,kji->ki", ev.conj(), w, ev).real, where=held))
+    if kept < (1.0 - _FLAT_TRACE_SLACK) * float(np.sum(blocks.p)):
+        return (-math.inf if alpha < 1.0 else math.nan), None, None
+    log_sigma = (frame * f) @ frame.conj().transpose(0, 2, 1)
+    m_all = alpha * log_rho + (1.0 - alpha) * log_sigma
+    if np.all(size == d):
+        mw, mv = eig_hermitian_stack(m_all)
+    else:
+        mw = np.full((k, d), -math.inf)
+        mv = np.zeros((k, d, d), dtype=np.complex128)
+        for m in np.unique(size[size > 0]):
+            idx = np.flatnonzero(size == m)
+            lo = d - m
+            mw[idx, lo:], mv[idx, lo:, lo:] = eig_hermitian_stack(m_all[idx, lo:, lo:])
+    ln_q, weights = _log_sum_exp(LN2 * mw)
+    if weights is None or not (grad or slope):
+        return ln_q, None, None
+    gamma = dq = None
+    if grad:
+        # the eigenvectors of M_k in the sigma eigenbasis
+        u = frame.conj().transpose(0, 2, 1) @ mv
+        gamma = (1.0 - alpha) * LN2 * np.einsum("kai,ki,kbi->ab", u, weights, u.conj())
+    if slope:
+        dm = np.einsum("kji,kjl,kli->ki", mv.conj(), log_rho - log_sigma, mv).real
+        dq = LN2 * float(np.vdot(weights, dm))
+    return ln_q, gamma, dq
+
+
+_FAMILY_Q = {"petz": _petz_q, "sandwiched": _sandwiched_q, "flat": _flat_q}
 
 
 def _ln_q(blocks, sw, sv, alpha: float, variant: str, grad: bool = False,
           slope: bool = False):
-    """ln Q_alpha(rho || 1 (x) sigma) for the block spectra `blocks` and
-    sigma = sv diag(sw) sv^dagger; -inf where Q = 0, nan where Q = +inf.
+    """ln Q_alpha(rho || 1 (x) sigma) for the block stack `blocks`
+    (`operators.BlockSpectra`) and sigma = sv diag(sw) sv^dagger; -inf where
+    Q = 0, nan where Q = +inf. One pass of the family's core (`_petz_q`,
+    `_sandwiched_q`, `_flat_q`) over the whole stack computes it, summing
+    the blocks' terms along the block axis (by a log-sum-exp for sandwiched
+    and flat, whose terms may underflow one by one).
 
     The flat family keeps of each block only its part on the support of
-    sigma; with part of the trace of rho cut off, Q is 0 below alpha = 1
-    and +inf above. With grad or slope, returns (ln Q, gamma, dln Q):
-    gamma (with grad) the derivative of ln Q with respect to the family's
-    operator g(sigma) of `_sigma_spectrum_op`, and dln Q (with slope) the
-    derivative of ln Q in alpha at fixed sigma, each the blocks' values
-    weighted by their shares of Q, and None where Q is 0 or +inf or where
-    it was not asked for.
+    sigma; with part of the trace of rho cut off, Q is 0 below alpha = 1 and
+    +inf above. With grad or slope, returns (ln Q, gamma, dln Q): gamma (with
+    grad) the derivative of ln Q with respect to the family's operator
+    g(sigma) of `_sigma_spectrum_op`, the Hermitian matrix with d ln Q =
+    Tr[gamma dg], given in the eigenbasis sv of sigma (sv^dagger gamma sv),
+    and dln Q (with slope) the derivative of ln Q in alpha at fixed sigma,
+    each None where Q is 0 or +inf or where it was not asked for.
 
-    The alpha-derivative adds to each block's `_spectral_q` partial at
-    fixed g the term Tr[gamma dg/dalpha], dg/dalpha = -g ln sigma (petz) or
-    -g ln sigma / alpha^2 (sandwiched; flat g does not depend on alpha),
-    and for sandwiched the scale of g, whose share of ln Q is alpha times
-    it while a block's partial counts it once."""
-    support = None
-    if variant == "flat" and not _full_rank(sw):
-        support = power_from_spectrum(sw, sv, 0.0)
-    # sigma_op is g(sigma) / e^shift (`_sigma_spectrum_op`), except for the
-    # sandwiched family, where it is the square root of that, sigma^(e/2)
-    # with e = (1-alpha)/alpha, the factor on either side of rho
+    The cores take g divided by e^shift (`_sigma_spectrum_op`); ln Q adds
+    shift back (alpha shift for sandwiched, whose trace functional is the
+    alpha-th power of g's scale), and so does the sandwiched slope, where
+    alpha times the scale's log is alpha-dependent while the core's
+    dg/dalpha term counts it once."""
     f, shift = _sigma_spectrum_op(sw, alpha, variant)
+    ln_q, gamma, dln_q = _FAMILY_Q[variant](blocks, sw, sv, f, alpha, grad, slope)
     sandwiched = variant == "sandwiched"
-    sigma_op = (sv * (np.sqrt(f) if sandwiched else f)) @ sv.conj().T
-    ln_scale = alpha * shift if sandwiched else shift
-    parts = [_spectral_q(w, v, sigma_op, alpha, variant, support, grad, slope)
-             for _, w, v in blocks]
-    if variant == "flat":
-        trace = sum(p for p, _, _ in blocks)
-        if sum(part[1] for part in parts) < (1.0 - _FLAT_TRACE_SLACK) * trace:
-            ln_q = -math.inf if alpha < 1.0 else math.nan
-            return (ln_q, None, None) if grad or slope else ln_q
-    ln_q = _log_sum([part[0] for part in parts])
+    ln_q += alpha * shift if sandwiched else shift
     if not (grad or slope):
-        return ln_q + ln_scale
-    if ln_q == -math.inf:
-        return ln_q, None, None
-    live = [(math.exp(part[0] - ln_q), part) for part in parts if part[0] > -math.inf]
-    gamma = sum(share * part[2] for share, part in live) if grad else None
-    dln_q = None
-    if slope:
-        dln_q = 0.0
-        g_dot = None
-        if variant != "flat":
-            g_dot = -(sv * (f * LN2 * log2_on_support(sw))) @ sv.conj().T
-            if sandwiched:
-                g_dot /= alpha * alpha
-                dln_q = shift
-        for share, part in live:
-            chain = 0.0 if g_dot is None else np.vdot(g_dot, part[2]).real
-            dln_q += share * (part[3] + chain)
-    return ln_q + ln_scale, gamma, dln_q
+        return ln_q
+    if dln_q is not None and sandwiched:
+        dln_q += shift
+    return ln_q, gamma, dln_q
 
 
 def _q_from_ln(ln_q: float) -> float:
@@ -258,17 +274,22 @@ def _renyi_from_ln_q(ln_q: float, alpha: float) -> float:
 
 
 def _outside(blocks, sw, sv) -> bool:
-    """Whether some block leaves the support of sigma (`leaks`); free when
-    sigma has full rank."""
+    """Whether some block leaves the support of sigma: its compression to
+    the kernel of sigma has an eigenvalue above SUPPORT_CUTOFF times its
+    trace (the rule of `operators.leaks`); free when sigma has full rank,
+    one stacked eigendecomposition of the compressions otherwise."""
     if _full_rank(sw):
         return False
-    return any(leaks((v * w) @ v.conj().T, sw, sv) for _, w, v in blocks)
+    c = blocks.rotated(sv)[:, :, ~support_mask(sw)]
+    lw, _ = eig_hermitian_stack((c.conj().transpose(0, 2, 1) * blocks.w[:, None, :]) @ c)
+    return bool(np.any(np.max(np.abs(lw), axis=1) > SUPPORT_CUTOFF * blocks.w.sum(axis=1)))
 
 
 def _divergence(blocks, sw, sv, alpha: float, variant: str, grad: bool = False,
                 slope: bool = False):
     """D_alpha(rho || 1 (x) sigma) in bits for the block spectra `blocks`
-    and sigma = sv diag(sw) sv^dagger: D itself within _ALPHA_ONE_WINDOW of
+    (a `BlockSpectra` stack, or (p, w, v) triples to be stacked) and
+    sigma = sv diag(sw) sv^dagger: D itself within _ALPHA_ONE_WINDOW of
     alpha = 1, +inf for every family where supp(rho) leaves supp(sigma) at
     alpha > 1 or the two are orthogonal at alpha < 1.
 
@@ -281,6 +302,7 @@ def _divergence(blocks, sw, sv, alpha: float, variant: str, grad: bool = False,
     here, so it is None."""
     _check_variant(variant)
     _check_alpha(alpha)
+    blocks = BlockSpectra.stacked(blocks)
     if abs(alpha - 1.0) < _ALPHA_ONE_WINDOW:
         d = _relative_entropy(blocks, sw, sv)
         if grad:
@@ -294,10 +316,9 @@ def _divergence(blocks, sw, sv, alpha: float, variant: str, grad: bool = False,
         if alpha > 1.0:
             infinite = _outside(blocks, sw, sv)
         else:
-            ps = power_from_spectrum(sw, sv, 0.0)
-            overlap = sum(float(np.real(np.sum(power_from_spectrum(w, v, 0.0) * ps.T)))
-                          for _, w, v in blocks)
-            infinite = overlap <= SUPPORT_CUTOFF
+            # sum_k Tr[P_rho_k P_sigma]
+            overlap = np.vdot(blocks.support, blocks.overlaps(sv) @ support_mask(sw))
+            infinite = float(overlap) <= SUPPORT_CUTOFF
         if infinite:
             return (math.inf, None) if grad or slope else math.inf
     if not (grad or slope):
@@ -328,41 +349,35 @@ def _relative_entropy(blocks, sw, sv) -> float:
 
 
 def _supported_relative_entropy(blocks, sw, sv) -> float:
-    """`_relative_entropy` of blocks known to lie in supp(sigma). Each block
-    contributes sum w log2 w - Tr[rho_x log2 sigma], the trace taken through
-    the overlaps of the two eigenbases."""
+    """`_relative_entropy` of blocks (a stack, or (p, w, v) triples) known to
+    lie in supp(sigma): sum_k [sum w_k log2 w_k - Tr[rho_k log2 sigma]], the
+    traces taken through the squared overlaps of the two eigenbases."""
+    blocks = BlockSpectra.stacked(blocks)
     log_s = log2_on_support(sw)
-    total = 0.0
-    for _, w, v in blocks:
-        overlap = np.abs(v.conj().T @ sv) ** 2
-        total += wlog2w(w) - float(w @ overlap @ log_s)
-    return total
+    return float(np.vdot(blocks.w, blocks.log2w - blocks.overlaps(sv) @ log_s))
 
 
 def _variance(blocks, sw, sv) -> float:
     """V(rho || 1 (x) sigma); raises where a block leaves supp(sigma). In
-    each block's eigenbasis, diff = log2 rho_x - log2 sigma gives
-    Tr[rho_x diff] = sum_i w_i diff_ii and Tr[rho_x diff^2] =
-    sum_i w_i sum_j |diff_ij|^2."""
+    each block's eigenbasis, diff = log2 rho_k - log2 sigma gives
+    Tr[rho_k diff] = sum_i w_ki diff_ii and Tr[rho_k diff^2] =
+    sum_i w_ki sum_j |diff_ij|^2."""
     if _outside(blocks, sw, sv):
         raise SupportViolationError("supp(rho) not contained in supp(sigma)")
-    log_s = log2_on_support(sw)
-    first = 0.0
-    second = 0.0
-    for _, w, v in blocks:
-        o = v.conj().T @ sv
-        diff = -(o * log_s) @ o.conj().T
-        diff[np.diag_indices_from(diff)] += log2_on_support(w)
-        first += float(w @ np.real(np.diag(diff)))
-        second += float(w @ np.sum(np.abs(diff) ** 2, axis=1))
+    a = blocks.rotated(sv)
+    diff = -(a * log2_on_support(sw)) @ a.conj().transpose(0, 2, 1)
+    d = diff.shape[-1]
+    diff[:, range(d), range(d)] += blocks.log2w
+    first = float(np.vdot(blocks.w, np.diagonal(diff, axis1=1, axis2=2).real))
+    second = float(np.vdot(blocks.w, np.sum((diff * diff.conj()).real, axis=2)))
     return LN2 * (second - first * first)
 
 
 def _pair(rho, sigma):
-    """(blocks, sw, sv) of a pair: rho as a one-block source, of weight its
+    """(blocks, sw, sv) of a pair: rho as a one-block stack, of weight its
     trace, and the spectrum of sigma, each eigendecomposed at most once."""
     w, v = spectrum_of(rho)
-    return ([(float(np.sum(w)), w, v)], *spectrum_of(sigma))
+    return (BlockSpectra([np.sum(w)], w[None], v[None]), *spectrum_of(sigma))
 
 
 def relative_entropy(rho, sigma) -> float:

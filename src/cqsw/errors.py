@@ -57,10 +57,6 @@ class InvariantViolation(CqswError):
         self.invariant = invariant
 
 
-class MethodUnsupportedError(CqswError):
-    pass
-
-
 class RateOutOfWindowError(CqswError):
     pass
 

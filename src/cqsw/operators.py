@@ -42,49 +42,43 @@ def check_hermitian(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _eig2(a) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form Hermitian 2x2 eigendecomposition (one Jacobi rotation)."""
-    a00 = a[0, 0].real
-    a11 = a[1, 1].real
-    b = complex(a[0, 1])
-    rb = abs(b)
-    scale = max(abs(a00), abs(a11), rb)
-    if rb == 0.0 or rb <= 1e-18 * scale:
-        if a00 <= a11:
-            return np.array([a00, a11]), np.eye(2, dtype=np.complex128)
-        return (np.array([a11, a00]),
-                np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128))
-    # stable Jacobi rotation: no cancellation for nearly diagonal input
-    tau = 0.5 * (a11 - a00) / rb
-    if math.isinf(tau * tau):
-        t = 0.5 / tau
-    else:
-        t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    sn = t * c
-    u = b / rb
-    wa = a00 - t * rb
-    wb = a11 + t * rb
-    uc = u.conjugate()
-    v = np.empty((2, 2), dtype=np.complex128)
-    if wa <= wb:
-        w = np.array([wa, wb])
-        v[0, 0] = c
-        v[1, 0] = -sn * uc
-        v[0, 1] = sn
-        v[1, 1] = c * uc
-    else:
-        w = np.array([wb, wa])
-        v[0, 0] = sn
-        v[1, 0] = c * uc
-        v[0, 1] = c
-        v[1, 1] = -sn * uc
-    # phase convention: largest-magnitude entry of each column real positive
-    for j in (0, 1):
-        k = 0 if abs(v[0, j]) >= abs(v[1, j]) else 1
-        z = v[k, j]
-        v[:, j] *= z.conjugate() / abs(z)
-    return w, v
+def _eig2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigendecompositions of a (k, 2, 2) stack of Hermitian
+    matrices [[p, b], [b*, q]], one stable Jacobi rotation each: eigenvalues
+    (k, 2) ascending and eigenvectors (k, 2, 2).
+
+    The rotation angle has tangent t = sign(q - p) 2|b| / (|q - p| +
+    hypot(q - p, 2|b|)), |t| <= 1, so nothing cancels for nearly diagonal
+    input; the eigenvalues are p - t|b| and q + t|b|, with eigenvectors
+    (c, -conj(x)) and (x, c), c = cos >= |x|, x = sin b/|b|. Each column
+    thus has its largest-magnitude entry, c (the rotation's own on a tie,
+    p = q), real positive. A multiple of the identity keeps the identity."""
+    p = a[:, 0, 0].real
+    q = a[:, 1, 1].real
+    b = a[:, 0, 1]
+    r = np.abs(b)
+    gap = q - p
+    den = np.hypot(gap, r + r)
+    den += np.abs(gap)
+    den[den == 0.0] = 1.0
+    # t = scale |b| and x = c scale b, scale = sign(q - p) 2 / den
+    scale = np.copysign(2.0, gap)
+    scale /= den
+    t = scale * r
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    x = (scale * c) * b
+    t *= r
+    w = np.empty(a.shape[:2])
+    w[:, 0] = p - t
+    w[:, 1] = q + t
+    v = np.empty(a.shape, dtype=np.complex128)
+    v[:, 0, 0] = c
+    v[:, 1, 1] = c
+    v[:, 0, 1] = x
+    v[:, 1, 0] = -x.conj()
+    # p - t|b| > q + t|b| exactly where q - p carries a minus sign
+    swap = np.signbit(gap)[:, None]
+    return np.where(swap, w[:, ::-1], w), np.where(swap[:, :, None], v[:, :, ::-1], v)
 
 
 def jacobi_cyclic(a_in: np.ndarray, max_sweeps: int, rel_tol: float):
@@ -144,17 +138,10 @@ def jacobi_cyclic(a_in: np.ndarray, max_sweeps: int, rel_tol: float):
     return np.real(np.diag(a)).copy(), v, sweep, converged
 
 
-def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and unitary eigenvectors of a Hermitian matrix.
-
-    Deterministic: stable ordering and a fixed phase convention per column.
-    """
-    a = check_hermitian(a)
+def _eig_jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of a Hermitian n x n matrix,
+    n >= 3, by cyclic Jacobi, with the phase convention of `_eig2`."""
     n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0].real]), np.ones((1, 1), dtype=np.complex128)
-    if n == 2:
-        return _eig2(a)
     a = (a + a.conj().T) / 2.0
     max_sweeps = 100 * n * n
     diag, vec, _, converged = jacobi_cyclic(a, max_sweeps, _JACOBI_TOL)
@@ -172,6 +159,36 @@ def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def eig_hermitian(a, check: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and unitary eigenvectors of a Hermitian matrix.
+
+    Deterministic: stable ordering and a fixed phase convention per column.
+    The matrix is validated (`check_hermitian`) unless check is False, which
+    is for matrices Hermitian by construction.
+    """
+    a = check_hermitian(a) if check else _as_matrix(a)
+    n = a.shape[0]
+    if n == 1:
+        return np.array([a[0, 0].real]), np.ones((1, 1), dtype=np.complex128)
+    if n == 2:
+        w, v = _eig2(a[None])
+        return w[0], v[0]
+    return _eig_jacobi(a)
+
+
+def eig_hermitian_stack(a) -> tuple[np.ndarray, np.ndarray]:
+    """`eig_hermitian` of each matrix of a (k, n, n) stack, unvalidated:
+    eigenvalues (k, n) and eigenvectors (k, n, n). 2 x 2 stacks take the
+    closed form in one pass; larger matrices go through Jacobi one by one."""
+    a = np.asarray(a, dtype=np.complex128)
+    if a.shape[-1] == 1:
+        return a[:, :, 0].real.copy(), np.ones(a.shape, dtype=np.complex128)
+    if a.shape[-1] == 2:
+        return _eig2(a)
+    pairs = [_eig_jacobi(m) for m in a]
+    return np.array([w for w, _ in pairs]), np.array([v for _, v in pairs])
+
+
 def _spectral_map(a, fn) -> np.ndarray:
     w, v = eig_hermitian(a)
     return (v * fn(w)) @ v.conj().T
@@ -180,8 +197,17 @@ def _spectral_map(a, fn) -> np.ndarray:
 def support_mask(w: np.ndarray) -> np.ndarray:
     """Which eigenvalues of a PSD operator lie on its support: those above
     SUPPORT_CUTOFF times the largest magnitude. w is ascending, as
-    `eig_hermitian` returns it. Raises if an eigenvalue is genuinely negative
-    (below minus the cutoff)."""
+    `eig_hermitian` returns it; a (k, n) stack of spectra
+    (`eig_hermitian_stack`) is masked row by row. Raises if an eigenvalue is
+    genuinely negative (below minus the cutoff)."""
+    if w.ndim > 1:
+        lo, hi = w[..., :1], w[..., -1:]
+        cutoff = SUPPORT_CUTOFF * np.maximum(-lo, hi)
+        below = lo < -cutoff
+        if below.any():
+            raise NegativeEigenvalueError(
+                f"eigenvalue {float(lo[below].min()):.3e} below -cutoff")
+        return w > cutoff
     if not w.size:
         return w > 0.0
     lo, hi = float(w[0]), float(w[-1])
@@ -329,11 +355,68 @@ def wlog2w(w: np.ndarray) -> float:
     return float(w @ log2_on_support(w))
 
 
-def intersection_basis(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the intersection of the ranges of the
-    projectors pa and pb: the eigenvectors of pa + pb at eigenvalue 2."""
-    w, v = eig_hermitian(pa + pb)
-    return v[:, w > 2.0 - 1e-8]
+class BlockSpectra:
+    """The eigendecompositions of a stack of k PSD blocks of one size d, as
+    arrays: the traces p (k,), the eigenvalues w (k, d), ascending per block,
+    and the eigenvectors v (k, d, d), block i being v[i] diag(w[i]) v[i]^dagger.
+    Iterating yields the triples (p_i, w[i], v[i]).
+
+    The support mask of each block (`support`) and log2 of its spectrum on
+    it (`log2w`) are computed on first use. `rotated` and `overlaps`
+    express the blocks in the eigenbasis sv of an operator sigma, and keep
+    that for the last sv asked for (the same array object), so a run of
+    evaluations against one sigma, the marginal rho_B say, computes it once.
+    """
+
+    __slots__ = ("p", "w", "v", "_support", "_log2w", "_sv", "_rotated", "_overlaps")
+
+    def __init__(self, p, w, v):
+        self.p = np.asarray(p, dtype=float)
+        self.w = w
+        self.v = v
+        self._support = self._log2w = self._sv = None
+
+    @classmethod
+    def stacked(cls, blocks) -> "BlockSpectra":
+        """blocks itself if it is a stack, else the stack of its (p, w, v)
+        triples."""
+        if isinstance(blocks, cls):
+            return blocks
+        p, w, v = zip(*blocks)
+        return cls(p, np.array(w), np.array(v))
+
+    def __iter__(self):
+        return zip(self.p.tolist(), self.w, self.v)
+
+    @property
+    def support(self) -> np.ndarray:
+        """(k, d): `support_mask` of each block's spectrum."""
+        if self._support is None:
+            self._support = support_mask(self.w)
+        return self._support
+
+    @property
+    def log2w(self) -> np.ndarray:
+        """(k, d): `log2_on_support` of each block's spectrum."""
+        if self._log2w is None:
+            self._log2w = np.log2(self.w, out=np.zeros_like(self.w), where=self.support)
+        return self._log2w
+
+    def rotated(self, sv: np.ndarray) -> np.ndarray:
+        """(k, d, d): v[i]^dagger sv, entry (a, b) the overlap of the a-th
+        eigenvector of block i with the b-th column of sv."""
+        if sv is not self._sv:
+            self._sv = sv
+            self._rotated = self.v.conj().transpose(0, 2, 1) @ sv
+            self._overlaps = None
+        return self._rotated
+
+    def overlaps(self, sv: np.ndarray) -> np.ndarray:
+        """(k, d, d): the squared magnitudes of `rotated`."""
+        a = self.rotated(sv)
+        if self._overlaps is None:
+            self._overlaps = (a * a.conj()).real
+        return self._overlaps
 
 
 def inv_sqrt_on_support(a) -> np.ndarray:

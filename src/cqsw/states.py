@@ -17,7 +17,13 @@ from cqsw.errors import (
     InvariantViolation,
     ParseError,
 )
-from cqsw.operators import check_hermitian, eig_hermitian, tensor
+from cqsw.operators import (
+    BlockSpectra,
+    check_hermitian,
+    eig_hermitian,
+    eig_hermitian_stack,
+    tensor,
+)
 
 _PROB_TOL = 1e-12
 _TRACE_TOL = 1e-10
@@ -31,7 +37,8 @@ class DensityOperator:
     `from_spectrum` starts from it, and `spectrum()` computes it on first
     use otherwise. The matrix is therefore never modified in place; one made
     by `from_spectrum` is built on first use, since most optimizer results
-    (the petz sigma* behind an exponent's golden search) are never read.
+    (the petz sigma* behind each probe of an exponent's Legendre slope
+    search) are never read.
     """
 
     __slots__ = ("_matrix", "_spectrum")
@@ -133,11 +140,16 @@ class CQState:
             if p > 0.0
         ]
 
-    def block_spectra(self):
-        """Triples (p(x), w, v) for the nonzero-probability symbols: the
-        eigendecomposition v diag(w) v^dagger of the block p(x) rho_B^x."""
+    def block_spectra(self) -> BlockSpectra:
+        """The blocks p(x) rho_B^x of the nonzero-probability symbols as one
+        stack (`operators.BlockSpectra`): p (k,), w (k, d), v (k, d, d), from
+        one stacked eigendecomposition; iterating it yields the triples
+        (p(x), w, v) of v diag(w) v^dagger = p(x) rho_B^x."""
         if self._block_spectra is None:
-            self._block_spectra = [(p, *eig_hermitian(p * r)) for p, r in self.blocks()]
+            on = self.probs > 0.0
+            p = self.probs[on]
+            mats = np.array([r.matrix for r, keep in zip(self.side_info, on) if keep])
+            self._block_spectra = BlockSpectra(p, *eig_hermitian_stack(p[:, None, None] * mats))
         return self._block_spectra
 
     def __eq__(self, other):

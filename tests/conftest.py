@@ -13,17 +13,27 @@ from cqsw.states import marginal_b
 
 @pytest.fixture
 def eig_count(monkeypatch):
-    """Count calls of eig_hermitian from every cqsw module."""
+    """Count the eigendecompositions made from every cqsw module: one per
+    eig_hermitian call, and one per matrix of an eig_hermitian_stack call."""
     calls = []
     real = operators.eig_hermitian
+    real_stack = operators.eig_hermitian_stack
 
-    def eig(a):
+    def eig(a, *args, **kwargs):
         calls.append(1)
-        return real(a)
+        return real(a, *args, **kwargs)
+
+    def eig_stack(a):
+        calls.extend([1] * len(a))
+        return real_stack(a)
 
     for name, mod in list(sys.modules.items()):
-        if name.startswith("cqsw") and getattr(mod, "eig_hermitian", None) is real:
+        if not name.startswith("cqsw"):
+            continue
+        if getattr(mod, "eig_hermitian", None) is real:
             monkeypatch.setattr(mod, "eig_hermitian", eig)
+        if getattr(mod, "eig_hermitian_stack", None) is real_stack:
+            monkeypatch.setattr(mod, "eig_hermitian_stack", eig_stack)
     return calls
 
 

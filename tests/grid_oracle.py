@@ -8,7 +8,6 @@ from __future__ import annotations
 import numpy as np
 
 from cqsw.conditional import OptimizerReport
-from cqsw.errors import MethodUnsupportedError
 from cqsw.operators import power_from_spectrum
 from cqsw.states import CQState, DensityOperator
 
@@ -75,7 +74,7 @@ def grid_h_up(s: CQState, alpha: float, variant: str,
               resolution: float = 0.02) -> OptimizerReport:
     """H_alpha^up(X|B) by grid search over the Bloch ball (qubit B only)."""
     if s.dim_b != 2:
-        raise MethodUnsupportedError("grid search supports qubit side information only")
+        raise ValueError("grid search supports qubit side information only")
     axis = np.arange(-1.0 + resolution / 2.0, 1.0, resolution)
     gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
     pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)

@@ -11,6 +11,7 @@ import pytest
 from cqsw import presets
 from cqsw.conditional import (
     _iterate_h_up,
+    _petz_down,
     conditional_entropy,
     conditional_variance,
     cq_relative_entropy,
@@ -20,10 +21,10 @@ from cqsw.conditional import (
     petz_sigma_star,
     von_neumann_entropy,
 )
-from cqsw.divergences import VARIANTS
+from cqsw.divergences import VARIANTS, renyi_divergence
 from cqsw.errors import InvalidAlphaError
 from cqsw.operators import LN2
-from cqsw.states import marginal_b
+from cqsw.states import as_joint_operator, marginal_b
 from grid_oracle import grid_h_up
 from test_type_classes import _source
 
@@ -187,3 +188,26 @@ def test_h_down_petz_at_zero_is_closed_form(kind, size_x, dim_b, seed):
             on = v[:, w > 1e-12 * w[-1]]
             total += float(np.real(np.trace(on.conj().T @ rho_b @ on)))
     assert h_down(s, 0.0, "petz") == pytest.approx(math.log2(total), abs=1e-12)
+
+
+@pytest.mark.parametrize("kind, size_x, dim_b, seed",
+                         [("commuting", 2, 3, 1022), ("deficient", 3, 3, 4),
+                          ("zero_symbol", 3, 2, 5), ("full", 2, 2, 8)])
+def test_petz_down_matches_the_joint_operator(kind, size_x, dim_b, seed):
+    # (H_alpha^down, its alpha-slope) from the cached overlaps against the
+    # petz divergence of the joint operator from 1_X (x) rho_B, and against
+    # Richardson-refined central differences
+    s = _source(kind, size_x, dim_b, seed)
+    joint = as_joint_operator(s)
+    sigma = np.kron(np.eye(s.size_x), marginal_b(s).matrix)
+    for alpha in (0.3, 0.8, 1.5, 4.0):
+        h, slope = _petz_down(s, alpha)
+        assert h == pytest.approx(-renyi_divergence(joint, sigma, alpha, "petz"), abs=1e-12)
+
+        def diff(step):
+            return (_petz_down(s, alpha + step)[0] - _petz_down(s, alpha - step)[0]) / (2 * step)
+
+        step = 1e-3 * alpha
+        assert slope == pytest.approx((4.0 * diff(step / 2.0) - diff(step)) / 3.0, rel=1e-6,
+                                      abs=1e-9)
+    assert _petz_down(s, 0.0)[0] == h_down(s, 0.0, "petz")

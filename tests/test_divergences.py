@@ -15,6 +15,8 @@ from cqsw.conditional import cq_renyi
 from cqsw.divergences import (
     VARIANTS,
     _divergence,
+    _ln_q,
+    _sigma_spectrum_op,
     d_max,
     q_alpha,
     relative_entropy,
@@ -22,7 +24,7 @@ from cqsw.divergences import (
     renyi_divergence,
 )
 from cqsw.errors import InvalidAlphaError, SupportViolationError
-from cqsw.operators import LN2, eig_hermitian, random_density
+from cqsw.operators import LN2, eig_hermitian, log2_on_support, random_density
 from cqsw.states import CQState
 from test_type_classes import _source
 
@@ -243,3 +245,88 @@ def test_alpha_slope_at_one_is_half_the_variance(variant):
         pytest.approx(half_v, rel=1e-12)
     assert _divergence(blocks, sw, sv, 1.0 + 1e-4, variant, slope=True)[1] == \
         pytest.approx(half_v, rel=1e-3)
+
+
+def _mixed_rank_case(deficient_sigma, seed):
+    """(blocks, sigma, direction) on d = 3: a rank-1 block, a block of full
+    rank (on the support of sigma where sigma is rank deficient) and a
+    symbol of probability 0; sigma of rank 3, or of rank 2 with the two
+    blocks inside its support, and a Hermitian direction that keeps that
+    support."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    if deficient_sigma:
+        on = u[:, 1:]
+        sigma = on @ random_density(rng, 2) @ on.conj().T
+        full = on @ random_density(rng, 2) @ on.conj().T
+        pure = on @ random_density(rng, 2, rank=1) @ on.conj().T
+    else:
+        on = np.eye(3)
+        sigma, full, pure = random_density(rng, 3), random_density(rng, 3), random_density(rng, 3, rank=1)
+    s = CQState("abc", [0.35, 0.65, 0.0], [pure, full, random_density(rng, 3)])
+    h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    h = on @ on.conj().T @ (h + h.conj().T) @ on @ on.conj().T
+    return s.block_spectra(), sigma, h / np.linalg.norm(h)
+
+
+_GRADIENT_CASES = [(v, False) for v in VARIANTS] + [("flat", True)]
+
+
+@pytest.mark.parametrize("variant,deficient_sigma", _GRADIENT_CASES)
+@pytest.mark.parametrize("alpha", (0.6, 1.7, 3.0))
+@pytest.mark.parametrize("seed", (1, 2))
+def test_ln_q_gradient_matches_central_differences(variant, deficient_sigma, alpha, seed):
+    # gamma, in the eigenbasis of sigma, is the derivative of ln Q in the
+    # family's operator g(sigma) divided by e^shift (`_sigma_spectrum_op`):
+    # d ln Q = e^-shift Tr[gamma dg] along sigma + eps h
+    blocks, sigma, h = _mixed_rank_case(deficient_sigma, seed)
+    assert len(blocks.p) == 2 and min(np.count_nonzero(w > 1e-12) for w in blocks.w) == 1
+    sw, sv = eig_hermitian(sigma)
+    ln_q, gamma, _ = _ln_q(blocks, sw, sv, alpha, variant, grad=True)
+    assert math.isfinite(ln_q)
+    shift = _sigma_spectrum_op(sw, alpha, variant)[1]
+    power = 1.0 - alpha if variant == "petz" else (1.0 - alpha) / alpha
+
+    def g(eps):
+        w, v = eig_hermitian(sigma + eps * h)
+        if variant == "flat":
+            vals = log2_on_support(w)
+        else:
+            vals = np.where(w > 1e-12 * w[-1], np.abs(w), 1.0) ** power * (w > 1e-12 * w[-1])
+        return (v * vals) @ v.conj().T
+
+    def ln_q_at(eps):
+        return _ln_q(blocks, *eig_hermitian(sigma + eps * h), alpha, variant)
+
+    def tr_gamma_dg(step):
+        dg = (g(step) - g(-step)) / (2.0 * step)
+        return math.exp(-shift) * float(np.real(np.trace(sv @ gamma @ sv.conj().T @ dg)))
+
+    def diff(step):
+        return (ln_q_at(step) - ln_q_at(-step)) / (2.0 * step)
+
+    # Richardson-refined central differences, the step well inside the
+    # smallest nonzero eigenvalue of sigma
+    step = 1e-3 * float(np.min(sw[sw > 1e-12]))
+    got = (4.0 * tr_gamma_dg(step / 2.0) - tr_gamma_dg(step)) / 3.0
+    want = (4.0 * diff(step / 2.0) - diff(step)) / 3.0
+    assert got == pytest.approx(want, rel=1e-6, abs=1e-8)
+
+
+@pytest.mark.parametrize("variant,deficient_sigma", _GRADIENT_CASES)
+@pytest.mark.parametrize("alpha", (0.6, 1.7, 3.0))
+@pytest.mark.parametrize("seed", (1, 2))
+def test_ln_q_alpha_slope_matches_central_differences(variant, deficient_sigma, alpha, seed):
+    blocks, sigma, _ = _mixed_rank_case(deficient_sigma, seed)
+    sw, sv = eig_hermitian(sigma)
+    ln_q, _, slope = _ln_q(blocks, sw, sv, alpha, variant, slope=True)
+    # (the SVD with singular vectors may differ from the one without in the last bit)
+    assert ln_q == pytest.approx(_ln_q(blocks, sw, sv, alpha, variant), rel=1e-14)
+
+    def diff(step):
+        return (_ln_q(blocks, sw, sv, alpha + step, variant)
+                - _ln_q(blocks, sw, sv, alpha - step, variant)) / (2.0 * step)
+
+    step = 1e-3 * alpha
+    want = (4.0 * diff(step / 2.0) - diff(step)) / 3.0
+    assert slope == pytest.approx(want, rel=1e-7, abs=1e-9)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import logm
 
 from cqsw.errors import (
@@ -14,6 +15,7 @@ from cqsw.errors import (
 )
 from cqsw.operators import (
     eig_hermitian,
+    eig_hermitian_stack,
     eigenvalue_groups,
     nonneg_projector,
     pinch,
@@ -50,6 +52,56 @@ def test_eig_two_by_two_nearly_diagonal():
         w, v = eig_hermitian(a)
         assert np.allclose((v * w) @ v.conj().T, a, atol=1e-14)
         assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-14)
+
+
+_SHAPES = ("random", "diagonal", "nearly_diagonal", "equal_diagonal", "swapped", "zero")
+
+
+def _two_by_two(shape, entries):
+    """A Hermitian 2x2 matrix of the given shape from four draws."""
+    p, q, re, im = entries
+    if shape == "swapped":
+        p, q = max(p, q) + 1.0, min(p, q)
+    if shape == "equal_diagonal":
+        q = p
+    scale = max(abs(p), abs(q), 1e-300)
+    b = complex(re, im)
+    if shape == "diagonal":
+        b = 0.0
+    if shape == "nearly_diagonal":
+        b *= 1e-18 * scale / max(abs(b), 1e-300)
+    if shape == "zero":
+        p = q = 0.0
+        b = 0.0
+    return np.array([[p, b], [np.conj(b), q]], dtype=np.complex128)
+
+
+_entries = st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mats=st.lists(st.tuples(st.sampled_from(_SHAPES), _entries), min_size=1, max_size=7))
+def test_stacked_two_by_two_matches_single_matrices(mats):
+    # the stacked closed form against eig_hermitian one matrix at a time
+    # (eigenvalues to 1e-15 relative, eigenvectors entrywise), ascending,
+    # unitary, with the phase convention, and against numpy's eigenvalues
+    stack = np.array([_two_by_two(shape, entries) for shape, entries in mats])
+    w, v = eig_hermitian_stack(stack)
+    assert w.shape == (len(stack), 2) and v.shape == stack.shape
+    for a, wk, vk in zip(stack, w, v):
+        w1, v1 = eig_hermitian(a)
+        scale = max(1.0, float(np.max(np.abs(a))))
+        assert np.all(np.abs(wk - w1) <= 1e-15 * scale)
+        assert np.all(np.abs(vk - v1) <= 1e-15)
+        assert np.allclose(wk, np.linalg.eigvalsh(a), rtol=0.0, atol=1e-14 * scale)
+        assert wk[0] <= wk[1]
+        assert np.allclose((vk * wk) @ vk.conj().T, a, rtol=0.0, atol=1e-14 * scale)
+        assert np.allclose(vk.conj().T @ vk, np.eye(2), rtol=0.0, atol=1e-15)
+        # some largest-magnitude entry of each column is real positive (on a
+        # tie of magnitudes, either may be)
+        for col in vk.T:
+            top = col[np.abs(col) >= np.max(np.abs(col)) - 1e-15]
+            assert np.any((top.real > 0.0) & (np.abs(top.imag) <= 1e-15))
 
 
 def test_eig_deterministic():

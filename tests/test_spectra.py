@@ -6,12 +6,14 @@ random sources."""
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import cqsw.conditional as conditional
+import cqsw.operators as operators
 import cqsw.variational as variational
 from cqsw import presets
 from cqsw.conditional import conditional_entropy, cq_renyi, h_up
@@ -48,6 +50,52 @@ def test_sandwiched_objective_one_eigendecomposition(eig_count, warmed_zero_plus
     value = objective(np.array([0.1, -0.2, 0.3]))
     assert math.isfinite(value)
     assert len(eig_count) == 1
+
+
+@pytest.mark.parametrize("variant", ("sandwiched", "flat"))
+def test_objective_makes_one_unchecked_eig_hermitian_call(monkeypatch, variant):
+    # on a three-block qubit source: the parameter matrix K, not validated
+    # (Hermitian by construction); flat's exponent matrices are one stacked
+    # eigendecomposition, also unvalidated
+    s = presets.random_cq_state(np.random.default_rng(1), 3, 2)
+    s.block_spectra()
+    calls = {"eig_hermitian": 0, "check_hermitian": 0}
+    real_eig, real_check = operators.eig_hermitian, operators.check_hermitian
+
+    def eig(a, *args, **kwargs):
+        calls["eig_hermitian"] += 1
+        return real_eig(a, *args, **kwargs)
+
+    def check(a):
+        calls["check_hermitian"] += 1
+        return real_check(a)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("cqsw"):
+            if getattr(mod, "eig_hermitian", None) is real_eig:
+                monkeypatch.setattr(mod, "eig_hermitian", eig)
+            if getattr(mod, "check_hermitian", None) is real_check:
+                monkeypatch.setattr(mod, "check_hermitian", check)
+    basis = conditional._traceless_basis(s.dim_b)
+    objective = conditional._h_up_objective(s, 1.7, variant, basis, grad=True)
+    value, grad = objective(np.array([0.1, -0.2, 0.3]))
+    assert math.isfinite(value) and np.all(np.isfinite(grad))
+    assert calls == {"eig_hermitian": 1, "check_hermitian": 0}
+
+
+def test_petz_down_probes_reuse_the_marginal_overlaps(eig_count, warmed_zero_plus):
+    # sigma = rho_B is fixed: the squared overlaps of the block and rho_B
+    # eigenvectors are computed by the first probe and only read after it,
+    # and no probe eigendecomposes anything
+    s = warmed_zero_plus
+    blocks, sv = s.block_spectra(), marginal_b(s).spectrum()[1]
+    conditional._petz_down(s, 0.5)
+    first = blocks.overlaps(sv)
+    eig_count.clear()
+    for alpha in (0.0, 0.3, 1.0, 2.0):
+        conditional._petz_down(s, alpha)
+    assert not eig_count
+    assert blocks.overlaps(sv) is first
 
 
 def test_block_spectra_computed_once(eig_count):
