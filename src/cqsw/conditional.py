@@ -27,7 +27,7 @@ from cqsw.divergences import (
 from cqsw.errors import NoConvergenceError
 from cqsw.operators import (
     LN2,
-    eig_hermitian,
+    eig_hermitian_stack,
     log2_on_support,
     spectrum_of,
     support_mask,
@@ -150,7 +150,8 @@ def _petz_acc_spectrum(s: CQState, alpha: float) -> tuple[np.ndarray, np.ndarray
     blocks = s.block_spectra()
     wa = np.power(blocks.w, alpha, out=np.zeros_like(blocks.w), where=blocks.support)
     # Hermitian by construction, so not validated
-    w, v = eig_hermitian(np.einsum("kij,kj,klj->il", blocks.v, wa, blocks.v.conj()), check=False)
+    w, v = eig_hermitian_stack(np.einsum("kij,kj,klj->il", blocks.v, wa, blocks.v.conj())[None])
+    w, v = w[0], v[0]
     rank = int(np.count_nonzero(support_mask(marginal_b(s).spectrum()[0])))
     on = np.arange(w.size) >= w.size - rank
     return np.where(on, np.maximum(w, 0.0), 0.0), v
@@ -238,8 +239,8 @@ def _sigma_from_params(x, basis, d) -> DensityOperator:
     spectrum: it shares the eigenvectors of K, which the traceless basis
     makes Hermitian by construction, so it is not validated."""
     basis = np.asarray(basis)
-    k = (x @ basis.reshape(len(basis), -1)).reshape(d, d)
-    return _exp_sigma(*eig_hermitian(k, check=False))
+    k, v = eig_hermitian_stack((x @ basis.reshape(len(basis), -1)).reshape(1, d, d))
+    return _exp_sigma(k[0], v[0])
 
 
 def _divided_differences(k, f, on, c=None) -> np.ndarray:
@@ -306,7 +307,8 @@ def _h_up_objective(s: CQState, alpha: float, variant: str, basis, grad: bool = 
     d = s.dim_b
 
     def objective(x):
-        k, v = eig_hermitian((x @ rows).reshape(d, d), check=False)
+        k, v = eig_hermitian_stack((x @ rows).reshape(1, d, d))
+        k, v = k[0], v[0]
         sigma = _exp_sigma(k, v)
         if not grad:
             val = cq_renyi(s, sigma, alpha, variant)

@@ -28,8 +28,8 @@ from cqsw.operators import (
     LN2,
     SUPPORT_CUTOFF,
     BlockSpectra,
-    _as_matrix,
     _full_rank,
+    check_hermitian,
     eig_hermitian,
     eig_hermitian_stack,
     leaks,
@@ -274,23 +274,19 @@ def _renyi_from_ln_q(ln_q: float, alpha: float) -> float:
 
 
 def _outside(blocks, sw, sv) -> bool:
-    """Whether some block leaves the support of sigma: its compression to
-    the kernel of sigma has an eigenvalue above SUPPORT_CUTOFF times its
-    trace (the rule of `operators.leaks`); free when sigma has full rank,
-    one stacked eigendecomposition of the compressions otherwise."""
+    """Whether some block leaves the support of sigma (`operators.leaks` of
+    the stack of block operators); free when sigma has full rank."""
     if _full_rank(sw):
         return False
-    c = blocks.rotated(sv)[:, :, ~support_mask(sw)]
-    lw, _ = eig_hermitian_stack((c.conj().transpose(0, 2, 1) * blocks.w[:, None, :]) @ c)
-    return bool(np.any(np.max(np.abs(lw), axis=1) > SUPPORT_CUTOFF * blocks.w.sum(axis=1)))
+    v = blocks.v
+    return leaks((v * blocks.w[:, None, :]) @ v.conj().transpose(0, 2, 1), sw, sv)
 
 
 def _divergence(blocks, sw, sv, alpha: float, variant: str, grad: bool = False,
                 slope: bool = False):
-    """D_alpha(rho || 1 (x) sigma) in bits for the block spectra `blocks`
-    (a `BlockSpectra` stack, or (p, w, v) triples to be stacked) and
-    sigma = sv diag(sw) sv^dagger: D itself within _ALPHA_ONE_WINDOW of
-    alpha = 1, +inf for every family where supp(rho) leaves supp(sigma) at
+    """D_alpha(rho || 1 (x) sigma) in bits for the block stack `blocks`
+    (`operators.BlockSpectra`) and sigma = sv diag(sw) sv^dagger: D itself
+    within _ALPHA_ONE_WINDOW of alpha = 1, +inf for every family where supp(rho) leaves supp(sigma) at
     alpha > 1 or the two are orthogonal at alpha < 1.
 
     With grad (alpha away from 1), returns (D, gamma), gamma the derivative
@@ -302,7 +298,6 @@ def _divergence(blocks, sw, sv, alpha: float, variant: str, grad: bool = False,
     here, so it is None."""
     _check_variant(variant)
     _check_alpha(alpha)
-    blocks = BlockSpectra.stacked(blocks)
     if abs(alpha - 1.0) < _ALPHA_ONE_WINDOW:
         d = _relative_entropy(blocks, sw, sv)
         if grad:
@@ -349,10 +344,9 @@ def _relative_entropy(blocks, sw, sv) -> float:
 
 
 def _supported_relative_entropy(blocks, sw, sv) -> float:
-    """`_relative_entropy` of blocks (a stack, or (p, w, v) triples) known to
-    lie in supp(sigma): sum_k [sum w_k log2 w_k - Tr[rho_k log2 sigma]], the
-    traces taken through the squared overlaps of the two eigenbases."""
-    blocks = BlockSpectra.stacked(blocks)
+    """`_relative_entropy` of a block stack known to lie in supp(sigma):
+    sum_k [sum w_k log2 w_k - Tr[rho_k log2 sigma]], the traces taken
+    through the squared overlaps of the two eigenbases."""
     log_s = log2_on_support(sw)
     return float(np.vdot(blocks.w, blocks.log2w - blocks.overlaps(sv) @ log_s))
 
@@ -410,11 +404,11 @@ def relative_entropy_variance(rho, sigma) -> float:
 
 def d_max(rho, sigma) -> float:
     """Max-relative entropy: log2 of the smallest c with rho <= c sigma."""
+    rho = check_hermitian(rho)
     sw, sv = spectrum_of(sigma)
     if leaks(rho, sw, sv):
         return math.inf
     isq = power_from_spectrum(sw, sv, -0.5)
-    rho = _as_matrix(rho)
     w, _ = eig_hermitian(isq @ rho @ isq)
     top = float(w[-1]) if w.size else 0.0
     if top <= 0.0:

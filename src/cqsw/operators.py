@@ -159,14 +159,14 @@ def _eig_jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def eig_hermitian(a, check: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and unitary eigenvectors of a Hermitian matrix.
 
     Deterministic: stable ordering and a fixed phase convention per column.
-    The matrix is validated (`check_hermitian`) unless check is False, which
-    is for matrices Hermitian by construction.
+    The matrix is validated (`check_hermitian`); `eig_hermitian_stack` takes
+    matrices Hermitian by construction unvalidated.
     """
-    a = check_hermitian(a) if check else _as_matrix(a)
+    a = check_hermitian(a)
     n = a.shape[0]
     if n == 1:
         return np.array([a[0, 0].real]), np.ones((1, 1), dtype=np.complex128)
@@ -200,20 +200,11 @@ def support_mask(w: np.ndarray) -> np.ndarray:
     `eig_hermitian` returns it; a (k, n) stack of spectra
     (`eig_hermitian_stack`) is masked row by row. Raises if an eigenvalue is
     genuinely negative (below minus the cutoff)."""
-    if w.ndim > 1:
-        lo, hi = w[..., :1], w[..., -1:]
-        cutoff = SUPPORT_CUTOFF * np.maximum(-lo, hi)
-        below = lo < -cutoff
-        if below.any():
-            raise NegativeEigenvalueError(
-                f"eigenvalue {float(lo[below].min()):.3e} below -cutoff")
-        return w > cutoff
-    if not w.size:
-        return w > 0.0
-    lo, hi = float(w[0]), float(w[-1])
-    cutoff = SUPPORT_CUTOFF * max(-lo, hi)
-    if lo < -cutoff:
-        raise NegativeEigenvalueError(f"eigenvalue {lo:.3e} below -cutoff {-cutoff:.3e}")
+    lo, hi = w[..., :1], w[..., -1:]
+    cutoff = SUPPORT_CUTOFF * np.maximum(-lo, hi)
+    below = lo < -cutoff
+    if below.any():
+        raise NegativeEigenvalueError(f"eigenvalue {float(lo[below].min()):.3e} below -cutoff")
     return w > cutoff
 
 
@@ -334,14 +325,18 @@ def spectrum_of(a) -> tuple[np.ndarray, np.ndarray]:
 def leaks(inner, w: np.ndarray, v: np.ndarray) -> bool:
     """True unless supp(inner) lies in the support of the PSD operator
     v diag(w) v^dagger, w ascending: inner compressed to its kernel has an
-    eigenvalue above SUPPORT_CUTOFF times Tr inner. Free when w has full
-    rank, one eigendecomposition otherwise."""
+    eigenvalue above SUPPORT_CUTOFF times Tr inner. inner is one operator or
+    a (k, d, d) stack of them, which leaks where any of its matrices does;
+    it is not validated. Free when w has full rank, one stacked
+    eigendecomposition of the compressions otherwise."""
     if _full_rank(w):
         return False
     inner = _as_matrix(inner)
     kernel = v[:, ~support_mask(w)]
-    lw, _ = eig_hermitian(kernel.conj().T @ inner @ kernel)
-    return float(np.max(np.abs(lw))) > SUPPORT_CUTOFF * float(np.real(np.trace(inner)))
+    comp = kernel.conj().T @ inner @ kernel
+    lw, _ = eig_hermitian_stack(comp.reshape(-1, *comp.shape[-2:]))
+    trace = np.trace(inner, axis1=-2, axis2=-1).real.reshape(-1)
+    return bool(np.any(np.max(np.abs(lw), axis=1) > SUPPORT_CUTOFF * trace))
 
 
 def support_contained(rho, sigma) -> bool:
@@ -375,15 +370,6 @@ class BlockSpectra:
         self.w = w
         self.v = v
         self._support = self._log2w = self._sv = None
-
-    @classmethod
-    def stacked(cls, blocks) -> "BlockSpectra":
-        """blocks itself if it is a stack, else the stack of its (p, w, v)
-        triples."""
-        if isinstance(blocks, cls):
-            return blocks
-        p, w, v = zip(*blocks)
-        return cls(p, np.array(w), np.array(v))
 
     def __iter__(self):
         return zip(self.p.tolist(), self.w, self.v)

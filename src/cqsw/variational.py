@@ -48,6 +48,7 @@ from cqsw.divergences import _supported_relative_entropy
 from cqsw.exponents import HUpEvaluator, _exponent
 from cqsw.operators import (
     LN2,
+    BlockSpectra,
     eig_hermitian,
     leaks,
     log2_from_spectrum,
@@ -141,7 +142,8 @@ def _supported_divergence(s: CQState, d: DummyState) -> float:
     total = 0.0
     for qx, sig, blk in _paired_blocks(s, d):
         w, v = sig.spectrum()
-        total += _supported_relative_entropy([(qx, qx * w, v)], *blk[1:])
+        one = BlockSpectra([qx], (qx * w)[None], v[None])
+        total += _supported_relative_entropy(one, *blk[1:])
     return total
 
 

@@ -19,9 +19,9 @@ def eig_count(monkeypatch):
     real = operators.eig_hermitian
     real_stack = operators.eig_hermitian_stack
 
-    def eig(a, *args, **kwargs):
+    def eig(a):
         calls.append(1)
-        return real(a, *args, **kwargs)
+        return real(a)
 
     def eig_stack(a):
         calls.extend([1] * len(a))

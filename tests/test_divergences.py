@@ -24,7 +24,7 @@ from cqsw.divergences import (
     renyi_divergence,
 )
 from cqsw.errors import InvalidAlphaError, SupportViolationError
-from cqsw.operators import LN2, eig_hermitian, log2_on_support, random_density
+from cqsw.operators import LN2, BlockSpectra, eig_hermitian, log2_on_support, random_density
 from cqsw.states import CQState
 from test_type_classes import _source
 
@@ -238,7 +238,8 @@ def test_alpha_slope_at_one_is_half_the_variance(variant):
     # V / 2 for petz and sandwiched; just outside it, the full formula
     rho = random_density(RNG, 3)
     sig = random_density(RNG, 3)
-    blocks = [(1.0, *np.linalg.eigh(rho))]
+    w, v = np.linalg.eigh(rho)
+    blocks = BlockSpectra([1.0], w[None], v[None])
     sw, sv = eig_hermitian(sig)
     half_v = relative_entropy_variance(rho, sig) / 2.0
     assert _divergence(blocks, sw, sv, 1.0, variant, slope=True)[1] == \

@@ -52,35 +52,31 @@ def test_sandwiched_objective_one_eigendecomposition(eig_count, warmed_zero_plus
     assert len(eig_count) == 1
 
 
-@pytest.mark.parametrize("variant", ("sandwiched", "flat"))
-def test_objective_makes_one_unchecked_eig_hermitian_call(monkeypatch, variant):
-    # on a three-block qubit source: the parameter matrix K, not validated
-    # (Hermitian by construction); flat's exponent matrices are one stacked
-    # eigendecomposition, also unvalidated
+@pytest.mark.parametrize("variant,stack_calls", (("sandwiched", 1), ("flat", 2)))
+def test_objective_validates_no_eigendecomposition(monkeypatch, variant, stack_calls):
+    # on a three-block qubit source: the parameter matrix K is eigendecomposed
+    # unvalidated (Hermitian by construction), one eig_hermitian_stack call,
+    # and flat's three exponent matrices are one more; nothing is validated
     s = presets.random_cq_state(np.random.default_rng(1), 3, 2)
     s.block_spectra()
-    calls = {"eig_hermitian": 0, "check_hermitian": 0}
-    real_eig, real_check = operators.eig_hermitian, operators.check_hermitian
+    calls = {"eig_hermitian": 0, "eig_hermitian_stack": 0, "check_hermitian": 0}
 
-    def eig(a, *args, **kwargs):
-        calls["eig_hermitian"] += 1
-        return real_eig(a, *args, **kwargs)
+    def counted(name, real):
+        def fn(a):
+            calls[name] += 1
+            return real(a)
+        return fn
 
-    def check(a):
-        calls["check_hermitian"] += 1
-        return real_check(a)
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("cqsw"):
-            if getattr(mod, "eig_hermitian", None) is real_eig:
-                monkeypatch.setattr(mod, "eig_hermitian", eig)
-            if getattr(mod, "check_hermitian", None) is real_check:
-                monkeypatch.setattr(mod, "check_hermitian", check)
+    for name in calls:
+        real = getattr(operators, name)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("cqsw") and getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted(name, real))
     basis = conditional._traceless_basis(s.dim_b)
     objective = conditional._h_up_objective(s, 1.7, variant, basis, grad=True)
     value, grad = objective(np.array([0.1, -0.2, 0.3]))
     assert math.isfinite(value) and np.all(np.isfinite(grad))
-    assert calls == {"eig_hermitian": 1, "check_hermitian": 0}
+    assert calls == {"eig_hermitian": 0, "eig_hermitian_stack": stack_calls, "check_hermitian": 0}
 
 
 def test_petz_down_probes_reuse_the_marginal_overlaps(eig_count, warmed_zero_plus):
