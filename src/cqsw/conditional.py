@@ -145,15 +145,17 @@ def _petz_acc_spectrum(s: CQState, alpha: float) -> tuple[np.ndarray, np.ndarray
     That support is the union of the block supports, the support of rho_B,
     whatever alpha is, so it is the top rank(rho_B) eigenvalues. A cutoff
     relative to the largest eigenvalue would drop genuine ones as soon as
-    alpha > 1 pushes their ratio below it.
+    alpha > 1 pushes their ratio below it. The rank is counted once per
+    state.
     """
     blocks = s.block_spectra()
     wa = np.power(blocks.w, alpha, out=np.zeros_like(blocks.w), where=blocks.support)
     # Hermitian by construction, so not validated
     w, v = eig_hermitian_stack(np.einsum("kij,kj,klj->il", blocks.v, wa, blocks.v.conj())[None])
     w, v = w[0], v[0]
-    rank = int(np.count_nonzero(support_mask(marginal_b(s).spectrum()[0])))
-    on = np.arange(w.size) >= w.size - rank
+    if s._marginal_rank is None:
+        s._marginal_rank = int(np.count_nonzero(support_mask(marginal_b(s).spectrum()[0])))
+    on = np.arange(w.size) >= w.size - s._marginal_rank
     return np.where(on, np.maximum(w, 0.0), 0.0), v
 
 

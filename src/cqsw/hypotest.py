@@ -7,6 +7,11 @@ Q = {rho - t sigma > 0} + c * ker(rho - t sigma), with a fractional weight c
 on the boundary eigenspace making the constraint hold with equality. The
 threshold t is the root of a monotone mass function, found by a safeguarded
 root search (`_np_threshold`) that lands exactly on the jumps of the mass.
+
+A block-diagonal pair enters as weighted blocks (weight, rho, sigma),
+stacked by size once per pair; each threshold then costs one stacked
+eigendecomposition per block size, unvalidated. The public entry points
+validate their operator inputs once, on entry.
 """
 
 from __future__ import annotations
@@ -17,20 +22,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from cqsw.errors import (
+    DimensionMismatchError,
     InvalidEpsilonError,
     InvalidMuError,
     InvariantViolation,
     WTooLargeError,
 )
-from cqsw.operators import _as_matrix, eig_hermitian, tensor
+from cqsw.operators import (
+    _as_matrix,
+    check_hermitian,
+    eig_hermitian,
+    eig_hermitian_stack,
+    tensor,
+)
 from cqsw.states import (
     DEFAULT_CAP,
     CQState,
     marginal_b,
+    schur_weyl_blocks,
     type_classes,
 )
 
+# an eigenvalue of rho - t sigma is zero below _KER_TOL times what cancels in
+# it or below _NOISE_TOL times the largest eigenvalue of its block (`_split`)
 _KER_TOL = 1e-10
+_NOISE_TOL = 1e-13
 
 
 @dataclass
@@ -63,62 +79,88 @@ def _check_test_spectrum(w):
         )
 
 
-def _split(rb, sb, t):
-    """Eigendecomposition (w, v) of rho - t sigma with masks of its strictly
-    positive eigenspace and of its kernel."""
-    w, v = eig_hermitian(rb - t * sb)
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    cut = _KER_TOL * max(scale, 1.0)
-    return w, v, w > cut, np.abs(w) <= cut
+def _hermitian_pair(rho, sigma):
+    """rho and sigma validated (`check_hermitian`) and of one shape."""
+    rho, sigma = check_hermitian(rho), check_hermitian(sigma)
+    if rho.shape != sigma.shape:
+        raise DimensionMismatchError(f"shape mismatch {rho.shape} vs {sigma.shape}")
+    return rho, sigma
 
 
-def _threshold_masses(blocks, t):
+def _split(rs, t):
+    """Eigendecompositions (w, v) of the (k, D, D) stack rho - t sigma of a
+    pair stack rs = (rho, sigma), the real diagonals d (2, k, D) of
+    v^dagger rho v and v^dagger sigma v, and masks (k, D) of each matrix's
+    strictly positive eigenspace and of its kernel.
+
+    Eigenvalue w_i is the difference d_0i - t d_1i; it counts as zero when
+    it is below _KER_TOL times d_0i + t d_1i, what cancels in it, or below
+    _NOISE_TOL times the matrix's largest eigenvalue, the rounding of the
+    eigensolver. A cut relative to the largest eigenvalue alone would take
+    genuine eigenvalues for zero in blocks whose entries span many orders
+    of magnitude, as n-fold blocks do."""
+    w, v = eig_hermitian_stack(rs[0] - t * rs[1])
+    d = np.einsum("kji,xkji->xki", v.conj(), rs @ v).real
+    cut = np.maximum(_KER_TOL * np.abs(d[0] + t * d[1]),
+                     _NOISE_TOL * np.max(np.abs(w), axis=1)[:, None])
+    return w, v, d, w > cut, np.abs(w) <= cut
+
+
+def _stack_by_size(blocks):
+    """Weighted blocks (weight, rho, sigma) grouped by size into stacks
+    (weights (k,), rs (2, k, D, D)), rs[0] the rho and rs[1] the sigma
+    blocks, in order of first appearance."""
+    groups = {}
+    for wt, rb, sb in blocks:
+        groups.setdefault(np.shape(rb)[0], []).append((wt, rb, sb))
+    return [(np.array([float(wt) for wt, _, _ in group]),
+             np.array([[rb for _, rb, _ in group], [sb for _, _, sb in group]],
+                      dtype=np.complex128))
+            for group in groups.values()]
+
+
+def _threshold_masses(stacks, t):
     """Masses of rho and sigma on the strictly positive eigenspace and on the
-    kernel of rho - t sigma, summed over blocks (weight, rho, sigma) with
-    each block's masses counted weight times, and the nearest thresholds
-    above and below t where an eigenvalue of a block crosses zero, with the
-    `_split` of each block.
+    kernel of rho - t sigma, summed over the size-grouped stacks of
+    `_stack_by_size` with each block's masses counted weight times, and the
+    nearest thresholds above and below t where an eigenvalue of a block
+    crosses zero, with the `_split` of each stack: one stacked
+    eigendecomposition per block size.
 
     The crossings are Hellmann-Feynman estimates: eigenvalue w_i of
     rho - t sigma moves with slope -<v_i|sigma|v_i>, so it reaches zero near
     t + w_i / <v_i|sigma|v_i>. They are exact when rho and sigma commute.
     Returns ((pos_r, pos_s, ker_r, ker_s, up, down), splits); up is +inf
     and down -inf where no eigenvalue crosses on that side."""
-    pos_r = pos_s = ker_r = ker_s = 0.0
+    masses = np.zeros((2, 2))  # rows rho, sigma; columns positive, kernel
     up, down = math.inf, -math.inf
     splits = []
-    for wt, rb, sb in blocks:
-        w, v, pos, ker = split = _split(rb, sb, t)
+    for wt, rs in stacks:
+        w, v, d, pos, ker = split = _split(rs, t)
         splits.append(split)
-        rd = np.real(np.einsum("ij,jk,ki->i", v.conj().T, rb, v))
-        sd = np.real(np.einsum("ij,jk,ki->i", v.conj().T, sb, v))
-        pos_r += wt * float(np.sum(rd[pos]))
-        pos_s += wt * float(np.sum(sd[pos]))
-        ker_r += wt * float(np.sum(rd[ker]))
-        ker_s += wt * float(np.sum(sd[ker]))
-        moving = sd > 0.0
-        cross = t + w[moving] / sd[moving]
-        above = cross[pos[moving]]
-        below = cross[~(pos | ker)[moving]]
-        if above.size:
-            up = min(up, float(np.min(above)))
-        if below.size:
-            down = max(down, float(np.max(below)))
+        masses += np.einsum("k,xki,yki->xy", wt, d, (pos, ker))
+        moving = d[1] > 0.0
+        cross = t + np.divide(w, d[1], out=np.zeros_like(w), where=moving)
+        up = min(up, float(np.min(cross, where=pos & moving, initial=math.inf)))
+        down = max(down, float(np.max(cross, where=moving & ~(pos | ker), initial=-math.inf)))
+    (pos_r, ker_r), (pos_s, ker_s) = masses.tolist()
     return (pos_r, pos_s, ker_r, ker_s, up, down), splits
 
 
 def _mass_memo(blocks):
-    """t -> the six masses of _threshold_masses(blocks, t), each t evaluated
-    once. The memo keeps the scalars of every t but the block splits of the
-    t evaluated last only, as (t, splits) in its attribute last: every
-    search here evaluates its final threshold last, so the optimal test can
-    be assembled from them."""
+    """t -> the six masses of _threshold_masses at t over the blocks
+    (weight, rho, sigma), stacked by size once, each t evaluated once. The
+    memo keeps the scalars of every t but the stack splits of the t
+    evaluated last only, as (t, splits) in its attribute last: every search
+    here evaluates its final threshold last, so the optimal test can be
+    assembled from them."""
+    stacks = _stack_by_size(blocks)
     table = {}
 
     def masses(t):
         if t not in table:
             masses.last = None  # hold one set of splits at a time
-            table[t], splits = _threshold_masses(blocks, t)
+            table[t], splits = _threshold_masses(stacks, t)
             masses.last = (t, splits)
         return table[t]
 
@@ -222,7 +264,7 @@ def _optimal_test(split, c, type1, type2) -> TestOperator:
     """The test Q = P + c K from the `_split` of rho - t sigma at the final
     threshold t. Q = v diag(weights) v^dagger with weights 0, c and 1, so
     its [0, 1] check runs on the weights and Q is not eigendecomposed."""
-    _, v, pos, ker = split
+    _, v, _, pos, ker = split
     weights = pos.astype(float) + c * ker.astype(float)
     _check_test_spectrum(weights)
     test = object.__new__(TestOperator)
@@ -256,13 +298,13 @@ def hypothesis_testing_divergence(rho, sigma, eps: float):
     """
     if not 0.0 <= eps < 1.0:
         raise InvalidEpsilonError(f"epsilon must lie in [0, 1), got {eps}")
-    rho = _as_matrix(rho)
-    sigma = _as_matrix(sigma)
+    rho, sigma = _hermitian_pair(rho, sigma)
     blocks = [(1, rho, sigma)]
     memo = _mass_memo(blocks)
     value, type2, t, c, masses = _dh_blocks(blocks, eps, memo)
     last_t, splits = memo.last
-    split = splits[0] if last_t == t else _split(rho, sigma, t)
+    split = splits[0] if last_t == t else _split(np.array([[rho], [sigma]]), t)
+    split = tuple(a[0] for a in split)
     pr, ps, kr, ks = masses[:4]
     type1 = float(np.real(np.trace(rho))) - (pr + c * kr)
     return value, _optimal_test(split, c, type1, type2)
@@ -274,8 +316,7 @@ def hat_alpha(rho, sigma, mu: float) -> float:
     Equals 2 ** (-D_H^mu(sigma || rho)); sigma may be subnormalized, and mu
     must not exceed its trace.
     """
-    rho = _as_matrix(rho)
-    sigma = _as_matrix(sigma)
+    rho, sigma = _hermitian_pair(rho, sigma)
     tr_sigma = float(np.real(np.trace(sigma)))
     if not 0.0 < mu <= tr_sigma + 1e-12:
         raise InvalidMuError(f"mu must lie in (0, {tr_sigma:.6g}], got {mu}")
@@ -302,7 +343,9 @@ def one_shot_converse(s: CQState, w_size: int, sigma_b) -> float:
         )
     if w_size < 1:
         raise WTooLargeError(f"w_size must be at least 1, got {w_size}")
-    tau_b = _as_matrix(sigma_b) / s.size_x
+    tau_b = check_hermitian(sigma_b) / s.size_x
+    if tau_b.shape != (s.dim_b, s.dim_b):
+        raise DimensionMismatchError(f"sigma_b has shape {tau_b.shape}, expected d = {s.dim_b}")
     blocks = [(1, p * r.matrix, tau_b) for p, r in zip(s.probs, s.side_info)]
     a = _hat_alpha_blocks(blocks, w_size / s.size_x)
     if a <= 0.0:
@@ -318,16 +361,20 @@ def rate_window(s: CQState, n: int, eps: float, alpha: float,
     side-information marginal; the upper endpoint pays a finite-length
     penalty controlled by the splitting parameter alpha.
 
-    The n-fold state enters through one block per type class (see
-    `type_classes`), and both endpoints share one memo of threshold masses.
+    The n-fold state enters through its Schur-Weyl irrep blocks for qubit
+    side information (`schur_weyl_blocks`) and through one block per type
+    class otherwise (`type_classes`); both endpoints share one memo of
+    threshold masses.
     """
     if not 0.0 < eps < 1.0:
         raise InvalidEpsilonError(f"epsilon must lie in (0, 1), got {eps}")
     if not 0.0 < alpha < 1.0:
         raise InvalidEpsilonError(f"alpha must lie in (0, 1), got {alpha}")
-    classes = type_classes(s, n, cap=cap)
-    rho_b_n = tensor(*([marginal_b(s).matrix] * n))
-    blocks = [(mult, p * r, rho_b_n) for mult, p, r in classes]
+    if s.dim_b == 2:
+        blocks = schur_weyl_blocks(s, n, cap)
+    else:
+        rho_b_n = tensor(*([marginal_b(s).matrix] * n))
+        blocks = [(mult, p * r, rho_b_n) for mult, p, r in type_classes(s, n, cap=cap)]
     masses = _mass_memo(blocks)
     lower_dh = _dh_blocks(blocks, eps, masses)[0]
     upper_dh = _dh_blocks(blocks, alpha * eps, masses)[0]

@@ -82,80 +82,85 @@ def _eig2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def jacobi_cyclic(a_in: np.ndarray, max_sweeps: int, rel_tol: float):
-    """Cyclic complex Jacobi eigenvalue iteration on a Hermitian matrix.
+    """Cyclic complex Jacobi eigenvalue iteration on each matrix of a
+    (k, n, n) stack of Hermitian matrices.
 
-    Returns (diagonal, eigenvectors, sweeps, converged), unsorted.
+    The convergence test runs on the whole stack first, so a matrix that
+    already meets it, a diagonal one say, costs no rotation; the others are
+    iterated one by one, each for at most max_sweeps sweeps. Returns
+    (diagonals (k, n), eigenvectors (k, n, n), sweeps, converged),
+    unsorted; sweeps is summed over the stack, and converged holds when
+    every matrix met the tolerance.
     """
-    n = a_in.shape[0]
     a = np.array(a_in, dtype=np.complex128, order="C")
-    v = np.eye(n, dtype=np.complex128)
-    fro = float(np.linalg.norm(a))
-    if fro == 0.0 or n == 1:
-        return np.real(np.diag(a)).copy(), v, 0, True
-
+    n = a.shape[-1]
+    v = np.eye(n, dtype=np.complex128)[None].repeat(len(a), axis=0)
+    sq = np.abs(a) ** 2
+    fro = np.sqrt(sq.sum((1, 2)))
     tol2 = (rel_tol * fro) ** 2
-    skip = 1e-18 * fro
-    sweep = 0
-    converged = False
-    while sweep < max_sweeps:
-        off = float(np.sum(np.abs(np.triu(a, 1)) ** 2))
-        if off <= tol2:
-            converged = True
-            break
-        sweep += 1
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= skip:
-                    continue
-                ph = apq / r
-                phc = ph.conjugate()
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (aqq - app) / (2.0 * r)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * phc * col_q
-                a[:, q] = s * col_p + c * phc * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * ph * row_q
-                a[q, :] = s * row_p + c * ph * row_q
-                vcol_p = v[:, p].copy()
-                vcol_q = v[:, q].copy()
-                v[:, p] = c * vcol_p - s * phc * vcol_q
-                v[:, q] = s * vcol_p + c * phc * vcol_q
-    if not converged:
-        off = float(np.sum(np.abs(np.triu(a, 1)) ** 2))
-        converged = off <= tol2
-    return np.real(np.diag(a)).copy(), v, sweep, converged
+    off = np.triu(sq, 1).sum((1, 2))
+    sweeps = 0
+    converged = True
+    for i in np.flatnonzero(off > tol2):
+        m, vm = a[i], v[i]  # views: the rotations act on the stacks
+        skip, tol2_i, off_i = 1e-18 * float(fro[i]), float(tol2[i]), float(off[i])
+        sweep = 0
+        while off_i > tol2_i and sweep < max_sweeps:
+            sweep += 1
+            for p in range(n - 1):
+                for q in range(p + 1, n):
+                    apq = m[p, q]
+                    r = abs(apq)
+                    if r <= skip:
+                        continue
+                    ph = apq / r
+                    phc = ph.conjugate()
+                    app = m[p, p].real
+                    aqq = m[q, q].real
+                    tau = (aqq - app) / (2.0 * r)
+                    if tau >= 0.0:
+                        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                    else:
+                        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                    c = 1.0 / math.sqrt(1.0 + t * t)
+                    s = t * c
+                    col_p = m[:, p].copy()
+                    col_q = m[:, q].copy()
+                    m[:, p] = c * col_p - s * phc * col_q
+                    m[:, q] = s * col_p + c * phc * col_q
+                    row_p = m[p, :].copy()
+                    row_q = m[q, :].copy()
+                    m[p, :] = c * row_p - s * ph * row_q
+                    m[q, :] = s * row_p + c * ph * row_q
+                    vcol_p = vm[:, p].copy()
+                    vcol_q = vm[:, q].copy()
+                    vm[:, p] = c * vcol_p - s * phc * vcol_q
+                    vm[:, q] = s * vcol_p + c * phc * vcol_q
+            off_i = float((np.abs(np.triu(m, 1)) ** 2).sum())
+        sweeps += sweep
+        converged = converged and off_i <= tol2_i
+    return a.diagonal(axis1=1, axis2=2).real.copy(), v, sweeps, converged
 
 
 def _eig_jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian n x n matrix,
-    n >= 3, by cyclic Jacobi, with the phase convention of `_eig2`."""
-    n = a.shape[0]
-    a = (a + a.conj().T) / 2.0
+    """Eigenvalues (k, n), ascending, and eigenvectors (k, n, n) of a
+    (k, n, n) stack of Hermitian matrices, n >= 3, by cyclic Jacobi
+    (`jacobi_cyclic`), with the phase convention of `_eig2`; sorting and
+    phases are fixed for the whole stack at once."""
+    n = a.shape[-1]
+    a = (a + a.conj().transpose(0, 2, 1)) / 2.0
     max_sweeps = 100 * n * n
     diag, vec, _, converged = jacobi_cyclic(a, max_sweeps, _JACOBI_TOL)
     if not converged:
         raise NoConvergenceError(f"Jacobi sweeps exceeded cap {max_sweeps}")
-    order = np.argsort(diag, kind="stable")
-    w = np.ascontiguousarray(diag[order])
-    v = np.ascontiguousarray(vec[:, order])
+    rows = np.arange(len(a))[:, None]
+    order = np.argsort(diag, axis=1, kind="stable")
+    w = diag[rows, order]
+    v = vec[rows, :, order].transpose(0, 2, 1)
     # fix each eigenvector phase: largest-magnitude entry made real positive
-    for j in range(n):
-        k = int(np.argmax(np.abs(v[:, j])))
-        z = v[k, j]
-        if abs(z) > 0:
-            v[:, j] *= z.conjugate() / abs(z)
+    top = v[rows, np.argmax(np.abs(v), axis=1), np.arange(n)]
+    mag = np.abs(top)
+    v *= np.divide(top.conj(), mag, out=np.ones_like(top), where=mag > 0.0)[:, None, :]
     return w, v
 
 
@@ -170,23 +175,18 @@ def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
     n = a.shape[0]
     if n == 1:
         return np.array([a[0, 0].real]), np.ones((1, 1), dtype=np.complex128)
-    if n == 2:
-        w, v = _eig2(a[None])
-        return w[0], v[0]
-    return _eig_jacobi(a)
+    w, v = (_eig2 if n == 2 else _eig_jacobi)(a[None])
+    return w[0], v[0]
 
 
 def eig_hermitian_stack(a) -> tuple[np.ndarray, np.ndarray]:
     """`eig_hermitian` of each matrix of a (k, n, n) stack, unvalidated:
     eigenvalues (k, n) and eigenvectors (k, n, n). 2 x 2 stacks take the
-    closed form in one pass; larger matrices go through Jacobi one by one."""
+    closed form in one pass; larger ones go through `_eig_jacobi`."""
     a = np.asarray(a, dtype=np.complex128)
     if a.shape[-1] == 1:
         return a[:, :, 0].real.copy(), np.ones(a.shape, dtype=np.complex128)
-    if a.shape[-1] == 2:
-        return _eig2(a)
-    pairs = [_eig_jacobi(m) for m in a]
-    return np.array([w for w, _ in pairs]), np.array([v for _, v in pairs])
+    return (_eig2 if a.shape[-1] == 2 else _eig_jacobi)(a)
 
 
 def _spectral_map(a, fn) -> np.ndarray:
@@ -248,9 +248,13 @@ def spectral_log2(a) -> np.ndarray:
 
 
 def tensor(*ops) -> np.ndarray:
+    """The Kronecker product of the operators, left to right: entry by entry
+    the products np.kron forms, without its general-shape handling."""
     out = _as_matrix(ops[0])
     for b in ops[1:]:
-        out = np.kron(out, _as_matrix(b))
+        b = _as_matrix(b)
+        (r, c), (br, bc) = out.shape, b.shape
+        out = (out[:, None, :, None] * b[None, :, None, :]).reshape(r * br, c * bc)
     return out
 
 

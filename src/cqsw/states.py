@@ -1,10 +1,12 @@
 """Sources with quantum side information: a classical symbol distribution
-paired with one density operator per symbol, plus n-fold extensions and
-JSON file ingestion.
+paired with one density operator per symbol, plus n-fold extensions (whole,
+by type class, or for qubit side information by Schur-Weyl irrep) and JSON
+file ingestion.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -90,8 +92,9 @@ class CQState:
     """Classical-quantum source: symbols, probabilities, side information.
 
     A CQState is treated as immutable. The eigendecomposition of each block
-    p(x) rho_B^x (`block_spectra`) and the marginal rho_B (`marginal_b`) are
-    computed once per state, on first use, and shared by every divergence,
+    p(x) rho_B^x (`block_spectra`), the marginal rho_B (`marginal_b`) and
+    its rank (`conditional._petz_acc_spectrum`) are computed once per
+    state, on first use, and shared by every divergence,
     entropy and exponent evaluated on it; so are the reports of iterate
     `h_up` solves, keyed by (variant, alpha) (`conditional._tabulated_solve`),
     the n-fold extensions, keyed by n (`power_state`), and the PGM
@@ -118,6 +121,7 @@ class CQState:
         self.dim_b = dims.pop()
         self._block_spectra = None
         self._marginal = None
+        self._marginal_rank = None
         self._h_up_table = {}
         self._nfold = {}
         self._pgm_projectors = {}
@@ -231,12 +235,94 @@ def type_classes(s: CQState, n: int, cap: int = DEFAULT_CAP):
     _check_nfold(s, n, cap)
     blocks = s.blocks()
     out = []
-    for idx in itertools.combinations_with_replacement(range(len(blocks)), n):
-        mult = math.factorial(n)
-        for k in set(idx):
-            mult //= math.factorial(idx.count(k))
+    for idx, _, mult in _types(len(blocks), n):
         p = float(np.prod([blocks[i][0] for i in idx]))
         out.append((mult, p, tensor(*(blocks[i][1] for i in idx))))
+    return out
+
+
+def _types(k: int, n: int):
+    """The types of length-n strings over k symbols, each as (its sorted
+    representative, the pairs (symbol, count) of the symbols it uses, the
+    size of its class)."""
+    for idx in itertools.combinations_with_replacement(range(k), n):
+        counts = [(x, idx.count(x)) for x in sorted(set(idx))]
+        mult = math.factorial(n)
+        for _, c in counts:
+            mult //= math.factorial(c)
+        yield idx, counts, mult
+
+
+def _sym_powers(a: np.ndarray, m_max: int) -> list[np.ndarray]:
+    """[Sym^0(A), ..., Sym^m_max(A)] of a 2 x 2 matrix A: Sym^m(A) is
+    A^(x)m on the symmetric subspace of m qubits, in its orthonormal basis
+    |m, j> (the normalized symmetrization of m - j zeros and j ones),
+    j = 0..m.
+
+    A^(x)m maps the symmetric tensor of the monomial x^(m-k) y^k to that of
+    u^(m-k) w^k, u = a00 x + a10 y and w = a01 x + a11 y, and |m, j> is that
+    tensor of x^(m-j) y^j over sqrt(C(m, j)); so entry (j, k) is the
+    coefficient c_jk of x^(m-j) y^j in u^(m-k) w^k times
+    sqrt(C(m, k) / C(m, j)). Column k < m of c at m is u times column k at
+    m - 1, and column m is w times column m - 1 at m - 1."""
+    out = [np.ones((1, 1), dtype=np.complex128)]
+    c = out[0]
+    for m in range(1, m_max + 1):
+        nxt = np.zeros((m + 1, m + 1), dtype=np.complex128)
+        nxt[:-1, :-1] = a[0, 0] * c
+        nxt[1:, :-1] += a[1, 0] * c
+        nxt[:-1, -1] = a[0, 1] * c[:, -1]
+        nxt[1:, -1] += a[1, 1] * c[:, -1]
+        c = nxt
+        out.append(c * _binomial_ratios(m))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _binomial_ratios(m: int) -> np.ndarray:
+    """(m + 1, m + 1): entry (j, k) is sqrt(C(m, k) / C(m, j))."""
+    root = np.sqrt([float(math.comb(m, j)) for j in range(m + 1)])
+    out = root[None, :] / root[:, None]
+    out.flags.writeable = False  # shared by every call
+    return out
+
+
+def schur_weyl_blocks(s: CQState, n: int, cap: int = DEFAULT_CAP):
+    """The pair (n-fold joint state, 1_X^n tensor rho_B^(x)n) of a source
+    with qubit side information as weighted blocks (weight, rho block,
+    sigma block) of one block-diagonal pair, for `hypotest._dh_blocks`.
+
+    Within a type (n_x copies of each nonzero-probability symbol x) the
+    pair is (p_type tensor_x rho_x^(x)n_x, tensor_x rho_B^(x)n_x), and by
+    Schur-Weyl duality A^(x)m is the direct sum over lambda = (m - k, k),
+    k <= m / 2, of det(A)^k Sym^(m-2k)(A), each C(m, k) - C(m, k - 1)
+    times, in a basis that does not depend on A (Harrow, PhD thesis 2005).
+    So each type and choice of k_x gives one block pair
+    (p_type tensor_x det(rho_x)^k_x Sym^(n_x-2k_x)(rho_x),
+    tensor_x det(rho_B)^k_x Sym^(n_x-2k_x)(rho_B)), weighted by the size of
+    the type class times prod_x (C(n_x, k_x) - C(n_x, k_x - 1)): blocks of
+    size prod_x (n_x - 2k_x + 1) instead of 2^n. The cap is the one of
+    `power_state`.
+    """
+    if s.dim_b != 2:
+        raise DimensionMismatchError(f"Schur-Weyl blocks need qubit side information, got d = {s.dim_b}")
+    _check_nfold(s, n, cap)
+    blocks = s.blocks()
+    ops = [r for _, r in blocks] + [marginal_b(s).matrix]
+    dets = [float((r[0, 0] * r[1, 1]).real - abs(r[0, 1]) ** 2) for r in ops]
+    sym = [_sym_powers(r, n) for r in ops]
+    out = []
+    for _, counts, mult in _types(len(blocks), n):
+        p = math.prod(blocks[x][0] ** c for x, c in counts)
+        for ks in itertools.product(*(range(c // 2 + 1) for _, c in counts)):
+            weight, scale = mult, p
+            for (x, c), k in zip(counts, ks):
+                weight *= math.comb(c, k) - (math.comb(c, k - 1) if k else 0)
+                scale *= dets[x] ** k
+            dims = [c - 2 * k for (_, c), k in zip(counts, ks)]
+            rho = scale * tensor(*(sym[x][m] for (x, _), m in zip(counts, dims)))
+            sigma = dets[-1] ** sum(ks) * tensor(*(sym[-1][m] for m in dims))
+            out.append((weight, rho, sigma))
     return out
 
 

@@ -211,3 +211,25 @@ def test_petz_down_matches_the_joint_operator(kind, size_x, dim_b, seed):
         assert slope == pytest.approx((4.0 * diff(step / 2.0) - diff(step)) / 3.0, rel=1e-6,
                                       abs=1e-9)
     assert _petz_down(s, 0.0)[0] == h_down(s, 0.0, "petz")
+
+
+def test_petz_spectrum_counts_the_marginal_rank_once(monkeypatch):
+    # the support of sum_x (p rho_x)^alpha is that of rho_B at every alpha,
+    # so its rank is counted on the first call for a state only
+    import cqsw.conditional as conditional
+    from cqsw.conditional import _petz_sibson, petz_h0
+
+    calls = []
+    real = conditional.support_mask
+
+    def mask(w):
+        calls.append(1)
+        return real(w)
+
+    monkeypatch.setattr(conditional, "support_mask", mask)
+    s = presets.zero_plus_source()
+    for alpha in (0.3, 0.7, 1.5, 4.0):
+        petz_sigma_star(s, alpha)
+        _petz_sibson(s, alpha, slope=True)
+    petz_h0(s)
+    assert len(calls) == 1

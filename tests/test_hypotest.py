@@ -17,6 +17,7 @@ from cqsw.errors import (
     CapExceededError,
     InvalidEpsilonError,
     InvalidMuError,
+    NonHermitianError,
     WTooLargeError,
 )
 from cqsw.hypotest import (
@@ -124,6 +125,20 @@ def test_invalid_epsilon_and_mu():
         hat_alpha(rho, rho, 0.0)
     with pytest.raises(InvalidMuError):
         hat_alpha(rho, rho, 1.5)
+
+
+@pytest.mark.parametrize("which", ["rho", "sigma"])
+def test_non_hermitian_operators_raise(which):
+    good = random_density(np.random.default_rng(5), 2)
+    bad = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
+    pair = (bad, good) if which == "rho" else (good, bad)
+    with pytest.raises(NonHermitianError):
+        hypothesis_testing_divergence(*pair, 0.1)
+    with pytest.raises(NonHermitianError):
+        hat_alpha(*pair, 0.5)
+    if which == "sigma":
+        with pytest.raises(NonHermitianError):
+            one_shot_converse(presets.no_side_info(), 1, bad)
 
 
 def test_hat_alpha_identities():
