@@ -89,7 +89,7 @@ _qubit_sources = st.builds(_source, st.sampled_from(("full", "deficient", "zero_
 @example(s=_source("zero_symbol", 3, 2, 7), n=4, eps=0.05)
 @example(s=presets.zero_plus_source(), n=4, eps=0.1)
 def test_irrep_windows_match_type_classes(s, n, eps):
-    n = min(n, 4) if s.size_x == 3 else n
+    n = min(n, 4) if s.size_x == 3 else n  # 3^5 2^5 exceeds the default cap
     got = rate_window(s, n, eps, 0.5)
     want = _window_type_classes(s, n, eps, 0.5)
     assert got == pytest.approx(want, abs=1e-12, rel=0.0)
