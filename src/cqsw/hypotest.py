@@ -9,8 +9,8 @@ threshold t is the root of a monotone mass function, found by a safeguarded
 root search (`_np_threshold`) that lands exactly on the jumps of the mass.
 
 A block-diagonal pair enters as weighted blocks (weight, rho, sigma),
-stacked by size once per pair; each threshold then costs one stacked
-eigendecomposition per block size, unvalidated. The public entry points
+zero-padded to one size and stacked once per pair; each threshold then
+costs one stacked eigendecomposition, unvalidated. The public entry points
 validate their operator inputs once, on entry.
 """
 
@@ -106,62 +106,58 @@ def _split(rs, t):
     return w, v, d, w > cut, np.abs(w) <= cut
 
 
-def _stack_by_size(blocks):
-    """Weighted blocks (weight, rho, sigma) grouped by size into stacks
-    (weights (k,), rs (2, k, D, D)), rs[0] the rho and rs[1] the sigma
-    blocks, in order of first appearance."""
-    groups = {}
-    for wt, rb, sb in blocks:
-        groups.setdefault(np.shape(rb)[0], []).append((wt, rb, sb))
-    return [(np.array([float(wt) for wt, _, _ in group]),
-             np.array([[rb for _, rb, _ in group], [sb for _, _, sb in group]],
-                      dtype=np.complex128))
-            for group in groups.values()]
+def _stack_blocks(blocks):
+    """Weighted blocks (weight, rho, sigma) as one stack (weights (k,),
+    rs (2, k, D, D)), rs[0] the rho and rs[1] the sigma blocks, each block
+    zero-padded to the largest size D. The padding is a direct summand of
+    zeros: rho - t sigma gets exact zero eigenvalues there, which carry no
+    mass and cross no threshold, and Jacobi never rotates into it."""
+    size = max(np.shape(rb)[0] for _, rb, _ in blocks)
+    rs = np.zeros((2, len(blocks), size, size), dtype=np.complex128)
+    for i, (_, rb, sb) in enumerate(blocks):
+        m = np.shape(rb)[0]
+        rs[0, i, :m, :m] = rb
+        rs[1, i, :m, :m] = sb
+    return np.array([float(wt) for wt, _, _ in blocks]), rs
 
 
-def _threshold_masses(stacks, t):
+def _threshold_masses(stack, t):
     """Masses of rho and sigma on the strictly positive eigenspace and on the
-    kernel of rho - t sigma, summed over the size-grouped stacks of
-    `_stack_by_size` with each block's masses counted weight times, and the
-    nearest thresholds above and below t where an eigenvalue of a block
-    crosses zero, with the `_split` of each stack: one stacked
-    eigendecomposition per block size.
+    kernel of rho - t sigma, summed over the blocks of the `_stack_blocks`
+    stack with each block's masses counted weight times, and the nearest
+    thresholds above and below t where an eigenvalue of a block crosses
+    zero, with the `_split` of the stack: one stacked eigendecomposition.
 
     The crossings are Hellmann-Feynman estimates: eigenvalue w_i of
     rho - t sigma moves with slope -<v_i|sigma|v_i>, so it reaches zero near
     t + w_i / <v_i|sigma|v_i>. They are exact when rho and sigma commute.
-    Returns ((pos_r, pos_s, ker_r, ker_s, up, down), splits); up is +inf
+    Returns ((pos_r, pos_s, ker_r, ker_s, up, down), split); up is +inf
     and down -inf where no eigenvalue crosses on that side."""
-    masses = np.zeros((2, 2))  # rows rho, sigma; columns positive, kernel
-    up, down = math.inf, -math.inf
-    splits = []
-    for wt, rs in stacks:
-        w, v, d, pos, ker = split = _split(rs, t)
-        splits.append(split)
-        masses += np.einsum("k,xki,yki->xy", wt, d, (pos, ker))
-        moving = d[1] > 0.0
-        cross = t + np.divide(w, d[1], out=np.zeros_like(w), where=moving)
-        up = min(up, float(np.min(cross, where=pos & moving, initial=math.inf)))
-        down = max(down, float(np.max(cross, where=moving & ~(pos | ker), initial=-math.inf)))
-    (pos_r, ker_r), (pos_s, ker_s) = masses.tolist()
-    return (pos_r, pos_s, ker_r, ker_s, up, down), splits
+    wt, rs = stack
+    w, v, d, pos, ker = split = _split(rs, t)
+    (pos_r, ker_r), (pos_s, ker_s) = np.einsum("k,xki,yki->xy", wt, d, (pos, ker)).tolist()
+    moving = d[1] > 0.0
+    cross = t + np.divide(w, d[1], out=np.zeros_like(w), where=moving)
+    up = float(np.min(cross, where=pos & moving, initial=math.inf))
+    down = float(np.max(cross, where=moving & ~(pos | ker), initial=-math.inf))
+    return (pos_r, pos_s, ker_r, ker_s, up, down), split
 
 
 def _mass_memo(blocks):
     """t -> the six masses of _threshold_masses at t over the blocks
-    (weight, rho, sigma), stacked by size once, each t evaluated once. The
-    memo keeps the scalars of every t but the stack splits of the t
-    evaluated last only, as (t, splits) in its attribute last: every search
-    here evaluates its final threshold last, so the optimal test can be
-    assembled from them."""
-    stacks = _stack_by_size(blocks)
+    (weight, rho, sigma), stacked once, each t evaluated once. The memo
+    keeps the scalars of every t but the stack split of the t evaluated
+    last only, as (t, split) in its attribute last: every search here
+    evaluates its final threshold last, so the optimal test can be
+    assembled from it."""
+    stack = _stack_blocks(blocks)
     table = {}
 
     def masses(t):
         if t not in table:
-            masses.last = None  # hold one set of splits at a time
-            table[t], splits = _threshold_masses(stacks, t)
-            masses.last = (t, splits)
+            masses.last = None  # hold one split at a time
+            table[t], split = _threshold_masses(stack, t)
+            masses.last = (t, split)
         return table[t]
 
     masses.last = None
@@ -302,8 +298,8 @@ def hypothesis_testing_divergence(rho, sigma, eps: float):
     blocks = [(1, rho, sigma)]
     memo = _mass_memo(blocks)
     value, type2, t, c, masses = _dh_blocks(blocks, eps, memo)
-    last_t, splits = memo.last
-    split = splits[0] if last_t == t else _split(np.array([[rho], [sigma]]), t)
+    last_t, split = memo.last
+    split = split if last_t == t else _split(np.array([[rho], [sigma]]), t)
     split = tuple(a[0] for a in split)
     pr, ps, kr, ks = masses[:4]
     type1 = float(np.real(np.trace(rho))) - (pr + c * kr)

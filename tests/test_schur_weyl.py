@@ -160,20 +160,19 @@ def eig_shapes(monkeypatch):
     (lambda: presets.doubly_symmetric(0.11), 5, 12),
 ])
 def test_rate_window_eigendecomposes_irrep_blocks(eig_shapes, monkeypatch, source, n, largest):
-    # one stacked eigendecomposition per block size and threshold; the
-    # type-class blocks were 2^n x 2^n
+    # one stacked eigendecomposition per threshold, of every irrep block
+    # zero-padded to the largest; the type-class blocks were 2^n x 2^n
     s = source()
     thresholds = []
     real_masses = hypotest._threshold_masses
 
-    def masses(stacks, t):
+    def masses(stack, t):
         thresholds.append(t)
-        return real_masses(stacks, t)
+        return real_masses(stack, t)
 
     monkeypatch.setattr(hypotest, "_threshold_masses", masses)
     rate_window(s, n, 0.1, 0.5)
     assert max(shape[-1] for _, shape in eig_shapes) == largest
-    sizes = {np.shape(rb)[0] for _, rb, _ in schur_weyl_blocks(s, n)}
+    blocks = len(schur_weyl_blocks(s, n))
     stacked = [shape for name, shape in eig_shapes if name == "cqsw.hypotest"]
-    assert len(stacked) == len(thresholds) * len(sizes)
-    assert all(len(shape) == 3 for shape in stacked)
+    assert stacked == [(blocks, largest, largest)] * len(thresholds)
