@@ -97,7 +97,8 @@ class CQState:
     state, on first use, and shared by every divergence,
     entropy and exponent evaluated on it; so are the reports of iterate
     `h_up` solves, keyed by (variant, alpha) (`conditional._tabulated_solve`),
-    the n-fold extensions, keyed by n (`power_state`), and the PGM
+    the n-fold extensions, keyed by n (`power_state`), the threshold
+    tables of rate windows, keyed by n (`hypotest._window_table`), and the PGM
     projectors of a code decoded on this state, keyed by the number of bins
     (`coding._pgm_projectors`).
     """
@@ -124,6 +125,7 @@ class CQState:
         self._marginal_rank = None
         self._h_up_table = {}
         self._nfold = {}
+        self._windows = {}
         self._pgm_projectors = {}
         if check:
             if np.any(self.probs < 0):
