@@ -6,12 +6,14 @@ The optimal test between rho and sigma always has threshold form
 Q = {rho - t sigma > 0} + c * ker(rho - t sigma), with a fractional weight c
 on the boundary eigenspace making the constraint hold with equality. The
 threshold t is the root of a monotone mass function, found by a safeguarded
-root search (`_np_threshold`) that lands exactly on the jumps of the mass.
+Newton search on the mass's exact slope (`_np_threshold`) that lands exactly
+on the jumps of the mass and ends at the exact root.
 
 A block-diagonal pair enters as weighted blocks (weight, rho, sigma),
-zero-padded to one size and stacked once per pair; each threshold then
-costs one stacked eigendecomposition, unvalidated. The public entry points
-validate their operator inputs once, on entry.
+zero-padded to one size and stacked once per pair (`_MassTable`); each
+threshold then costs one stacked eigendecomposition, unvalidated. Rate
+windows keep that table on the state, one per blocklength. The public entry
+points validate their operator inputs once, on entry.
 """
 
 from __future__ import annotations
@@ -181,13 +183,27 @@ class _MassTable:
         return self.table[t]
 
 
+def _residual(m, idx: int, target: float) -> float:
+    """Signed distance of the mass matched by idx (0 rho, 1 sigma) from
+    target, from the values m of `_threshold_masses`: positive while P alone
+    is too heavy, negative while P + K is too light, 0 where a weight c in
+    [0, 1] on K matches. The 1e-12 slack keeps rounding noise in the masses
+    from being chased; `_np_threshold` steps from there to the exact root."""
+    lo_mass, hi_mass = m[idx], m[idx] + m[2 + idx]
+    if lo_mass > target + 1e-12:
+        return lo_mass - target
+    if hi_mass < target - 1e-12:
+        return hi_mass - target
+    return 0.0
+
+
 def _np_threshold(masses, target: float, match: str):
     """Find (t, c) so the chosen mass of Q = P + cK equals target exactly.
 
     masses is a `_MassTable`. match = "rho" equates Tr[Q rho] with target;
     match = "sigma" equates Tr[Q sigma]. Both are nonincreasing in t: smooth
     between jumps where the blocks do not commute, a step function where
-    they do. The search brackets the root of a signed residual g, starting
+    they do. The search brackets the root of `_residual` g, starting
     from the tightest bracket the thresholds already in the table give, and
     narrows it by `_root`: Newton steps on the exact slope of the mass, with
     jump steps onto estimated eigenvalue crossings and ITP steps as the
@@ -199,29 +215,15 @@ def _np_threshold(masses, target: float, match: str):
     for match = "rho", Tr[Q rho] for match = "sigma".
     """
     idx = 0 if match == "rho" else 1
-
-    def g(m):
-        # signed distance of the matched mass from target: positive while
-        # P alone is too heavy, negative while P + K is too light, 0 where a
-        # weight c in [0, 1] on K matches; the 1e-12 slack keeps rounding
-        # noise in the masses from being chased, and the final step below
-        # removes what is left of it
-        lo_mass, hi_mass = m[idx], m[idx] + m[2 + idx]
-        if lo_mass > target + 1e-12:
-            return lo_mass - target
-        if hi_mass < target - 1e-12:
-            return hi_mass - target
-        return 0.0
-
     # t = 0 settles D_H^0 on rank-deficient rho exactly; otherwise it is
     # the lower end of the bracket, too heavy by construction
-    a, ga = 0.0, g(masses(0.0))
+    a, ga = 0.0, _residual(masses(0.0), idx, target)
     if ga <= 0.0:
         t = a
     else:
         b, gb, t = math.inf, -1.0, None
         for x, m in masses.table.items():
-            gx = g(m)
+            gx = _residual(m, idx, target)
             if gx == 0.0:
                 t = x
                 break
@@ -235,11 +237,11 @@ def _np_threshold(masses, target: float, match: str):
             b = 1.0
             while b <= a:
                 b *= 4.0
-            while (gb := g(masses(b))) > 0.0 and b <= 1e60:
+            while (gb := _residual(masses(b), idx, target)) > 0.0 and b <= 1e60:
                 a, ga = b, gb
                 b *= 4.0
         if t is None:
-            t = b if gb >= 0.0 else _root(masses, lambda x: g(masses(x)), idx, a, b, ga, gb)
+            t = b if gb >= 0.0 else _root(masses, idx, target, a, b, ga, gb)
     m = masses(t)
     oth = 1 - idx
     lo_mass, k_mass = m[idx], m[2 + idx]
@@ -255,8 +257,9 @@ def _np_threshold(masses, target: float, match: str):
     return t, c, m, other
 
 
-def _root(masses, g, idx, a, b, ga, gb) -> float:
-    """A zero of the nonincreasing g on [a, b], g(a) > 0 > g(b), with a
+def _root(masses, idx, target, a, b, ga, gb) -> float:
+    """A zero of the nonincreasing g = `_residual` on [a, b] of a
+    `_MassTable` masses, g(a) > 0 > g(b), with a
     tolerance of 1e-16 b. Each step evaluates one point inside the bracket:
     a Newton step on the exact slope of the matched mass, from the end whose
     step is shorter, while it stays inside the bracket and the last Newton
@@ -302,7 +305,7 @@ def _root(masses, g, idx, a, b, ga, gb) -> float:
             xt = xf + sign * delta if delta <= abs(mid - xf) else mid
             x = xt if abs(xt - mid) <= radius else mid - sign * radius
             j += 1
-        gx = g(x)
+        gx = _residual(masses(x), idx, target)
         if gx > 0.0:
             a, ga = x, gx
         elif gx < 0.0:
