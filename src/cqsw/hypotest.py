@@ -161,17 +161,19 @@ def _threshold_masses(stack, t):
 class _MassTable:
     """t -> the masses, crossings and slopes of `_threshold_masses` at t on
     one block-diagonal pair (weighted blocks (weight, rho, sigma)), stacked
-    once; each t is evaluated once and its values kept in `table`. Only the
-    split of the t evaluated last is kept, as (t, split) in `last`: a search
-    on a fresh table evaluates its final threshold last, so the optimal test
-    can be assembled from it. A rate window keeps its table on the state, so
-    every window on that state and blocklength reads the thresholds the
-    others evaluated. A plain object, so a table is freed with its state
-    without the cyclic collector."""
+    once; each t is evaluated once and its values kept in `table`. With
+    keep_split, the split of the t evaluated last is kept too, as
+    (t, split) in `last`: a search on a fresh table evaluates its final
+    threshold last, so the optimal test can be assembled from it. A rate
+    window keeps its table, without splits, on the state, so every window
+    on that state and blocklength reads the thresholds the others
+    evaluated. A plain object, so a table is freed with its state without
+    the cyclic collector."""
 
-    def __init__(self, blocks):
+    def __init__(self, blocks, keep_split: bool = False):
         self.tr_rho = sum(wt * float(np.real(np.trace(rb))) for wt, rb, _ in blocks)
         self.stack = _stack_blocks(blocks)
+        self.keep_split = keep_split
         self.table = {}
         self.last = None
 
@@ -179,7 +181,8 @@ class _MassTable:
         if t not in self.table:
             self.last = None  # hold one split at a time
             self.table[t], split = _threshold_masses(self.stack, t)
-            self.last = (t, split)
+            if self.keep_split:
+                self.last = (t, split)
         return self.table[t]
 
 
@@ -355,7 +358,7 @@ def hypothesis_testing_divergence(rho, sigma, eps: float):
     if not 0.0 <= eps < 1.0:
         raise InvalidEpsilonError(f"epsilon must lie in [0, 1), got {eps}")
     rho, sigma = _hermitian_pair(rho, sigma)
-    table = _MassTable([(1, rho, sigma)])
+    table = _MassTable([(1, rho, sigma)], keep_split=True)
     value, t, c, masses = _dh(table, eps)
     last_t, split = table.last
     split = split if last_t == t else _split(np.array([[rho], [sigma]]), t)

@@ -129,8 +129,9 @@ def test_threshold_search_work_count(monkeypatch):
     # evaluations) and a step function on the commuting doubly_symmetric
     # source, where the crossing-estimate steps land on the jumps
     assert _threshold_count(monkeypatch, presets.zero_plus_source(), 3, 0.1) <= 30
-    ds = presets.doubly_symmetric(0.11)
-    assert _threshold_count(monkeypatch, ds, 5, 0.1) <= 20
+    # a fresh state per window: windows on one state share their thresholds
+    assert _threshold_count(monkeypatch, presets.doubly_symmetric(0.11), 5, 0.1) <= 20
     for n, counts in _BISECTION_COUNTS.items():
         for eps, bisection in zip((0.05, 0.1, 0.2), counts):
-            assert _threshold_count(monkeypatch, ds, n, eps) <= bisection
+            s = presets.doubly_symmetric(0.11)
+            assert _threshold_count(monkeypatch, s, n, eps) <= bisection

@@ -92,8 +92,9 @@ def test_window_table_is_freed_with_its_state():
 
 
 def test_windows_share_thresholds(monkeypatch):
-    # the three zero_plus n = 2 windows on one state (one window per fresh
-    # state, with ITP and jump steps only, they took 55 evaluations)
+    # the three zero_plus n = 2 windows on one state (with a table per
+    # window and ITP and jump steps only, they took 55 evaluations of 35
+    # distinct thresholds)
     thresholds = []
     real_masses = hypotest._threshold_masses
 
