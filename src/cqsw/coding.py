@@ -335,8 +335,9 @@ def optimal_error_bruteforce(s: CQState, n: int, w_size: int,
             f"{w_size}^{size} encoders exceed the {_BRUTE_CAP} cap"
         )
     best = None
+    solved = {}  # encoders share bins: each member set is discriminated once
     for table in _canonical_encoders(size, w_size):
-        decoder, succ = _optimal_bins(sn, table, w_size)
+        decoder, succ = _optimal_bins(sn, table, w_size, solved)
         if best is None or succ > best[0]:
             best = (succ, np.array(table, dtype=int), decoder)
     succ, table, decoder = best
@@ -375,19 +376,23 @@ def empirical_exponents(s: CQState, n: int, rate: float, decoder_kind: str,
     return e_hat, sc_hat
 
 
-def _optimal_bins(sn: CQState, table, w_size: int) -> tuple[list, float]:
+def _optimal_bins(sn: CQState, table, w_size: int, solved=None) -> tuple[list, float]:
     """The optimal discrimination POVM of each bin of the encoder table on
     the n-fold source sn (the identity on sequence 0 for an empty bin), and
-    the summed success of the bins."""
+    the summed success of the bins. solved, when given, keeps the
+    (POVM, success) of each bin by its tuple of members across calls."""
+    solved = {} if solved is None else solved
     decoder = []
     total = 0.0
     for w in range(w_size):
-        members = [i for i in range(sn.size_x) if table[i] == w]
+        members = tuple(i for i in range(sn.size_x) if table[i] == w)
         if not members:
             decoder.append({0: np.eye(sn.dim_b)})
             continue
-        povm, succ = min_error_discrimination(
-            [(sn.probs[i], sn.side_info[i].matrix) for i in members])
+        if members not in solved:
+            solved[members] = min_error_discrimination(
+                [(sn.probs[i], sn.side_info[i].matrix) for i in members])
+        povm, succ = solved[members]
         total += succ
         decoder.append(dict(zip(members, povm)))
     return decoder, total

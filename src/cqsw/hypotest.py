@@ -12,8 +12,13 @@ on the jumps of the mass and ends at the exact root.
 A block-diagonal pair enters as weighted blocks (weight, rho, sigma),
 zero-padded to one size and stacked once per pair (`_MassTable`); each
 threshold then costs one stacked eigendecomposition, unvalidated. Rate
-windows keep that table on the state, one per blocklength. The public entry
-points validate their operator inputs once, on entry.
+windows keep their table on the state, one per blocklength. When every
+block p(x) rho_x commutes with the others (the classical case, decided once
+per state by `_commuting_cells`), the n-fold pair of a rate window is a pair
+of product distributions on the cells (x, b), and its table is instead the
+likelihood-ratio sort of the joint types (`classical.TypeTable`): exact, with no
+eigendecomposition and no threshold search. The public entry points
+validate their operator inputs once, on entry.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from cqsw.classical import TypeTable, common_diagonal
 from cqsw.errors import (
     DimensionMismatchError,
     InvalidEpsilonError,
@@ -31,6 +37,7 @@ from cqsw.errors import (
     WTooLargeError,
 )
 from cqsw.operators import (
+    SUPPORT_CUTOFF,
     _as_matrix,
     check_hermitian,
     eig_hermitian,
@@ -40,6 +47,7 @@ from cqsw.operators import (
 from cqsw.states import (
     DEFAULT_CAP,
     CQState,
+    _check_cap,
     _check_nfold,
     marginal_b,
     schur_weyl_blocks,
@@ -130,7 +138,8 @@ def _threshold_masses(stack, t):
     the kernel of rho - t sigma, summed over the blocks of the
     `_stack_blocks` stack with each block's masses counted weight times, the
     nearest thresholds above and below t where an eigenvalue of a block
-    crosses zero, and the slopes in t of the two masses on P, with the
+    crosses zero, the slopes in t of the two masses on P, and the farthest
+    threshold above t where an eigenvalue of P crosses zero, with the
     `_split` of the stack: one stacked eigendecomposition.
 
     The crossings are Hellmann-Feynman estimates: eigenvalue w_i of
@@ -141,8 +150,8 @@ def _threshold_masses(stack, t):
     s = v^dagger sigma v, and dTr[rho P]/dt is t times it, since rho and
     t sigma agree off the diagonal of the eigenbasis. Both are 0 where the
     blocks commute. Returns ((pos_r, pos_s, ker_r, ker_s, up, down,
-    slope_r, slope_s), split); up is +inf and down -inf where no eigenvalue
-    crosses on that side."""
+    slope_r, slope_s, far), split); up and far are +inf and down -inf where
+    no eigenvalue crosses on that side, far -inf where none of P crosses."""
     wt, rs = stack
     w, v, d, pos, ker, sv = split = _split(rs, t)
     (pos_r, ker_r), (pos_s, ker_s) = np.einsum("k,xki,yki->xy", wt, d, (pos, ker)).tolist()
@@ -150,12 +159,13 @@ def _threshold_masses(stack, t):
     cross = t + np.divide(w, d[1], out=np.zeros_like(w), where=moving)
     up = float(np.min(cross, where=pos & moving, initial=math.inf))
     down = float(np.max(cross, where=moving & ~(pos | ker), initial=-math.inf))
+    far = float(np.max(cross, where=pos & moving, initial=-math.inf))
     gap = w[:, :, None] - w[:, None, :]
     pair = pos[:, :, None] & ~pos[:, None, :] & (gap > 0.0)
     coupling = np.abs(v.conj().swapaxes(1, 2) @ sv) ** 2
     terms = np.divide(coupling, gap, out=np.zeros_like(gap), where=pair)
     slope_s = -2.0 * float(np.einsum("k,kij->", wt, terms))
-    return (pos_r, pos_s, ker_r, ker_s, up, down, t * slope_s, slope_s), split
+    return (pos_r, pos_s, ker_r, ker_s, up, down, t * slope_s, slope_s, far), split
 
 
 class _MassTable:
@@ -185,6 +195,10 @@ class _MassTable:
                 self.last = (t, split)
         return self.table[t]
 
+    def dh(self, eps: float) -> float:
+        """D_H^eps of the pair, in bits (`_dh`)."""
+        return _dh(self, eps)[0]
+
 
 def _residual(m, idx: int, target: float) -> float:
     """Signed distance of the mass matched by idx (0 rho, 1 sigma) from
@@ -207,8 +221,9 @@ def _np_threshold(masses, target: float, match: str):
     match = "sigma" equates Tr[Q sigma]. Both are nonincreasing in t: smooth
     between jumps where the blocks do not commute, a step function where
     they do. The search brackets the root of `_residual` g, starting
-    from the tightest bracket the thresholds already in the table give, and
-    narrows it by `_root`: Newton steps on the exact slope of the mass, with
+    from the tightest bracket the thresholds already in the table give, or
+    on a fresh table from t = 0 and the farthest crossing estimate at t = 0,
+    and narrows it by `_root`: Newton steps on the exact slope of the mass, with
     jump steps onto estimated eigenvalue crossings and ITP steps as the
     safeguard. It stops where g is 0, anywhere within a 1e-12 slack of the
     target mass; a last first-order step along the slopes, on values
@@ -235,11 +250,13 @@ def _np_threshold(masses, target: float, match: str):
             elif gx < 0.0 and x < b:
                 b, gb = x, gx
         if t is None and b == math.inf:
-            # grow the bracket on the grid 4^k until the matched mass falls
-            # below target at b
-            b = 1.0
-            while b <= a:
-                b *= 4.0
+            # start the upper end where P empties to first order, the
+            # farthest crossing estimate at t = 0; lambda_max(rho - t sigma)
+            # is convex in t, so the estimate can fall short, and the end
+            # grows by 4 while the matched mass is too heavy
+            b = masses(0.0)[8]
+            if not a < b < math.inf:
+                b = 4.0 * a if a > 0.0 else 1.0
             while (gb := _residual(masses(b), idx, target)) > 0.0 and b <= 1e60:
                 a, ga = b, gb
                 b *= 4.0
@@ -264,9 +281,12 @@ def _root(masses, idx, target, a, b, ga, gb) -> float:
     """A zero of the nonincreasing g = `_residual` on [a, b] of a
     `_MassTable` masses, g(a) > 0 > g(b), with a
     tolerance of 1e-16 b. Each step evaluates one point inside the bracket:
-    a Newton step on the exact slope of the matched mass, from the end whose
-    step is shorter, while it stays inside the bracket and the last Newton
-    step at least halved |g|. Otherwise a jump step where the crossing
+    a Newton step on the exact slope of the matched mass, while it stays
+    inside the bracket and the last Newton step at least halved |g|. When
+    the steps from both ends stay inside, the end slopes tell the curvature
+    of the mass, and Newton steps on a convex (concave) function all land
+    below (above) the root, so the larger (smaller) of the two is taken;
+    otherwise the shorter step. Otherwise a jump step where the crossing
     estimates from both ends agree (see `_np_threshold`), which lands on a
     jump exactly when the blocks commute and converges like Newton's method
     on the crossing eigenvalue when they do not; else an ITP step (Oliveira
@@ -291,6 +311,9 @@ def _root(masses, idx, target, a, b, ga, gb) -> float:
         steps = [(abs(ge / m[6 + idx]), e - ge / m[6 + idx], ge)
                  for e, ge, m in ((a, ga, ma), (b, gb, mb)) if m[6 + idx] < 0.0]
         _, newton, g_from = min(steps, default=(0.0, math.nan, 0.0))
+        if len(steps) == 2 and all(a < x < b for _, x, _ in steps):
+            pick = max if mb[6 + idx] >= ma[6 + idx] else min
+            _, newton, g_from = pick(steps, key=lambda st: st[1])
         newton_step = False
         if newton_ok and a < newton < b:
             x = newton
@@ -410,20 +433,47 @@ def one_shot_converse(s: CQState, w_size: int, sigma_b) -> float:
     return -math.log2(a)
 
 
-def _window_table(s: CQState, n: int, cap: int) -> _MassTable:
-    """The `_MassTable` of the n-fold pair of a rate window, built once per
+def _commuting_cells(s: CQState):
+    """The cells (x, b) of the joint distribution of a source whose blocks
+    p(x) rho_x commute, as log P_c and log Q_c (2, K) over the K cells with
+    P_c > 0 under the support cutoff rule, P_c the mass of p(x) rho_x on the
+    common eigenvector b (`classical.common_diagonal`) and Q_c that of
+    rho_B; None when the blocks do not commute. Decided once per state
+    (`CQState._cells`, False for a source whose blocks do not commute)."""
+    if s._cells is None:
+        cells = common_diagonal(np.array([p * r for p, r in s.blocks()]))
+        if cells is None:
+            s._cells = False
+        else:
+            rho_b = np.broadcast_to(cells.sum(axis=0), cells.shape)
+            keep = cells > SUPPORT_CUTOFF * np.max(cells, axis=1, keepdims=True)
+            s._cells = np.log([cells[keep], rho_b[keep]])
+    return None if s._cells is False else s._cells
+
+
+def _window_table(s: CQState, n: int, cap: int):
+    """The table of the n-fold pair of a rate window, built once per
     (state, n) and kept on the state (`CQState._windows`); the cap is
-    checked on every call. The pair enters through its Schur-Weyl irrep
-    blocks for qubit side information (`schur_weyl_blocks`) and through one
-    block per type class otherwise (`type_classes`)."""
-    _check_nfold(s, n, cap)
+    checked on every call. A source with commuting blocks gets the exact
+    likelihood-ratio sort over joint types (`classical.TypeTable`), and the
+    cap counts its types. Otherwise the pair enters a `_MassTable` through its
+    Schur-Weyl irrep blocks for qubit side information
+    (`schur_weyl_blocks`) and through one block per type class otherwise
+    (`type_classes`), and the cap counts |X|^n d^n."""
+    cells = _commuting_cells(s)
+    if cells is None:
+        _check_nfold(s, n, cap)
+    else:
+        _check_cap(n, math.comb(n + cells.shape[1] - 1, n), cap, "joint types")
     if n not in s._windows:
-        if s.dim_b == 2:
-            blocks = schur_weyl_blocks(s, n, cap)
+        if cells is not None:
+            s._windows[n] = TypeTable(cells, n)
+        elif s.dim_b == 2:
+            s._windows[n] = _MassTable(schur_weyl_blocks(s, n, cap))
         else:
             rho_b_n = tensor(*([marginal_b(s).matrix] * n))
             blocks = [(mult, p * r, rho_b_n) for mult, p, r in type_classes(s, n, cap=cap)]
-        s._windows[n] = _MassTable(blocks)
+            s._windows[n] = _MassTable(blocks)
     return s._windows[n]
 
 
@@ -435,19 +485,23 @@ def rate_window(s: CQState, n: int, eps: float, alpha: float,
     side-information marginal; the upper endpoint pays a finite-length
     penalty controlled by the splitting parameter alpha.
 
-    Every window on one state and blocklength shares one table of threshold
-    masses (`_window_table`), so a search starts from the tightest bracket
-    the thresholds evaluated before give. Each endpoint is taken at the
-    exact root of its Neyman-Pearson search, so a window does not depend on
-    the windows computed before it.
+    Every window on one state and blocklength shares one table
+    (`_window_table`). On a source with commuting blocks that is the sorted
+    table of joint types, and each endpoint is one binary search in it.
+    Otherwise it is a table of threshold masses, so a search starts from the
+    tightest bracket the thresholds evaluated before give; each endpoint is
+    taken at the exact root of its Neyman-Pearson search, so a window does
+    not depend on the windows computed before it. The cap counts the joint
+    types C(n + K - 1, K - 1) of the K cells with P_c > 0 on a commuting
+    source, and |X|^n d^n otherwise.
     """
     if not 0.0 < eps < 1.0:
         raise InvalidEpsilonError(f"epsilon must lie in (0, 1), got {eps}")
     if not 0.0 < alpha < 1.0:
         raise InvalidEpsilonError(f"alpha must lie in (0, 1), got {alpha}")
     table = _window_table(s, n, cap)
-    lower_dh = _dh(table, eps)[0]
-    upper_dh = _dh(table, alpha * eps)[0]
+    lower_dh = table.dh(eps)
+    upper_dh = table.dh(alpha * eps)
     penalty = math.log2(8.0 / ((1.0 - alpha) ** 2 * eps))
     lower = -lower_dh / n
     upper = -upper_dh / n + penalty / n

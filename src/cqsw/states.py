@@ -97,10 +97,11 @@ class CQState:
     state, on first use, and shared by every divergence,
     entropy and exponent evaluated on it; so are the reports of iterate
     `h_up` solves, keyed by (variant, alpha) (`conditional._tabulated_solve`),
-    the n-fold extensions, keyed by n (`power_state`), the threshold
-    tables of rate windows, keyed by n (`hypotest._window_table`), and the PGM
-    projectors of a code decoded on this state, keyed by the number of bins
-    (`coding._pgm_projectors`).
+    the n-fold extensions, keyed by n (`power_state`), whether the blocks
+    commute, with the cell masses of the joint distribution when they do
+    (`hypotest._commuting_cells`), the tables of rate windows, keyed by n
+    (`hypotest._window_table`), and the PGM projectors of a code decoded on
+    this state, keyed by the number of bins (`coding._pgm_projectors`).
     """
 
     def __init__(self, alphabet, probs, side_info, check: bool = True):
@@ -125,6 +126,7 @@ class CQState:
         self._marginal_rank = None
         self._h_up_table = {}
         self._nfold = {}
+        self._cells = None
         self._windows = {}
         self._pgm_projectors = {}
         if check:
@@ -193,13 +195,16 @@ def marginal_b(s: CQState) -> DensityOperator:
 def _check_nfold(s: CQState, n: int, cap: int) -> None:
     """n must be positive, and above n = 1 the n-fold joint dimension
     |X|^n d^n must not exceed cap."""
+    _check_cap(n, (s.size_x ** n) * (s.dim_b ** n), cap, "n-fold state dimension")
+
+
+def _check_cap(n: int, total: int, cap: int, what: str) -> None:
+    """n must be positive, and above n = 1 the count total of what an
+    n-fold computation builds must not exceed cap."""
     if n < 1:
         raise ValueError("n must be positive")
-    total = (s.size_x ** n) * (s.dim_b ** n)
     if n > 1 and total > cap:
-        raise CapExceededError(
-            f"n-fold state dimension {total} exceeds cap {cap}"
-        )
+        raise CapExceededError(f"{what} {total} exceeds cap {cap}")
 
 
 def power_state(s: CQState, n: int, cap: int = DEFAULT_CAP) -> CQState:

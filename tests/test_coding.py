@@ -161,6 +161,31 @@ def test_bruteforce_monotone_in_bins():
     assert prev == pytest.approx(0.0, abs=1e-10)
 
 
+def test_bruteforce_discriminates_each_bin_once(monkeypatch):
+    # at n = 2, W = 3 the 14 canonical encoders have 33 nonempty bins but
+    # only the 15 nonempty subsets of the 4 sequences as member sets; the
+    # best code is the one found by solving every bin of every encoder
+    s = presets.zero_plus_source()
+    sn = power_state(s, 2)
+    best = None
+    for table in coding._canonical_encoders(sn.size_x, 3):
+        succ = coding._optimal_bins(sn, table, 3)[1]
+        if best is None or succ > best[0]:
+            best = (succ, table)
+    calls = []
+    real = coding.min_error_discrimination
+
+    def discriminate(ensemble):
+        calls.append(len(ensemble))
+        return real(ensemble)
+
+    monkeypatch.setattr(coding, "min_error_discrimination", discriminate)
+    rep, code = optimal_error_bruteforce(s, 2, 3)
+    assert len(calls) == 15
+    assert rep.p_success == min(best[0], 1.0)
+    assert code.encoder.tolist() == list(best[1])
+
+
 def test_bruteforce_cap():
     s = presets.doubly_symmetric(0.11)
     with pytest.raises(CapExceededError):

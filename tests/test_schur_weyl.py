@@ -163,6 +163,7 @@ def test_rate_window_eigendecomposes_irrep_blocks(eig_shapes, monkeypatch, sourc
     # one stacked eigendecomposition per threshold, of every irrep block
     # zero-padded to the largest; the type-class blocks were 2^n x 2^n
     s = source()
+    built = len(eig_shapes)  # validating the source's operators
     thresholds = []
     real_masses = hypotest._threshold_masses
 
@@ -172,6 +173,13 @@ def test_rate_window_eigendecomposes_irrep_blocks(eig_shapes, monkeypatch, sourc
 
     monkeypatch.setattr(hypotest, "_threshold_masses", masses)
     rate_window(s, n, 0.1, 0.5)
+    if hypotest._commuting_cells(s) is not None:
+        # a commuting source sorts its joint types instead; its irrep
+        # table, driven directly, still stacks the blocks
+        assert eig_shapes[built:] == [] and thresholds == []
+        table = hypotest._MassTable(schur_weyl_blocks(s, n))
+        table.dh(0.1)
+        table.dh(0.05)
     assert max(shape[-1] for _, shape in eig_shapes) == largest
     blocks = len(schur_weyl_blocks(s, n))
     stacked = [shape for name, shape in eig_shapes if name == "cqsw.hypotest"]

@@ -1,6 +1,7 @@
 """n-fold hypothesis testing through one block per type class: agreement
 with the brute-force power_state blocks on random sources, exact type-I
-error, and the number of eigendecompositions a rate window makes."""
+error, and the number of eigendecompositions and thresholds a window's
+Neyman-Pearson searches make."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import cqsw.hypotest as hypotest
 from cqsw import presets
 from cqsw.hypotest import _dh_blocks, hypothesis_testing_divergence, rate_window
-from cqsw.states import CQState, as_joint_operator, marginal_b, power_state
+from cqsw.states import CQState, as_joint_operator, marginal_b, power_state, schur_weyl_blocks
 
 # blocklengths drawn per (|X|, d): the brute-force oracle eigendecomposes
 # |X|^n blocks of size d^n about 130 times, so the larger pairs stop early
@@ -80,32 +81,39 @@ def test_type1_error_exact_on_random_sources(s, eps):
     assert value == pytest.approx(-math.log2(t2), abs=1e-9)
 
 
-def test_rate_window_work_count(monkeypatch):
-    # one block per type class (6 at |X| = 2, n = 5) and each threshold once;
-    # the 2^n-block path without a memo made 1824 eigendecompositions here
-    eig_calls = []
+def _irrep_window(s, n, eps):
+    """The two endpoint searches of a rate window at alpha = 0.5 on a fresh
+    `_MassTable` of the irrep blocks of s: the route of a non-commuting
+    qubit source, driven directly on a commuting one, whose windows sort
+    joint types instead."""
+    table = hypotest._MassTable(schur_weyl_blocks(s, n))
+    return lambda: (table.dh(eps), table.dh(0.5 * eps))
+
+
+def test_rate_window_work_count(monkeypatch, eig_count):
+    # the 20 irrep blocks of doubly_symmetric at n = 5 in one stack, one
+    # stacked eigendecomposition per threshold and each threshold once; the
+    # 2^n-block path without a memo made 1824 eigendecompositions here
+    s = presets.doubly_symmetric(0.11)
+    blocks = len(schur_weyl_blocks(s, 5))
+    window = _irrep_window(s, 5, 0.1)
+    eig_count.clear()
     thresholds = []
-    real_eig = hypotest.eig_hermitian
     real_masses = hypotest._threshold_masses
 
-    def eig(a):
-        eig_calls.append(1)
-        return real_eig(a)
-
-    def masses(blocks, t):
+    def masses(stack, t):
         thresholds.append(t)
-        return real_masses(blocks, t)
+        return real_masses(stack, t)
 
-    monkeypatch.setattr(hypotest, "eig_hermitian", eig)
     monkeypatch.setattr(hypotest, "_threshold_masses", masses)
-    rate_window(presets.doubly_symmetric(0.11), 5, 0.1, 0.5)
+    window()
     assert len(thresholds) == len(set(thresholds))
-    assert len(eig_calls) <= 6 * len(set(thresholds))
-    assert len(eig_calls) <= 400
+    assert len(eig_count) == blocks * len(thresholds)
+    assert len(eig_count) <= 400
 
 
-def _threshold_count(monkeypatch, s, n, eps):
-    """Threshold evaluations (`_threshold_masses` calls) of one rate window."""
+def _threshold_count(monkeypatch, window):
+    """Threshold evaluations (`_threshold_masses` calls) of window()."""
     thresholds = []
     real_masses = hypotest._threshold_masses
 
@@ -114,7 +122,7 @@ def _threshold_count(monkeypatch, s, n, eps):
         return real_masses(blocks, t)
 
     monkeypatch.setattr(hypotest, "_threshold_masses", masses)
-    rate_window(s, n, eps, 0.5)
+    window()
     monkeypatch.undo()
     return len(thresholds)
 
@@ -126,12 +134,15 @@ _BISECTION_COUNTS = {1: (32, 32, 62), 2: (32, 32, 32), 3: (56, 31, 31), 4: (30, 
 
 def test_threshold_search_work_count(monkeypatch):
     # the mass is smooth between jumps on zero_plus (the bisection made 107
-    # evaluations) and a step function on the commuting doubly_symmetric
-    # source, where the crossing-estimate steps land on the jumps
-    assert _threshold_count(monkeypatch, presets.zero_plus_source(), 3, 0.1) <= 30
-    # a fresh state per window: windows on one state share their thresholds
-    assert _threshold_count(monkeypatch, presets.doubly_symmetric(0.11), 5, 0.1) <= 20
+    # evaluations) and a step function on the irrep blocks of the commuting
+    # doubly_symmetric source, where the crossing-estimate steps land on the
+    # jumps
+    zero_plus = presets.zero_plus_source()
+    assert _threshold_count(monkeypatch, lambda: rate_window(zero_plus, 3, 0.1, 0.5)) <= 30
+    # a fresh table per window: windows on one table share their thresholds
+    doubly_symmetric = presets.doubly_symmetric(0.11)
+    assert _threshold_count(monkeypatch, _irrep_window(doubly_symmetric, 5, 0.1)) <= 20
     for n, counts in _BISECTION_COUNTS.items():
         for eps, bisection in zip((0.05, 0.1, 0.2), counts):
-            s = presets.doubly_symmetric(0.11)
-            assert _threshold_count(monkeypatch, s, n, eps) <= bisection
+            window = _irrep_window(doubly_symmetric, n, eps)
+            assert _threshold_count(monkeypatch, window) <= bisection
