@@ -376,12 +376,11 @@ def empirical_exponents(s: CQState, n: int, rate: float, decoder_kind: str,
     return e_hat, sc_hat
 
 
-def _optimal_bins(sn: CQState, table, w_size: int, solved=None) -> tuple[list, float]:
+def _optimal_bins(sn: CQState, table, w_size: int, solved: dict) -> tuple[list, float]:
     """The optimal discrimination POVM of each bin of the encoder table on
     the n-fold source sn (the identity on sequence 0 for an empty bin), and
-    the summed success of the bins. solved, when given, keeps the
-    (POVM, success) of each bin by its tuple of members across calls."""
-    solved = {} if solved is None else solved
+    the summed success of the bins. solved keeps the (POVM, success) of each
+    bin by its tuple of members, for the calls that share it."""
     decoder = []
     total = 0.0
     for w in range(w_size):
@@ -402,7 +401,7 @@ def _optimal_decoder_for(s: CQState, n: int, encoder, w_size: int,
                          cap: int = DEFAULT_CAP) -> Code:
     sn = power_state(s, n, cap=cap)
     table = np.array([encoder(i) for i in range(sn.size_x)], dtype=int)
-    return Code(n, w_size, table, _optimal_bins(sn, table, w_size)[0])
+    return Code(n, w_size, table, _optimal_bins(sn, table, w_size, {})[0])
 
 
 def dummy_state_inequality_check(s: CQState, dummy: DummyState, code: Code,

@@ -16,8 +16,8 @@ windows keep their table on the state, one per blocklength. When every
 block p(x) rho_x commutes with the others (the classical case, decided once
 per state by `_commuting_cells`), the n-fold pair of a rate window is a pair
 of product distributions on the cells (x, b), and its table is instead the
-likelihood-ratio sort of the joint types (`classical.TypeTable`): exact, with no
-eigendecomposition and no threshold search. The public entry points
+likelihood-ratio sort of the joint types (`classical.TypeTable`): exact,
+with no eigendecomposition and no threshold search. The public entry points
 validate their operator inputs once, on entry.
 """
 
@@ -138,8 +138,7 @@ def _threshold_masses(stack, t):
     the kernel of rho - t sigma, summed over the blocks of the
     `_stack_blocks` stack with each block's masses counted weight times, the
     nearest thresholds above and below t where an eigenvalue of a block
-    crosses zero, the slopes in t of the two masses on P, and the farthest
-    threshold above t where an eigenvalue of P crosses zero, with the
+    crosses zero, and the slopes in t of the two masses on P, with the
     `_split` of the stack: one stacked eigendecomposition.
 
     The crossings are Hellmann-Feynman estimates: eigenvalue w_i of
@@ -150,8 +149,8 @@ def _threshold_masses(stack, t):
     s = v^dagger sigma v, and dTr[rho P]/dt is t times it, since rho and
     t sigma agree off the diagonal of the eigenbasis. Both are 0 where the
     blocks commute. Returns ((pos_r, pos_s, ker_r, ker_s, up, down,
-    slope_r, slope_s, far), split); up and far are +inf and down -inf where
-    no eigenvalue crosses on that side, far -inf where none of P crosses."""
+    slope_r, slope_s), split); up is +inf and down -inf where no eigenvalue
+    crosses on that side."""
     wt, rs = stack
     w, v, d, pos, ker, sv = split = _split(rs, t)
     (pos_r, ker_r), (pos_s, ker_s) = np.einsum("k,xki,yki->xy", wt, d, (pos, ker)).tolist()
@@ -159,13 +158,12 @@ def _threshold_masses(stack, t):
     cross = t + np.divide(w, d[1], out=np.zeros_like(w), where=moving)
     up = float(np.min(cross, where=pos & moving, initial=math.inf))
     down = float(np.max(cross, where=moving & ~(pos | ker), initial=-math.inf))
-    far = float(np.max(cross, where=pos & moving, initial=-math.inf))
     gap = w[:, :, None] - w[:, None, :]
     pair = pos[:, :, None] & ~pos[:, None, :] & (gap > 0.0)
     coupling = np.abs(v.conj().swapaxes(1, 2) @ sv) ** 2
     terms = np.divide(coupling, gap, out=np.zeros_like(gap), where=pair)
     slope_s = -2.0 * float(np.einsum("k,kij->", wt, terms))
-    return (pos_r, pos_s, ker_r, ker_s, up, down, t * slope_s, slope_s, far), split
+    return (pos_r, pos_s, ker_r, ker_s, up, down, t * slope_s, slope_s), split
 
 
 class _MassTable:
@@ -221,9 +219,8 @@ def _np_threshold(masses, target: float, match: str):
     match = "sigma" equates Tr[Q sigma]. Both are nonincreasing in t: smooth
     between jumps where the blocks do not commute, a step function where
     they do. The search brackets the root of `_residual` g, starting
-    from the tightest bracket the thresholds already in the table give, or
-    on a fresh table from t = 0 and the farthest crossing estimate at t = 0,
-    and narrows it by `_root`: Newton steps on the exact slope of the mass, with
+    from the tightest bracket the thresholds already in the table give, and
+    narrows it by `_root`: Newton steps on the exact slope of the mass, with
     jump steps onto estimated eigenvalue crossings and ITP steps as the
     safeguard. It stops where g is 0, anywhere within a 1e-12 slack of the
     target mass; a last first-order step along the slopes, on values
@@ -250,13 +247,11 @@ def _np_threshold(masses, target: float, match: str):
             elif gx < 0.0 and x < b:
                 b, gb = x, gx
         if t is None and b == math.inf:
-            # start the upper end where P empties to first order, the
-            # farthest crossing estimate at t = 0; lambda_max(rho - t sigma)
-            # is convex in t, so the estimate can fall short, and the end
-            # grows by 4 while the matched mass is too heavy
-            b = masses(0.0)[8]
-            if not a < b < math.inf:
-                b = 4.0 * a if a > 0.0 else 1.0
+            # grow the bracket on the grid 4^k until the matched mass falls
+            # below target at b
+            b = 1.0
+            while b <= a:
+                b *= 4.0
             while (gb := _residual(masses(b), idx, target)) > 0.0 and b <= 1e60:
                 a, ga = b, gb
                 b *= 4.0
@@ -281,12 +276,9 @@ def _root(masses, idx, target, a, b, ga, gb) -> float:
     """A zero of the nonincreasing g = `_residual` on [a, b] of a
     `_MassTable` masses, g(a) > 0 > g(b), with a
     tolerance of 1e-16 b. Each step evaluates one point inside the bracket:
-    a Newton step on the exact slope of the matched mass, while it stays
-    inside the bracket and the last Newton step at least halved |g|. When
-    the steps from both ends stay inside, the end slopes tell the curvature
-    of the mass, and Newton steps on a convex (concave) function all land
-    below (above) the root, so the larger (smaller) of the two is taken;
-    otherwise the shorter step. Otherwise a jump step where the crossing
+    a Newton step on the exact slope of the matched mass, from the end whose
+    step is shorter, while it stays inside the bracket and the last Newton
+    step at least halved |g|. Otherwise a jump step where the crossing
     estimates from both ends agree (see `_np_threshold`), which lands on a
     jump exactly when the blocks commute and converges like Newton's method
     on the crossing eigenvalue when they do not; else an ITP step (Oliveira
@@ -311,9 +303,6 @@ def _root(masses, idx, target, a, b, ga, gb) -> float:
         steps = [(abs(ge / m[6 + idx]), e - ge / m[6 + idx], ge)
                  for e, ge, m in ((a, ga, ma), (b, gb, mb)) if m[6 + idx] < 0.0]
         _, newton, g_from = min(steps, default=(0.0, math.nan, 0.0))
-        if len(steps) == 2 and all(a < x < b for _, x, _ in steps):
-            pick = max if mb[6 + idx] >= ma[6 + idx] else min
-            _, newton, g_from = pick(steps, key=lambda st: st[1])
         newton_step = False
         if newton_ok and a < newton < b:
             x = newton

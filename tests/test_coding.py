@@ -169,7 +169,7 @@ def test_bruteforce_discriminates_each_bin_once(monkeypatch):
     sn = power_state(s, 2)
     best = None
     for table in coding._canonical_encoders(sn.size_x, 3):
-        succ = coding._optimal_bins(sn, table, 3)[1]
+        succ = coding._optimal_bins(sn, table, 3, {})[1]
         if best is None or succ > best[0]:
             best = (succ, table)
     calls = []
