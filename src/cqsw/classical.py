@@ -51,9 +51,10 @@ def _joint_types(cells, n: int):
     """log P and log P/Q (2, T) of every joint type of length-n strings over
     the K cells with log P_c and log Q_c in cells (2, K), P summed over the
     multinomial(n; counts) strings of the type, in chunks of one count of
-    the first cell, each at most C(n + K - 2, K - 2) types. A chunk grows one cell at a
-    time: every partial type with u counts used repeats once for each count
-    0..n - u of the next cell, and the last cell takes the rest."""
+    the first cell, each at most C(n + K - 2, K - 2) types. A chunk grows
+    one cell at a time: every partial type with u counts used repeats once
+    for each count 0..n - u of the next cell, and the last cell takes the
+    rest."""
     k = cells.shape[1]
     rows = np.array([cells[0], cells[0] - cells[1]])[:, :, None]
     fact = np.array([[1.0], [0.0]])  # the ratio has no multinomial
