@@ -25,9 +25,10 @@ from cqsw.operators import (
     check_hermitian,
     eig_hermitian,
     inv_sqrt_on_support,
-    nonneg_projector,
+    nonneg_eigenvectors,
     positive_part,
     positive_projector_from_spectrum,
+    support_mask,
 )
 from cqsw.states import DEFAULT_CAP, CQState, marginal_b, power_state
 from cqsw.variational import DummyState
@@ -138,74 +139,87 @@ def random_binning(n: int, w_size: int, seed: int) -> BinningEncoder:
     return BinningEncoder(n, w_size, seed)
 
 
-def _pgm_projectors(s: CQState, n: int, sn: CQState, w_size: int) -> list:
-    """Lambda_x = {p(x^n) rho_{x^n} - rho_B^(x)n / w_size >= 0} for every
-    string x^n of sn = power_state(s, n), kept on sn per w_size.
+def _pgm_factors(s: CQState, n: int, sn: CQState, w_size: int) -> list:
+    """The factor E_x (dim x k_x, orthonormal columns) of the PGM projector
+    Lambda_x = E_x E_x^dagger = {p(x^n) rho_{x^n} - rho_B^(x)n / w_size >= 0}
+    for every string x^n of sn = power_state(s, n), kept on sn per w_size.
 
     Only the sorted representative of each type class, the first string of
     its class in lexicographic order, is eigendecomposed. The unitary U_pi
     that permutes the tensor factors fixes rho_B^(x)n and p(x^n) and maps
     the representative's block to that of any string of its class, so
-    Lambda of that string is U_pi Lambda_rep U_pi^dagger: a reshape and a
-    transpose of the representative's projector.
+    E of that string is U_pi E_rep: a reshape and a transpose of the
+    representative's rows.
     """
-    memo = sn._pgm_projectors
+    memo = sn._pgm_factors
     if w_size not in memo:
         rho_b = marginal_b(sn).matrix
         dim = rho_b.shape[0]
-        axes_shape = (s.dim_b,) * (2 * n)
         reps = {}
-        lambdas = []
+        factors = []
         for i, idx in enumerate(itertools.product(range(s.size_x), repeat=n)):
             key = tuple(sorted(idx))
             if key not in reps:
-                reps[key] = nonneg_projector(
+                reps[key] = nonneg_eigenvectors(
                     sn.probs[i] * sn.side_info[i].matrix - rho_b / w_size)
-                lambdas.append(reps[key])
+                factors.append(reps[key])
                 continue
             # factor j of this string is factor inv[j] of the representative
             inv = np.argsort(np.argsort(idx, kind="stable"))
-            axes = np.concatenate([inv, inv + n])
-            lambdas.append(reps[key].reshape(axes_shape).transpose(axes)
-                           .reshape(dim, dim))
-        memo[w_size] = lambdas
+            rep = reps[key]
+            k = rep.shape[1]
+            factors.append(rep.reshape((s.dim_b,) * n + (k,))
+                           .transpose(np.append(inv, n)).reshape(dim, k))
+        memo[w_size] = factors
     return memo[w_size]
+
+
+def _whiten(u: np.ndarray) -> np.ndarray:
+    """A^(-1/2) U on the support of A = U U^dagger (U is dim x K): from the
+    Gram matrix, U (U^dagger U)^(-1/2), when K <= dim, else from A itself;
+    one eigendecomposition of size min(K, dim), none when K = 0."""
+    rows, cols = u.shape
+    if cols == 0:
+        return u
+    if cols <= rows:
+        return u @ inv_sqrt_on_support(u.conj().T @ u)
+    return inv_sqrt_on_support(u @ u.conj().T) @ u
 
 
 def pgm_decoder(s: CQState, n: int, encoder, w_size: int,
                 cap: int = DEFAULT_CAP) -> Code:
     """Pretty good measurement decoder for a given binning.
 
-    Per sequence, Lambda is the projector onto the nonnegative eigenspace of
-    p(x) rho^x - rho_B / w_size (n-fold operators), built once per
-    (source, n, w_size) with one eigendecomposition per type class
-    (`_pgm_projectors`); within each bin the elements are conjugated by the
-    inverse square root of their sum, and the deficiency goes to the first
-    sequence of the bin (bin 0's first sequence when the bin is empty).
+    Per sequence, Lambda = E E^dagger is the projector onto the nonnegative
+    eigenspace of p(x) rho^x - rho_B / w_size (n-fold operators), its factor
+    E built once per (source, n, w_size) with one eigendecomposition per
+    type class (`_pgm_factors`). Within each bin the elements are
+    conjugated by the inverse square root of their sum A = U U^dagger,
+    U = [E_i] over the members; A^(-1/2) U comes from the smaller of
+    U^dagger U and U U^dagger (`_whiten`), and the element of member i is
+    B_i B_i^dagger for its columns B_i of A^(-1/2) U. The deficiency goes
+    to the first sequence of the bin, so a one-member bin decodes to the
+    identity (and an empty bin announces sequence 0).
     """
     sn = power_state(s, n, cap=cap)
     size = sn.size_x
     table = np.array([encoder(i) for i in range(size)], dtype=int)
-    lambdas = _pgm_projectors(s, n, sn, w_size)
-    d = sn.dim_b
+    factors = _pgm_factors(s, n, sn, w_size)
+    eye = np.eye(sn.dim_b)
     decoder = []
-    eye = np.eye(d)
     for w in range(w_size):
         members = [i for i in range(size) if table[i] == w]
-        povm = {}
-        if not members:
-            povm[0] = eye.copy()
-            decoder.append(povm)
+        if len(members) < 2:
+            decoder.append({members[0] if members else 0: eye.copy()})
             continue
-        total = np.zeros((d, d), dtype=np.complex128)
+        b = _whiten(np.concatenate([factors[i] for i in members], axis=1))
+        povm = {}
+        start = 0
         for i in members:
-            total += lambdas[i]
-        half = inv_sqrt_on_support(total)
-        acc = np.zeros((d, d), dtype=np.complex128)
-        for i in members:
-            povm[i] = half @ lambdas[i] @ half
-            acc += povm[i]
-        povm[members[0]] = povm[members[0]] + (eye - acc)
+            bi = b[:, start:start + factors[i].shape[1]]
+            start += bi.shape[1]
+            povm[i] = bi @ bi.conj().T
+        povm[members[0]] = povm[members[0]] + (eye - b @ b.conj().T)
         decoder.append(povm)
     return Code(n, w_size, table, decoder)
 
@@ -248,13 +262,19 @@ def min_error_discrimination(ensemble):
     """Optimal discrimination of weighted states: POVM and success value.
 
     The success value is sum_i w_i Tr[Pi_i rho_i] with the weights taken as
-    given (they need not be normalized). Each member must be Hermitian. Two
-    states are solved in closed form; larger ensembles by a damped
-    fixed-point iteration, starting from the PGM, whose first iterate that
-    satisfies the dual optimality condition Y >= w_i rho_i (up to _CERT_GAP,
-    tested by Cholesky factorizations) is returned. When none does within
-    _FP_MAX_ITERS iterations, NoConvergenceError carries the iteration
-    count and the eigenvalue gap of the last iterate.
+    given (they need not be normalized). Each member must be Hermitian (and
+    is a state, so it lies in the support of the sum). Two states are solved
+    in closed form; larger ensembles by a damped fixed-point iteration,
+    starting from the PGM, whose first iterate that satisfies the dual
+    optimality condition Y >= w_i rho_i (up to _CERT_GAP, tested by
+    Cholesky factorizations) is returned. When the members' sum has rank
+    r below the dimension, the iteration runs on the compressions of the
+    members to its support, taken from the eigendecomposition the PGM
+    needs, so each step eigendecomposes an r x r matrix; the returned POVM
+    is lifted back, with the complement of the support shared evenly. When
+    no iterate certifies within _FP_MAX_ITERS iterations,
+    NoConvergenceError carries the iteration count, the eigenvalue gap and
+    the lifted POVM of the last iterate.
     """
     ens = [(float(w), check_hermitian(r)) for w, r in ensemble]
     if not ens:
@@ -279,9 +299,21 @@ def min_error_discrimination(ensemble):
                                      "routes disagree")
         return [p0, p1], succ
 
-    weighted = [w * r for w, r in ens]
-    half = inv_sqrt_on_support(sum(weighted))
-    povm = _complete_povm([half @ g @ half for g in weighted], dim)
+    # Every member lies in the support of the sum, so every iterate is
+    # block diagonal over the support and its complement, where it is
+    # 1 / m. A rank-deficient sum therefore puts the iteration on the r x r
+    # compressions to its support (columns q) and lifts each element back
+    # to q pi q^dagger + (1 - q q^dagger) / m; a full-rank sum keeps the
+    # members as given (q = 1).
+    lam, v = eig_hermitian(sum(w * r for w, r in ens))
+    on = support_mask(lam)
+    if on.all():
+        q, half = np.eye(dim), (v * lam ** -0.5) @ v.conj().T
+    else:
+        q, half = v[:, on], np.diag(lam[on] ** -0.5)
+    weighted = [q.conj().T @ (w * r) @ q for w, r in ens]
+    rank = q.shape[1]
+    povm = _complete_povm([half @ g @ half for g in weighted], rank)
     y = _dual_operator(weighted, povm)
     certified = _dominates(y, weighted)
     iterations = 0
@@ -290,13 +322,15 @@ def min_error_discrimination(ensemble):
         m = (m + m.conj().T) / 2.0
         half = inv_sqrt_on_support(m)
         new = _complete_povm([half @ g @ p @ g @ half
-                              for g, p in zip(weighted, povm)], dim)
+                              for g, p in zip(weighted, povm)], rank)
         povm = [0.5 * (a + b) for a, b in zip(povm, new)]
         iterations += 1
         y = _dual_operator(weighted, povm)
         certified = _dominates(y, weighted)
     succ = sum(float(np.real(np.trace(p @ g)))
                for g, p in zip(weighted, povm))
+    rest = (np.eye(dim) - q @ q.conj().T) / len(ens)
+    povm = [q @ p @ q.conj().T + rest for p in povm]
     residual = float(np.max(np.abs(sum(povm) - np.eye(dim))))
     if not certified or residual > _FP_RESIDUAL:
         raise NoConvergenceError(
@@ -335,9 +369,8 @@ def optimal_error_bruteforce(s: CQState, n: int, w_size: int,
             f"{w_size}^{size} encoders exceed the {_BRUTE_CAP} cap"
         )
     best = None
-    solved = {}  # encoders share bins: each member set is discriminated once
     for table in _canonical_encoders(size, w_size):
-        decoder, succ = _optimal_bins(sn, table, w_size, solved)
+        decoder, succ = _optimal_bins(sn, table, w_size)
         if best is None or succ > best[0]:
             best = (succ, np.array(table, dtype=int), decoder)
     succ, table, decoder = best
@@ -376,11 +409,13 @@ def empirical_exponents(s: CQState, n: int, rate: float, decoder_kind: str,
     return e_hat, sc_hat
 
 
-def _optimal_bins(sn: CQState, table, w_size: int, solved: dict) -> tuple[list, float]:
+def _optimal_bins(sn: CQState, table, w_size: int) -> tuple[list, float]:
     """The optimal discrimination POVM of each bin of the encoder table on
     the n-fold source sn (the identity on sequence 0 for an empty bin), and
-    the summed success of the bins. solved keeps the (POVM, success) of each
-    bin by its tuple of members, for the calls that share it."""
+    the summed success of the bins. Each bin is discriminated once per
+    member set and kept on sn (`CQState._discriminations`), so encoders,
+    bin counts and callers that share a member set share its solution."""
+    solved = sn._discriminations
     decoder = []
     total = 0.0
     for w in range(w_size):
@@ -401,7 +436,7 @@ def _optimal_decoder_for(s: CQState, n: int, encoder, w_size: int,
                          cap: int = DEFAULT_CAP) -> Code:
     sn = power_state(s, n, cap=cap)
     table = np.array([encoder(i) for i in range(sn.size_x)], dtype=int)
-    return Code(n, w_size, table, _optimal_bins(sn, table, w_size, {})[0])
+    return Code(n, w_size, table, _optimal_bins(sn, table, w_size)[0])
 
 
 def dummy_state_inequality_check(s: CQState, dummy: DummyState, code: Code,

@@ -306,12 +306,19 @@ def positive_projector(a) -> np.ndarray:
     return positive_projector_from_spectrum(*eig_hermitian(a))
 
 
-def nonneg_projector(a) -> np.ndarray:
-    """Projector onto the nonnegative eigenspace, kernel included."""
+def nonneg_eigenvectors(a) -> np.ndarray:
+    """(D, k): the orthonormal eigenvectors of A that span its nonnegative
+    eigenspace, kernel included (eigenvalues at or above -SUPPORT_CUTOFF
+    times the largest magnitude)."""
     w, v = eig_hermitian(a)
     scale = float(np.max(np.abs(w))) if w.size else 0.0
-    on = w >= -SUPPORT_CUTOFF * scale
-    return (v * on.astype(float)) @ v.conj().T
+    return v[:, w >= -SUPPORT_CUTOFF * scale]
+
+
+def nonneg_projector(a) -> np.ndarray:
+    """Projector onto the nonnegative eigenspace, kernel included."""
+    e = nonneg_eigenvectors(a)
+    return e @ e.conj().T
 
 
 def trace_norm(a) -> float:

@@ -100,8 +100,10 @@ class CQState:
     the n-fold extensions, keyed by n (`power_state`), whether the blocks
     commute, with the cell masses of the joint distribution when they do
     (`hypotest._commuting_cells`), the tables of rate windows, keyed by n
-    (`hypotest._window_table`), and the PGM projectors of a code decoded on
-    this state, keyed by the number of bins (`coding._pgm_projectors`).
+    (`hypotest._window_table`), the factors of the PGM projectors of a code
+    decoded on this state, keyed by the number of bins
+    (`coding._pgm_factors`), and the optimal discrimination of each code
+    bin, keyed by its tuple of member sequences (`coding._optimal_bins`).
     """
 
     def __init__(self, alphabet, probs, side_info, check: bool = True):
@@ -128,7 +130,8 @@ class CQState:
         self._nfold = {}
         self._cells = None
         self._windows = {}
-        self._pgm_projectors = {}
+        self._pgm_factors = {}
+        self._discriminations = {}
         if check:
             if np.any(self.probs < 0):
                 raise InvariantViolation("probs", "negative probability")
@@ -308,8 +311,12 @@ def schur_weyl_blocks(s: CQState, n: int, cap: int = DEFAULT_CAP):
     (p_type tensor_x det(rho_x)^k_x Sym^(n_x-2k_x)(rho_x),
     tensor_x det(rho_B)^k_x Sym^(n_x-2k_x)(rho_B)), weighted by the size of
     the type class times prod_x (C(n_x, k_x) - C(n_x, k_x - 1)): blocks of
-    size prod_x (n_x - 2k_x + 1) instead of 2^n. The cap is the one of
-    `power_state`.
+    size prod_x (n_x - 2k_x + 1) instead of 2^n. A pure rho_x (rank one
+    under the support cutoff rule) has det(rho_x) = 0, so every block with
+    k_x > 0 has a zero rho side: for t > 0 its rho - t sigma = -t sigma has
+    no positive part, and it carries no rho mass; at t = 0 it lies in the
+    kernel, whose sigma mass enters no D_H^eps. Such blocks are left out.
+    The cap is the one of `power_state`.
     """
     if s.dim_b != 2:
         raise DimensionMismatchError(f"Schur-Weyl blocks need qubit side information, got d = {s.dim_b}")
@@ -318,10 +325,11 @@ def schur_weyl_blocks(s: CQState, n: int, cap: int = DEFAULT_CAP):
     ops = [r for _, r in blocks] + [marginal_b(s).matrix]
     dets = [float((r[0, 0] * r[1, 1]).real - abs(r[0, 1]) ** 2) for r in ops]
     sym = [_sym_powers(r, n) for r in ops]
+    pure = (s.block_spectra().support.sum(axis=1) == 1).tolist()
     out = []
     for _, counts, mult in _types(len(blocks), n):
         p = math.prod(blocks[x][0] ** c for x, c in counts)
-        for ks in itertools.product(*(range(c // 2 + 1) for _, c in counts)):
+        for ks in itertools.product(*(range(1 if pure[x] else c // 2 + 1) for x, c in counts)):
             weight, scale = mult, p
             for (x, c), k in zip(counts, ks):
                 weight *= math.comb(c, k) - (math.comb(c, k - 1) if k else 0)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 
+import numpy as np
 import pytest
 
 import cqsw.operators as operators
@@ -13,18 +14,19 @@ from cqsw.states import marginal_b
 
 @pytest.fixture
 def eig_count(monkeypatch):
-    """Count the eigendecompositions made from every cqsw module: one per
-    eig_hermitian call, and one per matrix of an eig_hermitian_stack call."""
+    """Count the eigendecompositions made from every cqsw module: one entry
+    per eig_hermitian call, and one per matrix of an eig_hermitian_stack
+    call, each entry the size of its matrix."""
     calls = []
     real = operators.eig_hermitian
     real_stack = operators.eig_hermitian_stack
 
     def eig(a):
-        calls.append(1)
+        calls.append(np.shape(getattr(a, "matrix", a))[-1])
         return real(a)
 
     def eig_stack(a):
-        calls.extend([1] * len(a))
+        calls.extend([np.shape(a)[-1]] * len(a))
         return real_stack(a)
 
     for name, mod in list(sys.modules.items()):

@@ -1,5 +1,7 @@
 """Coding simulation: POVM validity, Helstrom closed forms, brute-force
-ground truth, binning statistics, and averaging identities."""
+ground truth, binning statistics, averaging identities, and the decoders
+that work in the span of a bin's members against their full-space
+formulas."""
 
 from __future__ import annotations
 
@@ -8,6 +10,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import cqsw.coding as coding
 from cqsw import presets
@@ -30,8 +33,8 @@ from cqsw.errors import (
     NoConvergenceError,
     POVMInvalidError,
 )
-from cqsw.operators import nonneg_projector, random_density
-from cqsw.states import marginal_b, power_state
+from cqsw.operators import inv_sqrt_on_support, nonneg_projector, random_density
+from cqsw.states import CQState, marginal_b, power_state
 from cqsw.variational import DummyState
 from test_type_classes import _source
 
@@ -165,11 +168,11 @@ def test_bruteforce_discriminates_each_bin_once(monkeypatch):
     # at n = 2, W = 3 the 14 canonical encoders have 33 nonempty bins but
     # only the 15 nonempty subsets of the 4 sequences as member sets; the
     # best code is the one found by solving every bin of every encoder
-    s = presets.zero_plus_source()
-    sn = power_state(s, 2)
+    sn = power_state(presets.zero_plus_source(), 2)
     best = None
     for table in coding._canonical_encoders(sn.size_x, 3):
-        succ = coding._optimal_bins(sn, table, 3, {})[1]
+        sn._discriminations.clear()
+        succ = coding._optimal_bins(sn, table, 3)[1]
         if best is None or succ > best[0]:
             best = (succ, table)
     calls = []
@@ -180,10 +183,26 @@ def test_bruteforce_discriminates_each_bin_once(monkeypatch):
         return real(ensemble)
 
     monkeypatch.setattr(coding, "min_error_discrimination", discriminate)
+    s = presets.zero_plus_source()
     rep, code = optimal_error_bruteforce(s, 2, 3)
     assert len(calls) == 15
     assert rep.p_success == min(best[0], 1.0)
     assert code.encoder.tolist() == list(best[1])
+    # the solutions stay on the n-fold state: a second call, W = 2 (whose
+    # bins are among the same 15 sets) and random binnings into 3 bins
+    # with the optimal decoder discriminate nothing
+    again = optimal_error_bruteforce(s, 2, 3)
+    fewer = optimal_error_bruteforce(s, 2, 2)
+    exponents = empirical_exponents(s, 2, 0.75, "optimal", 3, 5)
+    assert len(calls) == 15
+    fresh = [optimal_error_bruteforce(presets.zero_plus_source(), 2, w) for w in (3, 2)]
+    assert exponents == empirical_exponents(presets.zero_plus_source(), 2, 0.75, "optimal", 3, 5)
+    for (got_rep, got), (want_rep, want) in zip((again, fewer), fresh):
+        assert got_rep.p_success == want_rep.p_success
+        assert got.encoder.tolist() == want.encoder.tolist()
+        for got_bin, want_bin in zip(got.decoder, want.decoder):
+            assert got_bin.keys() == want_bin.keys()
+            assert all(np.array_equal(got_bin[i], want_bin[i]) for i in got_bin)
 
 
 def test_bruteforce_cap():
@@ -263,9 +282,18 @@ def test_discrimination_failure_reports_last_gap(monkeypatch):
     assert diag["gap"] > 1e-6
 
 
+def _isometry(rng, dim, rank):
+    """(dim, rank) with orthonormal columns."""
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    return np.linalg.qr(g)[0]
+
+
 def test_certified_discrimination_makes_no_certificate_eig(monkeypatch, eig_count):
-    # every eigendecomposition is the inverse square root of a fixed-point
-    # step (or of the PGM's sum); the certificate is a Cholesky test
+    # one eigendecomposition of the members' sum, dim x dim, gives the PGM;
+    # then one inverse square root per fixed-point step, each r x r for r
+    # the rank of the sum; the certificate is a Cholesky test. The qubit
+    # ensemble placed in a 2-dimensional subspace of C^4 takes the same
+    # steps
     steps = {"inv_sqrt": 0}
     orig = coding.inv_sqrt_on_support
 
@@ -273,14 +301,22 @@ def test_certified_discrimination_makes_no_certificate_eig(monkeypatch, eig_coun
         steps["inv_sqrt"] += 1
         return orig(a)
     monkeypatch.setattr(coding, "inv_sqrt_on_support", counted)
-    ens = _three_state_ensemble(0)
-    povm, _ = min_error_discrimination(ens)
-    assert steps["inv_sqrt"] >= 2  # the PGM did not certify, so it iterated
-    assert len(eig_count) == steps["inv_sqrt"]
-    y = sum(w * r @ p for (w, r), p in zip(ens, povm))
-    y = (y + y.conj().T) / 2
-    for w, r in ens:
-        assert float(np.min(np.linalg.eigvalsh(y - w * r))) > -1e-6
+    qubit = _three_state_ensemble(0)
+    iso = _isometry(np.random.default_rng(1), 4, 2)
+    padded = [(w, iso @ r @ iso.conj().T) for w, r in qubit]
+    taken = []
+    for ens, dim in ((qubit, 2), (padded, 4)):
+        steps["inv_sqrt"] = 0
+        eig_count.clear()
+        povm, _ = min_error_discrimination(ens)
+        assert steps["inv_sqrt"] >= 2  # the PGM did not certify, so it iterated
+        assert eig_count == [dim] + [2] * steps["inv_sqrt"]
+        taken.append(steps["inv_sqrt"])
+        y = sum(w * r @ p for (w, r), p in zip(ens, povm))
+        y = (y + y.conj().T) / 2
+        for w, r in ens:
+            assert float(np.min(np.linalg.eigvalsh(y - w * r))) > -1e-6
+    assert taken[0] == taken[1]
 
 
 @pytest.mark.parametrize("s", [presets.zero_plus_source(),
@@ -293,26 +329,39 @@ def test_pgm_projectors_per_type_match_direct(s):
         sn = power_state(s, n)
         rho_b = marginal_b(sn).matrix
         for w_size in (1, 3):
-            lambdas = coding._pgm_projectors(s, n, sn, w_size)
-            assert len(lambdas) == sn.size_x
-            for lam, p, r in zip(lambdas, sn.probs, sn.side_info):
+            factors = coding._pgm_factors(s, n, sn, w_size)
+            assert len(factors) == sn.size_x
+            for e, p, r in zip(factors, sn.probs, sn.side_info):
                 direct = nonneg_projector(p * r.matrix - rho_b / w_size)
-                assert np.max(np.abs(lam - direct)) <= 1e-12
+                assert np.max(np.abs(e @ e.conj().T - direct)) <= 1e-12
+                assert np.allclose(e.conj().T @ e, np.eye(e.shape[1]), rtol=0.0, atol=1e-12)
 
 
 def test_second_pgm_decoder_makes_only_bin_eigs(eig_count):
     s = presets.zero_plus_source()
     n, w_size = 3, 4
     encoders = [random_binning(n, w_size, seed) for seed in (1, 2)]
-    used = [len(set(enc.table(2 ** n))) for enc in encoders]
     eig_count.clear()  # the validation of the source's own blocks
     pgm_decoder(s, n, encoders[0], w_size)
-    # the marginal, one projector per type class, one inverse square root
-    # per nonempty bin
-    assert len(eig_count) == 1 + (n + 1) + used[0]
+    factors = coding._pgm_factors(s, n, power_state(s, n), w_size)
+
+    def bin_eigs(enc):
+        # one inverse square root per bin of two or more members, of the
+        # Gram matrix of the bin's factors (its total rank, here at most
+        # 2^n); a one-member bin is the identity
+        table = enc.table(2 ** n)
+        ranks = [[factors[i].shape[1] for i in range(2 ** n) if table[i] == w]
+                 for w in range(w_size)]
+        assert all(sum(r) <= 2 ** n for r in ranks)
+        return [sum(r) for r in ranks if len(r) >= 2]
+
+    # the marginal, one factor per type class, then the bins
+    assert bin_eigs(encoders[0]) == [2, 4, 2]
+    assert eig_count == [2 ** n] * (1 + (n + 1)) + bin_eigs(encoders[0])
     eig_count.clear()
     pgm_decoder(s, n, encoders[1], w_size)
-    assert len(eig_count) == used[1]
+    assert bin_eigs(encoders[1]) == [5, 2]
+    assert eig_count == bin_eigs(encoders[1])
 
 
 def test_helstrom_makes_one_eig(eig_count):
@@ -325,3 +374,188 @@ def test_helstrom_makes_one_eig(eig_count):
     diff = 0.4 * rho0 - 0.6 * rho1
     assert succ == pytest.approx(0.5 * (1.0 + np.sum(np.abs(np.linalg.eigvalsh(diff)))), abs=1e-12)
     assert np.allclose(p0 + p1, np.eye(3))
+
+
+# ---- oracles: the dim x dim formulas the compressed routes replace ----------
+
+def _full_space_discrimination(ens):
+    """min_error_discrimination of three or more states as a damped fixed
+    point on dim x dim operators, started from the PGM and stopped at the
+    first iterate the Cholesky certificate accepts; also returns the
+    iteration count."""
+    dim = ens[0][1].shape[0]
+    eye = np.eye(dim)
+    weighted = [w * r for w, r in ens]
+
+    def complete(mats):
+        return [m + (eye - sum(mats)) / len(mats) for m in mats]
+
+    def certified(povm):
+        y = sum(g @ p for g, p in zip(weighted, povm))
+        y = (y + y.conj().T) / 2.0
+        try:
+            for g in weighted:
+                np.linalg.cholesky(y - g + coding._CERT_GAP * eye)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    half = inv_sqrt_on_support(sum(weighted))
+    povm = complete([half @ g @ half for g in weighted])
+    iterations = 0
+    while not certified(povm) and iterations < coding._FP_MAX_ITERS:
+        m = sum(g @ p @ g for g, p in zip(weighted, povm))
+        half = inv_sqrt_on_support((m + m.conj().T) / 2.0)
+        new = complete([half @ g @ p @ g @ half for g, p in zip(weighted, povm)])
+        povm = [0.5 * (a + b) for a, b in zip(povm, new)]
+        iterations += 1
+    succ = sum(float(np.real(np.trace(p @ g))) for g, p in zip(weighted, povm))
+    return povm, succ, iterations
+
+
+def _full_space_pgm(s, table, w_size):
+    """The PGM decoder of a single-letter code from the projectors
+    Lambda_x and the inverse square root of their sum in each bin."""
+    rho_b = marginal_b(s).matrix
+    eye = np.eye(s.dim_b)
+    lambdas = [nonneg_projector(p * r.matrix - rho_b / w_size)
+               for p, r in zip(s.probs, s.side_info)]
+    decoder = []
+    for w in range(w_size):
+        members = [i for i in range(s.size_x) if table[i] == w]
+        if not members:
+            decoder.append({0: eye})
+            continue
+        half = inv_sqrt_on_support(sum(lambdas[i] for i in members))
+        povm = {i: half @ lambdas[i] @ half for i in members}
+        povm[members[0]] = povm[members[0]] + eye - sum(povm.values())
+        decoder.append(povm)
+    return decoder
+
+
+def _ensemble(dim, span, ranks, seed):
+    """Weighted states of the given ranks, all supported on one random
+    span-dimensional subspace of C^dim."""
+    rng = np.random.default_rng(seed)
+    iso = _isometry(rng, dim, span)
+    weights = rng.dirichlet(np.ones(len(ranks)))
+    return [(w, iso @ random_density(rng, span, min(r, span)) @ iso.conj().T)
+            for w, r in zip(weights, ranks)]
+
+
+def _assert_povms_close(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.max(np.abs(np.asarray(a) - b)) <= 1e-12
+
+
+@st.composite
+def _ensembles(draw):
+    dim = draw(st.integers(2, 8))
+    span = draw(st.integers(1, dim))
+    ranks = draw(st.lists(st.integers(1, dim), min_size=3, max_size=4))
+    return _ensemble(dim, span, ranks, draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(ens=_ensembles())
+@example(ens=_ensemble(8, 8, [8, 8, 8], 1))
+@example(ens=_ensemble(8, 3, [1, 2, 3, 1], 2))
+@example(ens=_ensemble(6, 1, [1, 1, 1], 3))
+@example(ens=_ensemble(4, 4, [1, 1, 1, 1], 4))
+def test_compressed_discrimination_matches_full_space(ens):
+    # rank-deficient sums (span < dim, or few low-rank members) and
+    # full-rank ones: the compressed iteration takes the full-space
+    # iteration's steps, and its lifted POVM certifies in the full space
+    povm, succ = min_error_discrimination(ens)
+    want_povm, want_succ, _ = _full_space_discrimination(ens)
+    assert succ == pytest.approx(want_succ, abs=1e-12, rel=0.0)
+    _assert_povms_close(povm, want_povm)
+    dim = ens[0][1].shape[0]
+    assert np.max(np.abs(sum(povm) - np.eye(dim))) <= coding._FP_RESIDUAL
+    y = sum(w * r @ p for (w, r), p in zip(ens, povm))
+    y = (y + y.conj().T) / 2
+    for (w, r), p in zip(ens, povm):
+        assert float(np.min(np.linalg.eigvalsh(p))) >= -1e-12
+        assert float(np.min(np.linalg.eigvalsh(y - w * r))) >= -coding._CERT_GAP
+
+
+def test_discrimination_failure_reports_full_space_povm(monkeypatch):
+    # a qubit ensemble in a 2-dimensional subspace of C^4: the diagnostics
+    # carry the lifted 4 x 4 PGM and the gap of the full-space certificate
+    monkeypatch.setattr(coding, "_FP_MAX_ITERS", 0)
+    iso = _isometry(np.random.default_rng(1), 4, 2)
+    ens = [(w, iso @ r @ iso.conj().T) for w, r in _three_state_ensemble(0)]
+    with pytest.raises(NoConvergenceError) as err:
+        min_error_discrimination(ens)
+    diag = err.value.diagnostics
+    want_povm, want_succ, iterations = _full_space_discrimination(ens)
+    assert diag["iterations"] == iterations == 0
+    assert all(np.shape(p) == (4, 4) for p in diag["povm"])
+    _assert_povms_close(diag["povm"], want_povm)
+    assert diag["success"] == pytest.approx(want_succ, abs=1e-12, rel=0.0)
+    y = sum(w * r @ p for (w, r), p in zip(ens, want_povm))
+    y = (y + y.conj().T) / 2
+    want = max(-float(np.min(np.linalg.eigvalsh(y - w * r))) for w, r in ens)
+    assert diag["gap"] == pytest.approx(want, abs=1e-12)
+    assert diag["gap"] > 1e-6
+
+
+def _pgm_source(dim, ranks, seed):
+    """A single-letter source with side information of the given ranks."""
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.ones(len(ranks)))
+    rhos = [random_density(rng, dim, min(r, dim)) for r in ranks]
+    return CQState([str(i) for i in range(len(ranks))], probs, rhos)
+
+
+@st.composite
+def _pgm_codes(draw):
+    dim = draw(st.integers(2, 8))
+    ranks = draw(st.lists(st.integers(1, dim), min_size=2, max_size=6))
+    w_size = draw(st.integers(1, 2 * len(ranks)))
+    s = _pgm_source(dim, ranks, draw(st.integers(0, 2 ** 32 - 1)))
+    return s, w_size, draw(st.integers(0, 2 ** 32 - 1))
+
+
+def _check_pgm_against_full_space(s, w_size, bin_seed):
+    """pgm_decoder against `_full_space_pgm`; returns, per bin of two or
+    more members, (total rank of its factors, rank of their sum)."""
+    enc = random_binning(1, w_size, bin_seed)
+    code = pgm_decoder(s, 1, enc, w_size)
+    want = _full_space_pgm(s, code.encoder, w_size)
+    for got_bin, want_bin in zip(code.decoder, want):
+        assert got_bin.keys() == want_bin.keys()
+        _assert_povms_close([got_bin[i] for i in want_bin], list(want_bin.values()))
+    got_succ = error_probability(s, 1, code).p_success
+    want_succ = error_probability(s, 1, Code(1, w_size, code.encoder, want)).p_success
+    assert got_succ == pytest.approx(want_succ, abs=1e-12, rel=0.0)
+    factors = coding._pgm_factors(s, 1, s, w_size)
+    shapes = []
+    for w in range(w_size):
+        members = [i for i in range(s.size_x) if code.encoder[i] == w]
+        if len(members) >= 2:
+            u = np.concatenate([factors[i] for i in members], axis=1)
+            shapes.append((u.shape[1], int(np.linalg.matrix_rank(u, tol=1e-9))))
+    return shapes
+
+
+_PGM_CASES = [(4, [1, 1, 2], 3, 5), (8, [8, 8, 8, 8, 8], 1, 7), (5, [5, 4, 5, 3], 2, 5),
+              (3, [3, 3, 3, 3], 8, 1), (2, [2, 2, 2, 2, 2, 2], 12, 0)]
+
+
+def test_pgm_bins_take_both_routes():
+    # the fixed cases cover bins whose factors have no more columns than
+    # rows (Gram matrix, with a rank-deficient sum) and more (U U^dagger)
+    shapes = []
+    for dim, ranks, w_size, seed in _PGM_CASES:
+        shapes += [(k, r, dim) for k, r in
+                   _check_pgm_against_full_space(_pgm_source(dim, ranks, seed), w_size, seed)]
+    assert any(k <= dim and r < dim for k, r, dim in shapes)
+    assert any(k > dim for k, _, dim in shapes)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(case=_pgm_codes())
+def test_pgm_decoder_matches_full_space(case):
+    _check_pgm_against_full_space(*case)

@@ -1,7 +1,8 @@
 """n-fold hypothesis testing on Schur-Weyl irrep blocks for qubit side
 information: the symmetric powers against the symmetric subspace, windows
 against the type-class blocks and against exact binomial Neyman-Pearson
-sums, and the size of the matrices a window eigendecomposes."""
+sums, the size of the matrices a window eigendecomposes, and the blocks
+of pure states' vanishing irreps, left out without changing a window."""
 
 from __future__ import annotations
 
@@ -17,8 +18,8 @@ import cqsw.hypotest as hypotest
 import cqsw.operators as operators
 from cqsw import presets
 from cqsw.hypotest import _dh_blocks, rate_window
-from cqsw.operators import random_hermitian, tensor
-from cqsw.states import _sym_powers, marginal_b, schur_weyl_blocks, type_classes
+from cqsw.operators import random_density, random_hermitian, tensor
+from cqsw.states import CQState, _sym_powers, _types, marginal_b, schur_weyl_blocks, type_classes
 
 from test_type_classes import _source
 
@@ -184,3 +185,75 @@ def test_rate_window_eigendecomposes_irrep_blocks(eig_shapes, monkeypatch, sourc
     blocks = len(schur_weyl_blocks(s, n))
     stacked = [shape for name, shape in eig_shapes if name == "cqsw.hypotest"]
     assert stacked == [(blocks, largest, largest)] * len(thresholds)
+
+
+def _every_irrep_block(s, n):
+    """schur_weyl_blocks with every (type, k) block, the vanishing ones of
+    pure rho_x (k_x > 0) included."""
+    blocks = s.blocks()
+    ops = [r for _, r in blocks] + [marginal_b(s).matrix]
+    dets = [float((r[0, 0] * r[1, 1]).real - abs(r[0, 1]) ** 2) for r in ops]
+    sym = [_sym_powers(r, n) for r in ops]
+    out = []
+    for _, counts, mult in _types(len(blocks), n):
+        p = math.prod(blocks[x][0] ** c for x, c in counts)
+        for ks in itertools.product(*(range(c // 2 + 1) for _, c in counts)):
+            weight, scale = mult, p
+            for (x, c), k in zip(counts, ks):
+                weight *= math.comb(c, k) - (math.comb(c, k - 1) if k else 0)
+                scale *= dets[x] ** k
+            dims = [c - 2 * k for (_, c), k in zip(counts, ks)]
+            rho = scale * tensor(*(sym[x][m] for (x, _), m in zip(counts, dims)))
+            sigma = dets[-1] ** sum(ks) * tensor(*(sym[-1][m] for m in dims))
+            out.append((weight, rho, sigma))
+    return out
+
+
+def _pure_and_mixed():
+    """rho_0 = |0><0| next to a full-rank rho_1: only rho_0's irreps vanish."""
+    mixed = random_density(np.random.default_rng(8), 2)
+    return CQState(["0", "1"], [0.4, 0.6], [np.diag([1.0, 0.0]), mixed])
+
+
+@pytest.mark.parametrize("n, kept, every", [(2, 3, 5), (3, 4, 8)])
+def test_vanishing_irreps_are_left_out(n, kept, every):
+    # zero_plus has two pure states: only the k = 0 block of each type
+    # stays, and the blocks left out are those with a zero rho side
+    s = presets.zero_plus_source()
+    blocks = _every_irrep_block(s, n)
+    vanishing = [rho for _, rho, _ in blocks if np.max(np.abs(rho)) <= 1e-15]
+    assert (len(schur_weyl_blocks(s, n)), len(blocks)) == (kept, every)
+    assert len(vanishing) == every - kept
+
+
+@pytest.mark.parametrize("source", [presets.zero_plus_source, _pure_and_mixed],
+                         ids=["zero_plus", "pure_and_mixed"])
+def test_windows_without_vanishing_irreps_match_every_block(source):
+    # eigendecomposed by numpy's eigh on both sides, so only the blocks
+    # differ; n = 6 and 8 are past the default cap
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hypotest, "eig_hermitian_stack", _numpy_eigh_stack)
+        for n in (2, 3, 4, 6, 8):
+            s = source()
+            every = _every_irrep_block(s, n)
+            assert len(schur_weyl_blocks(s, n, cap=2 ** 16)) < len(every)
+            for eps in (0.05, 0.1, 0.2):
+                got = rate_window(s, n, eps, 0.5, cap=2 ** 16)
+                assert got == pytest.approx(_window(every, n, eps, 0.5), abs=1e-14, rel=0.0)
+
+
+@pytest.mark.parametrize("source", [presets.zero_plus_source, _pure_and_mixed],
+                         ids=["zero_plus", "pure_and_mixed"])
+def test_vanishing_irreps_leave_dh_at_zero_unchanged(source):
+    # at t = 0 the left-out blocks lie in the kernel of rho - t sigma and
+    # carry sigma mass there, but D_H^0 counts sigma on the support of rho
+    # only
+    s = source()
+    for n in (2, 3, 4):
+        kept = hypotest._MassTable(schur_weyl_blocks(s, n))
+        every = hypotest._MassTable(_every_irrep_block(s, n))
+        assert kept.dh(0.0) == pytest.approx(every.dh(0.0), abs=1e-14, rel=0.0)
+        assert math.isfinite(kept.dh(0.0))
+        ker_sigma = every(0.0)[3] - kept(0.0)[3]
+        assert ker_sigma > 1e-3
+        assert kept(0.0)[:3] == pytest.approx(every(0.0)[:3], abs=1e-14, rel=0.0)
