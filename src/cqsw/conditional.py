@@ -40,6 +40,8 @@ _ZERO_GRID = (1e-1, 1e-2, 1e-3)
 # itself rounds to a float inside it)
 _ALPHA_ONE_EDGES = (1.0 - _ALPHA_ONE_WINDOW, math.nextafter(1.0 + _ALPHA_ONE_WINDOW, 2.0))
 _PENALTY = 1e6
+# the largest gradient component at which an iterate solve has converged
+_GTOL = 1e-10
 # below this |c dk| a divided difference of e^(c k) is taken as
 # e^(c k_j) expm1(c dk) / dk instead of a difference quotient
 _EXPM1_WINDOW = 1e-3
@@ -329,15 +331,28 @@ def _iterate_h_up(s, alpha, variant, x0=None) -> OptimizerReport:
     gradient of `_h_up_objective`, from the parameters x0, or from x = 0
     (sigma = 1/d) without them. `h_up` never runs it for petz, which has
     Sibson's closed form; a petz run is the reference that closed form is
-    checked against, a convex program for alpha <= 2 (Lieb, Ando)."""
+    checked against, a convex program for alpha <= 2 (Lieb, Ando).
+
+    The objective is evaluated at the start first. A start whose gradient
+    is within `_GTOL` (a finite value off the penalty plateau) is returned
+    as it is, without the run: that is L-BFGS-B's own exit after its first
+    evaluation, so the report (0 iterations, 1 evaluation) is the one the
+    run would give. Warm starts from a neighbouring alpha on a source whose
+    optimum does not move with alpha are such starts."""
     basis = _traceless_basis(s.dim_b)
     start = np.zeros(len(basis)) if x0 is None else np.asarray(x0, dtype=float)
-    res = minimize(_h_up_objective(s, alpha, variant, basis, grad=True), start, jac=True,
-                   method="L-BFGS-B", options={"maxiter": 200, "ftol": 1e-14, "gtol": 1e-10})
-    if not math.isfinite(res.fun):
+    objective = _h_up_objective(s, alpha, variant, basis, grad=True)
+    fun, jac = objective(start)
+    if fun != _PENALTY and math.isfinite(fun) and np.max(np.abs(jac)) <= _GTOL:
+        x, nit, nfev = start, 0, 1
+    else:
+        res = minimize(objective, start, jac=True, method="L-BFGS-B",
+                       options={"maxiter": 200, "ftol": 1e-14, "gtol": _GTOL})
+        x, fun, jac, nit, nfev = res.x, res.fun, res.jac, res.nit, res.nfev
+    if not math.isfinite(fun):
         raise NoConvergenceError("optimizer produced no finite value")
-    return OptimizerReport(_sigma_from_params(res.x, basis, s.dim_b), -float(res.fun),
-                           int(res.nit), float(np.max(np.abs(res.jac))), int(res.nfev), res.x)
+    return OptimizerReport(_sigma_from_params(x, basis, s.dim_b), -float(fun),
+                           int(nit), float(np.max(np.abs(jac))), int(nfev), x)
 
 
 def _tabulated(s: CQState, alpha: float, variant: str) -> OptimizerReport | None:

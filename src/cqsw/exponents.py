@@ -15,10 +15,12 @@ holds (`h_up` with slope=True). Every bracket ends at s = 0, where f = 0
 and f' = R - H(X|B), so that end costs nothing, and `golden_max` probes
 the other end once and stops there if f' points out of the bracket
 (random coding above the critical rate at s = 1, the strong converse at
-the alpha = ALPHA_CAP cap); otherwise it finds the root of f' by Brent's
-root method, to a tolerance relative to |s|, so a rate close to H(X|B),
-whose optimal s tends to 0, finds it too. H and its slope do not depend
-on the rate, so the rates of one curve share their probes.
+the alpha = ALPHA_CAP cap); otherwise it searches for the root of f' by
+Brent's root method and stops at the first probe whose value has converged
+to 1e-12 relative (its Newton decrement), or at the root to a tolerance
+relative to |s|, so a rate close to H(X|B), whose optimal s tends to 0,
+finds it too. alpha* is the probe the search stopped at. H and its slope
+do not depend on the rate, so the rates of one curve share their probes.
 Rates on the far side of H(X|B) return an exact 0.0 without any search:
 every H_alpha is nonincreasing in alpha and equals H(X|B) at alpha = 1, so
 s (R - H_alpha) <= 0 on the whole bracket there.
@@ -53,6 +55,9 @@ _GOLDEN_TOL = 1e-8
 # the absolute floor of golden_max's root tolerance, which is otherwise
 # relative to the argument
 _ROOT_FLOOR = 1e-16
+# golden_max stops once the predicted gap to the maximum is at most this
+# fraction of the value
+_VALUE_TOL = 1e-12
 ALPHA_CAP = 64.0
 # V(X|B) at or below this is zero: no moderate-deviation or second-order
 # expansion exists
@@ -78,11 +83,16 @@ S_BRACKET = {
 }
 
 
+class _Converged(Exception):
+    """golden_max's way out of brentq at the point, its one argument, whose
+    value has converged."""
+
+
 def golden_max(f, lo: float, hi: float, tol: float = _GOLDEN_TOL, known=None):
     """Maximize a unimodal function on [lo, hi] from its slope; returns
-    (x, f(x)[0]). f returns (value, slope) at x; known maps points of
-    [lo, hi] to their (value, slope) where the caller has them without a
-    probe.
+    (x, f(x)[0]), x a point f was called at or a known one. f returns
+    (value, slope) at x; known maps points of [lo, hi] to their (value,
+    slope) where the caller has them without a probe.
 
     The maximum lies right of every point whose slope rises and left of
     every point whose slope falls, so the search starts from the tightest
@@ -90,10 +100,17 @@ def golden_max(f, lo: float, hi: float, tol: float = _GOLDEN_TOL, known=None):
     known point bounds that side. An end whose slope points out of the
     bracket (slope <= 0 at lo, >= 0 at hi) is the maximum. Otherwise the
     maximum is the root of the slope inside, found by Brent's root method
-    (scipy's brentq), which probes the points it returns, to within
-    tol |x| + 1e-16: relative, so that the exponent searches, which put
-    alpha = 1 at s = 0, place an optimum near alpha = 1 to a tolerance
-    relative to its distance from it."""
+    (scipy's brentq) on the points of the bracket. It stops at the first
+    point x_k whose value has converged: with h = (g_k - g_(k-1)) /
+    (x_k - x_(k-1)) the secant of the slope through the point before, the
+    Newton decrement g_k^2 / (2 |h|), the predicted gap to the maximum, is
+    at most `_VALUE_TOL` |f(x_k)| and h < 0. The value's error is quadratic
+    in the error in x, so this comes long before x itself is known to
+    tol |x| + 1e-16, where Brent's method stops otherwise: relative, so
+    that the exponent searches, which put alpha = 1 at s = 0, place an
+    optimum near alpha = 1 to a tolerance relative to its distance from
+    it. Both tolerances are relative, so a function scaled by any factor
+    is searched at the same points."""
     probes = dict(known or {})
 
     def probe(x):
@@ -112,7 +129,21 @@ def golden_max(f, lo: float, hi: float, tol: float = _GOLDEN_TOL, known=None):
         return a, probe(a)[0]
     if slope(b) >= 0.0:
         return b, probe(b)[0]
-    x = brentq(slope, a, b, xtol=_ROOT_FLOOR, rtol=tol, disp=False)
+    last = []  # brentq's previous point and its slope; it never repeats a point
+
+    def stopping_slope(x):
+        value, g = probe(x)
+        if last:
+            h = (g - last[1]) / (x - last[0])
+            if h < 0.0 and g * g <= 2.0 * _VALUE_TOL * abs(value) * -h:
+                raise _Converged(x)
+        last[:] = x, g
+        return g
+
+    try:
+        x = brentq(stopping_slope, a, b, xtol=_ROOT_FLOOR, rtol=tol, disp=False)
+    except _Converged as done:
+        x = done.args[0]
     return x, probe(x)[0]
 
 
@@ -121,7 +152,10 @@ def _legendre_max(h_pair, rate: float, kind: str, h_zero: float, known=None):
     `S_BRACKET`, where E_0(s) = -s H(s) and h_pair(s) = (H(s), dH/ds), so
     f'(s) = R - H(s) - s dH/ds; R - H is formed first, so that near the
     root f' keeps the precision of R - H. known maps s to its pair, which
-    then costs no probe; s = 0 costs none either: f = 0, f' = R - h_zero."""
+    then costs no probe; s = 0 costs none either: f = 0, f' = R - h_zero.
+    s* is the point `golden_max` stopped at, a probed or known s, so the
+    solve behind it is on the state's table; sup is f there, predicted to
+    lie within `_VALUE_TOL` |sup| of the supremum."""
     lo, hi = next(b for prefix, b in S_BRACKET.items() if kind.startswith(prefix))
 
     def f(x, pair):

@@ -1,10 +1,10 @@
 """The sigma_B optimizer behind h_up: its exact gradient against central
 differences on random sources, the eigendecompositions one evaluation
 makes, one solve per point of the alpha -> 0 grid, the solves a state
-tabulates, one L-BFGS run per solve whatever the solve order, the slope
-dH_alpha/dalpha a solve reports, the optimizer report a curve carries, and
-the order relations of the three Renyi families and of exponent curves on
-random sources."""
+tabulates, at most one L-BFGS run per solve whatever the solve order and
+none from an optimal start, the slope dH_alpha/dalpha a solve reports, the
+optimizer report a curve carries, and the order relations of the three
+Renyi families and of exponent curves on random sources."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize
 
 import cqsw.conditional as conditional
 from cqsw import exponents, presets
@@ -111,10 +112,9 @@ def test_solve_does_not_depend_on_solve_order():
     assert h_up(s, 0.1, "sandwiched").value == pytest.approx(fresh, abs=1e-9)
 
 
-@pytest.mark.parametrize("variant", ("sandwiched", "flat"))
-def test_first_solve_is_one_run(monkeypatch, variant):
-    # the first solve of a family on a state, at the alpha a strong-converse
-    # search probes first, is a single L-BFGS run from sigma = 1/d
+@pytest.fixture
+def minimize_runs(monkeypatch):
+    """The L-BFGS runs of the iterate solves, one entry each."""
     runs = []
     real = conditional.minimize
 
@@ -123,9 +123,48 @@ def test_first_solve_is_one_run(monkeypatch, variant):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(conditional, "minimize", counted)
-    rep = h_up(presets.doubly_symmetric(0.11), exponents.ALPHA_CAP, variant)
-    assert len(runs) == 1
+    return runs
+
+
+@pytest.mark.parametrize("variant", ("sandwiched", "flat"))
+def test_first_solve_is_one_run(minimize_runs, variant):
+    # the first solve of a family on a state, at the alpha a strong-converse
+    # search probes first, is a single L-BFGS run from sigma = 1/d, which is
+    # not optimal on this full-rank source
+    s = presets.random_cq_state(np.random.default_rng(3), 2, 2)
+    rep = h_up(s, exponents.ALPHA_CAP, variant)
+    assert len(minimize_runs) == 1
+    assert rep.iterations > 0
     assert rep.residual < 1e-8
+
+
+@pytest.mark.parametrize("variant", ("sandwiched", "flat"))
+def test_optimal_start_makes_no_run(minimize_runs, variant):
+    # sigma = 1/d is the optimum of the doubly symmetric source: the solve
+    # evaluates its start, finds the gradient within tolerance and returns
+    # what L-BFGS-B returns there, without calling it
+    s = presets.doubly_symmetric(0.11)
+    rep = h_up(s, exponents.ALPHA_CAP, variant)
+    assert len(minimize_runs) == 0
+    assert (rep.iterations, rep.evaluations) == (0, 1)
+    assert rep.residual < 1e-8
+    basis = conditional._traceless_basis(s.dim_b)
+    run = minimize(conditional._h_up_objective(s, exponents.ALPHA_CAP, variant, basis, grad=True),
+                   np.zeros(len(basis)), jac=True, method="L-BFGS-B",
+                   options={"ftol": 1e-14, "gtol": conditional._GTOL})
+    assert (run.nit, run.nfev) == (0, 1)
+    assert rep.value == -run.fun
+    assert rep.residual == np.max(np.abs(run.jac))
+
+
+@pytest.mark.parametrize("kind", ("strong_converse_star", "strong_converse_flat"))
+def test_optimal_warm_starts_make_no_run(minimize_runs, kind):
+    # on the doubly symmetric source sigma* = 1/d at every alpha, so none of
+    # the solves of a strong-converse curve runs L-BFGS (each ran once, 12
+    # runs per curve, before solves returned an optimal start)
+    curve = exponent_family(presets.doubly_symmetric(0.11), [0.25, 0.4, 0.6], kind)
+    assert curve.metadata["h_up_solves"] > 0
+    assert len(minimize_runs) == 0
 
 
 @pytest.mark.parametrize("variant, route", [("petz", None), ("petz", "iterate"),
