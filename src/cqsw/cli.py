@@ -93,6 +93,8 @@ def cmd_simulate(args) -> int:
     s = _load(args.state)
     if args.trials < 1:
         raise _ConfigError("trials", "need at least one trial")
+    if args.n < 1:
+        raise _ConfigError("n", "n must be positive")
     if args.rate is None:
         raise _ConfigError("rate", "--rate is required")
     e_hat, sc_hat = empirical_exponents(
@@ -114,6 +116,8 @@ def cmd_bruteforce(args) -> int:
     s = _load(args.state)
     if args.w_size < 1:
         raise _ConfigError("w-size", "need at least one bin")
+    if args.n < 1:
+        raise _ConfigError("n", "n must be positive")
     rep, code = optimal_error_bruteforce(s, args.n, args.w_size, cap=args.cap)
     lines = [
         f"n {args.n}",
@@ -228,6 +232,8 @@ def cmd_rate_window(args) -> int:
         raise _ConfigError("epsilon", "epsilon must lie in (0, 1)")
     if not 0.0 < args.alpha < 1.0:
         raise _ConfigError("alpha", "alpha must lie in (0, 1)")
+    if args.n < 1:
+        raise _ConfigError("n", "n must be positive")
     lo, hi = rate_window(s, args.n, args.epsilon, args.alpha, cap=args.cap)
     lines = [
         f"n {args.n}",

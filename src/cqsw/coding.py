@@ -151,27 +151,28 @@ def _pgm_factors(s: CQState, n: int, sn: CQState, w_size: int) -> list:
     E of that string is U_pi E_rep: a reshape and a transpose of the
     representative's rows.
     """
-    memo = sn._pgm_factors
-    if w_size not in memo:
-        rho_b = marginal_b(sn).matrix
-        dim = rho_b.shape[0]
-        reps = {}
-        factors = []
-        for i, idx in enumerate(itertools.product(range(s.size_x), repeat=n)):
-            key = tuple(sorted(idx))
-            if key not in reps:
-                reps[key] = nonneg_eigenvectors(
-                    sn.probs[i] * sn.side_info[i].matrix - rho_b / w_size)
-                factors.append(reps[key])
-                continue
-            # factor j of this string is factor inv[j] of the representative
-            inv = np.argsort(np.argsort(idx, kind="stable"))
-            rep = reps[key]
-            k = rep.shape[1]
-            factors.append(rep.reshape((s.dim_b,) * n + (k,))
-                           .transpose(np.append(inv, n)).reshape(dim, k))
-        memo[w_size] = factors
-    return memo[w_size]
+    return sn.cached(("pgm_factors", w_size), _build_pgm_factors, s, n, sn, w_size)
+
+
+def _build_pgm_factors(s: CQState, n: int, sn: CQState, w_size: int) -> list:
+    rho_b = marginal_b(sn).matrix
+    dim = rho_b.shape[0]
+    reps = {}
+    factors = []
+    for i, idx in enumerate(itertools.product(range(s.size_x), repeat=n)):
+        key = tuple(sorted(idx))
+        if key not in reps:
+            reps[key] = nonneg_eigenvectors(
+                sn.probs[i] * sn.side_info[i].matrix - rho_b / w_size)
+            factors.append(reps[key])
+            continue
+        # factor j of this string is factor inv[j] of the representative
+        inv = np.argsort(np.argsort(idx, kind="stable"))
+        rep = reps[key]
+        k = rep.shape[1]
+        factors.append(rep.reshape((s.dim_b,) * n + (k,))
+                       .transpose(np.append(inv, n)).reshape(dim, k))
+    return factors
 
 
 def _whiten(u: np.ndarray) -> np.ndarray:
@@ -413,9 +414,8 @@ def _optimal_bins(sn: CQState, table, w_size: int) -> tuple[list, float]:
     """The optimal discrimination POVM of each bin of the encoder table on
     the n-fold source sn (the identity on sequence 0 for an empty bin), and
     the summed success of the bins. Each bin is discriminated once per
-    member set and kept on sn (`CQState._discriminations`), so encoders,
-    bin counts and callers that share a member set share its solution."""
-    solved = sn._discriminations
+    member set and kept on sn, so encoders, bin counts and callers that
+    share a member set share its solution."""
     decoder = []
     total = 0.0
     for w in range(w_size):
@@ -423,10 +423,8 @@ def _optimal_bins(sn: CQState, table, w_size: int) -> tuple[list, float]:
         if not members:
             decoder.append({0: np.eye(sn.dim_b)})
             continue
-        if members not in solved:
-            solved[members] = min_error_discrimination(
-                [(sn.probs[i], sn.side_info[i].matrix) for i in members])
-        povm, succ = solved[members]
+        povm, succ = sn.cached(("discrimination", members), lambda: min_error_discrimination(
+            [(sn.probs[i], sn.side_info[i].matrix) for i in members]))
         total += succ
         decoder.append(dict(zip(members, povm)))
     return decoder, total

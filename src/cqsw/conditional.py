@@ -155,9 +155,9 @@ def _petz_acc_spectrum(s: CQState, alpha: float) -> tuple[np.ndarray, np.ndarray
     # Hermitian by construction, so not validated
     w, v = eig_hermitian_stack(np.einsum("kij,kj,klj->il", blocks.v, wa, blocks.v.conj())[None])
     w, v = w[0], v[0]
-    if s._marginal_rank is None:
-        s._marginal_rank = int(np.count_nonzero(support_mask(marginal_b(s).spectrum()[0])))
-    on = np.arange(w.size) >= w.size - s._marginal_rank
+    rank = s.cached("marginal_rank",
+                    lambda: int(np.count_nonzero(support_mask(marginal_b(s).spectrum()[0]))))
+    on = np.arange(w.size) >= w.size - rank
     return np.where(on, np.maximum(w, 0.0), 0.0), v
 
 
@@ -357,7 +357,7 @@ def _iterate_h_up(s, alpha, variant, x0=None) -> OptimizerReport:
 
 def _tabulated(s: CQState, alpha: float, variant: str) -> OptimizerReport | None:
     """The report of an earlier iterate solve of variant at alpha on s, or None."""
-    return s._h_up_table.get((variant, round(alpha, 12)))
+    return s.cached(("h_up", variant), dict).get(round(alpha, 12))
 
 
 def _tabulated_solve(s: CQState, alpha: float, variant: str,
@@ -367,16 +367,17 @@ def _tabulated_solve(s: CQState, alpha: float, variant: str,
     table too where asked for. A solve starts from the tabulated optimum of
     the variant at the nearest alpha, or from sigma = 1/d where the table
     has none."""
-    rep = _tabulated(s, alpha, variant)
+    table = s.cached(("h_up", variant), dict)
+    rep = table.get(round(alpha, 12))
     if rep is None:
-        near = [(abs(a - alpha), a) for v, a in s._h_up_table if v == variant]
-        x0 = s._h_up_table[(variant, min(near)[1])].params if near else None
+        near = [(abs(a - alpha), a) for a in table]
+        x0 = table[min(near)[1]].params if near else None
         rep = _iterate_h_up(s, alpha, variant, x0)
     elif not slope or rep.slope is not None:
         return rep
     if slope:
         rep = _with_slope(s, alpha, variant, rep)
-    s._h_up_table[(variant, round(alpha, 12))] = rep
+    table[round(alpha, 12)] = rep
     return rep
 
 

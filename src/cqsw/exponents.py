@@ -174,11 +174,10 @@ class HUpEvaluator:
     and a view keeps what it returned (`probes`, s -> (H, dH/ds)), petz
     closed forms too. A view counts what its own calls did: solves, hits,
     optimizer objective evaluations and the largest optimizer residual
-    (`report`). A hit is a value from the state's table or the view's
-    probes: one `value` answers without a solve, or one stored probe a
-    search starts from (`stored`). The random_coding_down search keeps its
-    H_(1-s)^down probes in `probes` too (`_exponent`) and never calls
-    `value`.
+    (`report`). A hit is one `value` that the state's table answers
+    without a solve, or one stored probe a search starts from (`stored`).
+    The random_coding_down search keeps its H_(1-s)^down probes in
+    `probes` too (`_exponent`) and never calls `value`.
     """
 
     def __init__(self, s: CQState, variant: str):
@@ -192,11 +191,8 @@ class HUpEvaluator:
 
     def value(self, sval: float) -> tuple[float, float]:
         """(H_alpha^up, dH_alpha^up/ds = -alpha^2 dH_alpha^up/dalpha) at
-        alpha = 1/(1+s): from the view's probes or the state's table where
-        they hold it, else from `h_up` with slope=True."""
-        if sval in self.probes:
-            self.cache_hits += 1
-            return self.probes[sval]
+        alpha = 1/(1+s): from the state's table where it holds it, else
+        from `h_up` with slope=True."""
         alpha = 1.0 / (1.0 + sval)
         rep = _tabulated(self.state, alpha, self.variant)
         if rep is not None:

@@ -427,22 +427,22 @@ def _commuting_cells(s: CQState):
     p(x) rho_x commute, as log P_c and log Q_c (2, K) over the K cells with
     P_c > 0 under the support cutoff rule, P_c the mass of p(x) rho_x on the
     common eigenvector b (`classical.common_diagonal`) and Q_c that of
-    rho_B; None when the blocks do not commute. Decided once per state
-    (`CQState._cells`, False for a source whose blocks do not commute)."""
-    if s._cells is None:
-        cells = common_diagonal(np.array([p * r for p, r in s.blocks()]))
-        if cells is None:
-            s._cells = False
-        else:
-            rho_b = np.broadcast_to(cells.sum(axis=0), cells.shape)
-            keep = cells > SUPPORT_CUTOFF * np.max(cells, axis=1, keepdims=True)
-            s._cells = np.log([cells[keep], rho_b[keep]])
-    return None if s._cells is False else s._cells
+    rho_B; None when the blocks do not commute. Decided once per state."""
+    return s.cached("commuting_cells", _cells, s)
+
+
+def _cells(s: CQState):
+    cells = common_diagonal(np.array([p * r for p, r in s.blocks()]))
+    if cells is None:
+        return None
+    rho_b = np.broadcast_to(cells.sum(axis=0), cells.shape)
+    keep = cells > SUPPORT_CUTOFF * np.max(cells, axis=1, keepdims=True)
+    return np.log([cells[keep], rho_b[keep]])
 
 
 def _window_table(s: CQState, n: int, cap: int):
     """The table of the n-fold pair of a rate window, built once per
-    (state, n) and kept on the state (`CQState._windows`); the cap is
+    (state, n) and kept on the state under ("window", n); the cap is
     checked on every call. A source with commuting blocks gets the exact
     likelihood-ratio sort over joint types (`classical.TypeTable`), and the
     cap counts its types. Otherwise the pair enters a `_MassTable` through its
@@ -454,16 +454,16 @@ def _window_table(s: CQState, n: int, cap: int):
         _check_nfold(s, n, cap)
     else:
         _check_cap(n, math.comb(n + cells.shape[1] - 1, n), cap, "joint types")
-    if n not in s._windows:
-        if cells is not None:
-            s._windows[n] = TypeTable(cells, n)
-        elif s.dim_b == 2:
-            s._windows[n] = _MassTable(schur_weyl_blocks(s, n, cap))
-        else:
-            rho_b_n = tensor(*([marginal_b(s).matrix] * n))
-            blocks = [(mult, p * r, rho_b_n) for mult, p, r in type_classes(s, n, cap=cap)]
-            s._windows[n] = _MassTable(blocks)
-    return s._windows[n]
+    return s.cached(("window", n), _build_window_table, s, n, cells, cap)
+
+
+def _build_window_table(s: CQState, n: int, cells, cap: int):
+    if cells is not None:
+        return TypeTable(cells, n)
+    if s.dim_b == 2:
+        return _MassTable(schur_weyl_blocks(s, n, cap))
+    rho_b_n = tensor(*([marginal_b(s).matrix] * n))
+    return _MassTable([(mult, p * r, rho_b_n) for mult, p, r in type_classes(s, n, cap=cap)])
 
 
 def rate_window(s: CQState, n: int, eps: float, alpha: float,

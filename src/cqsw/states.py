@@ -16,6 +16,7 @@ import numpy as np
 from cqsw.errors import (
     CapExceededError,
     DimensionMismatchError,
+    DomainError,
     InvariantViolation,
     ParseError,
 )
@@ -91,19 +92,10 @@ class DensityOperator:
 class CQState:
     """Classical-quantum source: symbols, probabilities, side information.
 
-    A CQState is treated as immutable. The eigendecomposition of each block
-    p(x) rho_B^x (`block_spectra`), the marginal rho_B (`marginal_b`) and
-    its rank (`conditional._petz_acc_spectrum`) are computed once per
-    state, on first use, and shared by every divergence,
-    entropy and exponent evaluated on it; so are the reports of iterate
-    `h_up` solves, keyed by (variant, alpha) (`conditional._tabulated_solve`),
-    the n-fold extensions, keyed by n (`power_state`), whether the blocks
-    commute, with the cell masses of the joint distribution when they do
-    (`hypotest._commuting_cells`), the tables of rate windows, keyed by n
-    (`hypotest._window_table`), the factors of the PGM projectors of a code
-    decoded on this state, keyed by the number of bins
-    (`coding._pgm_factors`), and the optimal discrimination of each code
-    bin, keyed by its tuple of member sequences (`coding._optimal_bins`).
+    A CQState is treated as immutable, so every result derived from it alone
+    (block spectra, marginal, n-fold extensions, tables of solves and
+    windows) is computed once, on first use, and kept on the state by
+    `cached` under a key chosen by the function that computes it.
     """
 
     def __init__(self, alphabet, probs, side_info, check: bool = True):
@@ -123,15 +115,7 @@ class CQState:
         if len(dims) != 1:
             raise DimensionMismatchError(f"side-info dimensions differ: {sorted(dims)}")
         self.dim_b = dims.pop()
-        self._block_spectra = None
-        self._marginal = None
-        self._marginal_rank = None
-        self._h_up_table = {}
-        self._nfold = {}
-        self._cells = None
-        self._windows = {}
-        self._pgm_factors = {}
-        self._discriminations = {}
+        self._cache = {}
         if check:
             if np.any(self.probs < 0):
                 raise InvariantViolation("probs", "negative probability")
@@ -142,6 +126,13 @@ class CQState:
     @property
     def size_x(self) -> int:
         return len(self.alphabet)
+
+    def cached(self, key, build, *args):
+        """The result kept on this state under key, built as build(*args)
+        on first use."""
+        if key not in self._cache:
+            self._cache[key] = build(*args)
+        return self._cache[key]
 
     def blocks(self):
         """Pairs (p(x), rho_B^x matrix) for the nonzero-probability symbols."""
@@ -156,12 +147,7 @@ class CQState:
         stack (`operators.BlockSpectra`): p (k,), w (k, d), v (k, d, d), from
         one stacked eigendecomposition; iterating it yields the triples
         (p(x), w, v) of v diag(w) v^dagger = p(x) rho_B^x."""
-        if self._block_spectra is None:
-            on = self.probs > 0.0
-            p = self.probs[on]
-            mats = np.array([r.matrix for r, keep in zip(self.side_info, on) if keep])
-            self._block_spectra = BlockSpectra(p, *eig_hermitian_stack(p[:, None, None] * mats))
-        return self._block_spectra
+        return self.cached("block_spectra", _stack_blocks, self)
 
     def __eq__(self, other):
         if not isinstance(other, CQState):
@@ -176,6 +162,13 @@ class CQState:
         )
 
 
+def _stack_blocks(s: CQState) -> BlockSpectra:
+    on = s.probs > 0.0
+    p = s.probs[on]
+    mats = np.array([r.matrix for r, keep in zip(s.side_info, on) if keep])
+    return BlockSpectra(p, *eig_hermitian_stack(p[:, None, None] * mats))
+
+
 def as_joint_operator(s: CQState) -> np.ndarray:
     """Block-diagonal joint operator with block x equal to p(x) rho_B^x."""
     d = s.dim_b
@@ -187,12 +180,14 @@ def as_joint_operator(s: CQState) -> np.ndarray:
 
 def marginal_b(s: CQState) -> DensityOperator:
     """rho_B = sum_x p(x) rho_B^x, built and validated once per state."""
-    if s._marginal is None:
-        m = np.zeros((s.dim_b, s.dim_b), dtype=np.complex128)
-        for p, r in zip(s.probs, s.side_info):
-            m += p * r.matrix
-        s._marginal = DensityOperator(m)
-    return s._marginal
+    return s.cached("marginal", _marginal, s)
+
+
+def _marginal(s: CQState) -> DensityOperator:
+    m = np.zeros((s.dim_b, s.dim_b), dtype=np.complex128)
+    for p, r in zip(s.probs, s.side_info):
+        m += p * r.matrix
+    return DensityOperator(m)
 
 
 def _check_nfold(s: CQState, n: int, cap: int) -> None:
@@ -205,7 +200,7 @@ def _check_cap(n: int, total: int, cap: int, what: str) -> None:
     """n must be positive, and above n = 1 the count total of what an
     n-fold computation builds must not exceed cap."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise DomainError(f"n must be positive, got {n}")
     if n > 1 and total > cap:
         raise CapExceededError(f"{what} {total} exceeds cap {cap}")
 
@@ -216,9 +211,7 @@ def power_state(s: CQState, n: int, cap: int = DEFAULT_CAP) -> CQState:
     _check_nfold(s, n, cap)
     if n == 1:
         return s
-    if n not in s._nfold:
-        s._nfold[n] = _build_power_state(s, n)
-    return s._nfold[n]
+    return s.cached(("power_state", n), _build_power_state, s, n)
 
 
 def _build_power_state(s: CQState, n: int) -> CQState:

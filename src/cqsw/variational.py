@@ -72,7 +72,8 @@ _RESTORE_MARGIN = 1e-12
 
 @dataclass
 class DummyState:
-    """Auxiliary block-diagonal state: distribution q plus per-symbol states."""
+    """Auxiliary block-diagonal state: distribution q plus per-symbol states,
+    each a `DensityOperator`, kept as given, or a matrix validated as one."""
 
     q: np.ndarray
     sigma: list
@@ -80,7 +81,7 @@ class DummyState:
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float)
         self.sigma = [
-            m if isinstance(m, DensityOperator) else DensityOperator(m, check=False)
+            m if isinstance(m, DensityOperator) else DensityOperator(m)
             for m in self.sigma
         ]
         if abs(float(np.sum(self.q)) - 1.0) > 1e-9 or np.any(self.q < -1e-12):

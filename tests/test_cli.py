@@ -160,6 +160,14 @@ def test_exit_codes(dsbs_path, tmp_path):
     assert main(["exponents", "--state", str(bad)]) == 3
 
 
+
+@pytest.mark.parametrize("argv", [["rate-window"], ["simulate", "--rate", "0.5"],
+                                  ["bruteforce"]], ids=lambda argv: argv[0])
+def test_blocklength_below_one_is_a_config_error(dsbs_path, argv, capsys):
+    assert main([*argv, "--state", dsbs_path, "--n", "0"]) == 2
+    assert "config error in n" in capsys.readouterr().err
+
+
 def test_console_entry_point(dsbs_path):
     proc = subprocess.run(
         [sys.executable, "-m", "cqsw.cli", "rate-window", "--state",

@@ -171,7 +171,7 @@ def test_bruteforce_discriminates_each_bin_once(monkeypatch):
     sn = power_state(presets.zero_plus_source(), 2)
     best = None
     for table in coding._canonical_encoders(sn.size_x, 3):
-        sn._discriminations.clear()
+        sn._cache.clear()
         succ = coding._optimal_bins(sn, table, 3)[1]
         if best is None or succ > best[0]:
             best = (succ, table)
@@ -559,3 +559,22 @@ def test_pgm_bins_take_both_routes():
 @given(case=_pgm_codes())
 def test_pgm_decoder_matches_full_space(case):
     _check_pgm_against_full_space(*case)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda s: Code(1, 2, np.array([0, 1]), [{0: np.eye(2)}]), InvariantViolation),
+    (lambda s: Code(1, 1, np.array([0, 0]), [{}]), POVMInvalidError),
+    (lambda s: random_binning(1, 0, 0), InvariantViolation),
+    (lambda s: error_probability(s, 1, Code(2, 1, np.zeros(4, dtype=int), [{0: np.eye(4)}])),
+     InvariantViolation),
+    (lambda s: min_error_discrimination([]), InvariantViolation),
+    (lambda s: min_error_discrimination([(0.5, np.eye(2) / 2), (-0.5, np.eye(2) / 2)]),
+     InvariantViolation),
+    (lambda s: dummy_state_inequality_check(s, DummyState(s.probs, list(s.side_info)),
+                                            Code(1, 1, np.zeros(2, dtype=int), [{0: np.eye(2)}]),
+                                            0.0), InvariantViolation),
+], ids=["povm_count", "empty_povm", "zero_bins", "code_of_another_n", "empty_ensemble",
+        "negative_weight", "a_not_positive"])
+def test_invalid_input_raises_typed_error(call, error):
+    with pytest.raises(error):
+        call(presets.zero_plus_source())

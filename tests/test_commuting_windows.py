@@ -70,7 +70,7 @@ def _window_eigendecomposed(s, n, eps, alpha):
 def test_sorted_types_match_eigendecomposed_blocks(size_x, dim_b, zeros, rotate, seed, n, eps):
     s = _commuting_source(size_x, dim_b, zeros, rotate, seed)
     got = rate_window(s, n, eps, 0.5, cap=2 ** 14)
-    assert isinstance(s._windows[n], TypeTable)
+    assert isinstance(s._cache[("window", n)], TypeTable)
     want = _window_eigendecomposed(s, n, eps, 0.5)
     assert got == pytest.approx(want, abs=1e-12, rel=0.0)
 
@@ -93,7 +93,7 @@ def test_rotated_common_eigenbasis_takes_the_sort(eig_count, monkeypatch):
     for eps in (0.05, 0.1, 0.2):
         got = rate_window(s, 4, eps, 0.5)
         assert got == pytest.approx(rate_window(plain, 4, eps, 0.5), abs=1e-12, rel=0.0)
-    assert isinstance(s._windows[4], TypeTable)
+    assert isinstance(s._cache[("window", 4)], TypeTable)
     assert len(eig_count) == 1 and thresholds == []
 
 
@@ -104,7 +104,7 @@ def test_perturbed_blocks_keep_the_eigendecomposed_route():
     s = CQState(s.alphabet, s.probs, [rho0, s.side_info[1].matrix])
     assert hypotest._commuting_cells(s) is None
     lower, upper = rate_window(s, 3, 0.1, 0.5)
-    assert isinstance(s._windows[3], hypotest._MassTable)
+    assert isinstance(s._cache[("window", 3)], hypotest._MassTable)
     want = _window_eigendecomposed(s, 3, 0.1, 0.5)
     assert (lower, upper) == pytest.approx(want, abs=1e-12, rel=0.0)
 

@@ -15,6 +15,7 @@ from cqsw import presets
 from cqsw.conditional import conditional_entropy
 from cqsw.errors import (
     CapExceededError,
+    DimensionMismatchError,
     InvalidEpsilonError,
     InvalidMuError,
     NonHermitianError,
@@ -327,3 +328,18 @@ def test_dh_matches_dual_program_with_exact_type1(kind, d, seed, eps):
     t1, t2 = t.errors_against(rho, sig)
     assert t1 == pytest.approx(eps, abs=1e-10)
     assert v == pytest.approx(-math.log2(t2), abs=1e-9)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda s: rate_window(s, 2, 0.0, 0.5), InvalidEpsilonError),
+    (lambda s: rate_window(s, 2, 1.0, 0.5), InvalidEpsilonError),
+    (lambda s: rate_window(s, 2, 0.1, 0.0), InvalidEpsilonError),
+    (lambda s: rate_window(s, 2, 0.1, 1.0), InvalidEpsilonError),
+    (lambda s: one_shot_converse(s, 1, np.eye(3) / 3), DimensionMismatchError),
+    (lambda s: hypothesis_testing_divergence(np.eye(2) / 2, np.eye(3) / 3, 0.1),
+     DimensionMismatchError),
+], ids=["window_eps_zero", "window_eps_one", "window_alpha_zero", "window_alpha_one",
+        "converse_sigma_dimension", "divergence_shapes"])
+def test_invalid_input_raises_typed_error(call, error):
+    with pytest.raises(error):
+        call(presets.zero_plus_source())

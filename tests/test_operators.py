@@ -119,6 +119,11 @@ def test_non_hermitian_rejected():
         eig_hermitian(np.zeros((2, 3)))
 
 
+def test_pinch_rejects_shapes_that_differ():
+    with pytest.raises(DimensionMismatchError):
+        pinch(np.eye(2), np.eye(3))
+
+
 def test_spectral_power_and_log_against_scipy():
     rho = random_density(RNG, 4)
     assert np.allclose(spectral_power(rho, 0.5) @ spectral_power(rho, 0.5),

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 import cqsw.hypotest as hypotest
 import cqsw.operators as operators
 from cqsw import presets
+from cqsw.classical import TypeTable
 from cqsw.hypotest import _dh_blocks, rate_window
 from cqsw.operators import random_density, random_hermitian, tensor
 from cqsw.states import CQState, _sym_powers, _types, marginal_b, schur_weyl_blocks, type_classes
@@ -257,3 +258,14 @@ def test_vanishing_irreps_leave_dh_at_zero_unchanged(source):
         ker_sigma = every(0.0)[3] - kept(0.0)[3]
         assert ker_sigma > 1e-3
         assert kept(0.0)[:3] == pytest.approx(every(0.0)[:3], abs=1e-14, rel=0.0)
+
+
+@pytest.mark.parametrize("n", [6, 8, 10, 12])
+def test_irrep_table_matches_the_type_sort_of_a_commuting_source(n):
+    # the exact sort over joint types is the oracle for the irrep route at
+    # blocklengths where type-class blocks of 2^n rows are out of reach
+    s = presets.doubly_symmetric(0.11)
+    irreps = hypotest._MassTable(schur_weyl_blocks(s, n, cap=4 ** n))
+    types = TypeTable(hypotest._commuting_cells(s), n)
+    for eps in (0.05, 0.1, 0.2):
+        assert irreps.dh(eps) == pytest.approx(types.dh(eps), rel=1e-12, abs=0.0)

@@ -123,14 +123,14 @@ def test_pair_divergences_eigendecompose_each_operand_once(eig_count, rank):
 
 
 def test_dummy_divergence_uses_block_spectra(eig_count, warmed_zero_plus):
-    # per block: the spectrum of sigma_x on its first use, which sigma_x then
-    # keeps, plus the leak only where the source block is rank deficient;
+    # per block: the spectrum of sigma_x from its validation, which sigma_x
+    # then keeps, plus the leak only where the source block is rank deficient;
     # log2(p rho_x) and its support come from the kept block spectra
     rng = np.random.default_rng(8)
     s = presets.random_cq_state(rng, 3, 2)
     s.block_spectra()
-    d = DummyState(rng.dirichlet(np.ones(3)), [random_density(rng, 2) for _ in range(3)])
     eig_count.clear()
+    d = DummyState(rng.dirichlet(np.ones(3)), [random_density(rng, 2) for _ in range(3)])
     assert math.isfinite(dummy_divergence(s, d))
     assert len(eig_count) == 3
     # validation adds nothing at full rank, the divergence nothing with the

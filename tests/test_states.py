@@ -7,7 +7,13 @@ import json
 import numpy as np
 import pytest
 
-from cqsw.errors import CapExceededError, InvariantViolation, ParseError
+from cqsw.errors import (
+    CapExceededError,
+    DimensionMismatchError,
+    DomainError,
+    InvariantViolation,
+    ParseError,
+)
 from cqsw import presets
 from cqsw.states import (
     CQState,
@@ -17,6 +23,7 @@ from cqsw.states import (
     marginal_b,
     power_state,
     save_state,
+    schur_weyl_blocks,
 )
 
 RNG = np.random.default_rng(7)
@@ -150,3 +157,34 @@ def test_type_classes_skip_zero_symbols_and_keep_cap():
     assert [m for m, _, _ in classes] == [1, 2, 1]
     with pytest.raises(CapExceededError):
         type_classes(s, 4, cap=100)
+
+
+_RHO = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+
+
+def _load_doc(tmp_path, **fields):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"alphabet": ["a"], "probs": [1.0], "dim_b": 2,
+                                "rho": [_RHO], **fields}))
+    return load_state(path)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda tmp: schur_weyl_blocks(presets.random_cq_state(np.random.default_rng(1), 2, 3), 2),
+     DimensionMismatchError),
+    (lambda tmp: _load_doc(tmp, rho=[_RHO[:1]]), ParseError),
+    (lambda tmp: _load_doc(tmp, rho=[[row[:1] for row in _RHO]]), ParseError),
+    (lambda tmp: _load_doc(tmp, rho=[[[0.5, [0.0, 0.0]], _RHO[1]]]), ParseError),
+    (lambda tmp: _load_doc(tmp, dim_b=0), ParseError),
+    (lambda tmp: CQState(["a", "b"], [1.0], [np.eye(2) / 2] * 2), InvariantViolation),
+    (lambda tmp: CQState(["a", "b"], [0.5, 0.5], [np.eye(2) / 2, np.eye(3) / 3]),
+     DimensionMismatchError),
+    (lambda tmp: CQState(["a", "b"], [1.5, -0.5], [np.eye(2) / 2] * 2), InvariantViolation),
+    (lambda tmp: DensityOperator(np.diag([1.5, -0.5])), InvariantViolation),
+    (lambda tmp: power_state(presets.doubly_symmetric(0.11), 0), DomainError),
+], ids=["schur_weyl_qutrit", "load_row_count", "load_entry_count", "load_not_a_pair",
+        "load_dim_b_zero", "lengths_disagree", "mixed_dimensions", "negative_probability",
+        "negative_eigenvalue", "blocklength_zero"])
+def test_invalid_input_raises_typed_error(tmp_path, call, error):
+    with pytest.raises(error):
+        call(tmp_path)

@@ -16,7 +16,7 @@ from cqsw.conditional import conditional_entropy, h_up
 from cqsw.errors import InvariantViolation, NoConvergenceError, SupportViolationError
 from cqsw.exponents import exponent
 from cqsw.operators import random_density
-from cqsw.states import marginal_b
+from cqsw.states import CQState, marginal_b
 from cqsw.variational import (
     DummyState,
     dummy_divergence,
@@ -254,3 +254,26 @@ def test_sp_seed_nudged_off_alpha_star_refines_cheaply(monkeypatch):
     assert dummy_entropy(s, dummy) >= rate
     assert val == pytest.approx(exponent(s, rate, "sphere_packing", variant="flat"), abs=1e-8)
     assert 0 < len(calls) <= 60
+
+
+def _source_dummy(s):
+    return DummyState(np.array(s.probs, dtype=float), list(s.side_info))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda s: variational_value(s, 0.5, "nonsense", _source_dummy(s)), ValueError),
+    (lambda s: variational_minimize(s, 0.5, "nonsense", restarts=1), ValueError),
+    (lambda s: DummyState(np.array([1.0]), [np.eye(2) / 2]).validate_against(s),
+     InvariantViolation),
+    (lambda s: DummyState(np.array([0.5, 0.5]), [np.eye(2) / 2] * 2).validate_against(
+        CQState(["0", "1"], [1.0, 0.0], [np.eye(2) / 2] * 2)), SupportViolationError),
+    # raw sigma_x matrices are validated: trace and positivity
+    (lambda s: DummyState(np.array([0.5, 0.5]), [np.diag([1.5, 0.5]), np.diag([0.5, 0.5])]),
+     InvariantViolation),
+    (lambda s: DummyState(np.array([0.5, 0.5]), [np.diag([1.5, -0.5]), np.diag([0.5, 0.5])]),
+     InvariantViolation),
+], ids=["value_kind", "minimize_kind", "alphabet_size", "mass_on_zero_probability",
+        "sigma_trace_two", "sigma_not_psd"])
+def test_invalid_input_raises_typed_error(call, error):
+    with pytest.raises(error):
+        call(presets.doubly_symmetric(0.11))

@@ -72,7 +72,7 @@ def test_windows_do_not_depend_on_call_order(name):
         for eps, want in zip(_EPSILONS, fresh):
             assert shared[eps] == pytest.approx(want, abs=1e-13, rel=0.0)
     # the cap is still checked on a blocklength whose table is kept
-    assert n in s._windows
+    assert ("window", n) in s._cache
     with pytest.raises(CapExceededError):
         rate_window(s, n, 0.1, 0.5, cap=4)
 
@@ -84,7 +84,7 @@ def test_window_table_is_freed_with_its_state():
     try:
         s = presets.zero_plus_source()
         rate_window(s, 2, 0.1, 0.5)
-        table = weakref.ref(s._windows[2])
+        table = weakref.ref(s._cache[("window", 2)])
         del s
         assert table() is None
     finally:
