@@ -338,19 +338,26 @@ def _iterate_h_up(s, alpha, variant, x0=None) -> OptimizerReport:
     as it is, without the run: that is L-BFGS-B's own exit after its first
     evaluation, so the report (0 iterations, 1 evaluation) is the one the
     run would give. Warm starts from a neighbouring alpha on a source whose
-    optimum does not move with alpha are such starts."""
+    optimum does not move with alpha are such starts. A warm start on the
+    penalty plateau, where D_alpha is infinite and the gradient zero, is
+    dropped for sigma = 1/d; a run that ends on the plateau raises
+    NoConvergenceError."""
     basis = _traceless_basis(s.dim_b)
-    start = np.zeros(len(basis)) if x0 is None else np.asarray(x0, dtype=float)
+    flat = np.zeros(len(basis))
+    start = flat if x0 is None else np.asarray(x0, dtype=float)
     objective = _h_up_objective(s, alpha, variant, basis, grad=True)
     fun, jac = objective(start)
+    if fun == _PENALTY and start is not flat:
+        start = flat
+        fun, jac = objective(start)
     if fun != _PENALTY and math.isfinite(fun) and np.max(np.abs(jac)) <= _GTOL:
         x, nit, nfev = start, 0, 1
     else:
         res = minimize(objective, start, jac=True, method="L-BFGS-B",
                        options={"maxiter": 200, "ftol": 1e-14, "gtol": _GTOL})
         x, fun, jac, nit, nfev = res.x, res.fun, res.jac, res.nit, res.nfev
-    if not math.isfinite(fun):
-        raise NoConvergenceError("optimizer produced no finite value")
+    if fun == _PENALTY or not math.isfinite(fun):
+        raise NoConvergenceError(f"optimizer found no finite value at alpha = {alpha}")
     return OptimizerReport(_sigma_from_params(x, basis, s.dim_b), -float(fun),
                            int(nit), float(np.max(np.abs(jac))), int(nfev), x)
 
@@ -365,12 +372,13 @@ def _tabulated_solve(s: CQState, alpha: float, variant: str,
     """The iterate solve of variant at alpha, from the state's table or
     solved and added to it, with its slope (`_with_slope`) added to the
     table too where asked for. A solve starts from the tabulated optimum of
-    the variant at the nearest alpha, or from sigma = 1/d where the table
-    has none."""
+    the variant at the nearest alpha on the same side of alpha = 1, or from
+    sigma = 1/d where the table has none there: an optimum below 1 can be
+    near singular, and D_alpha above 1 infinite there."""
     table = s.cached(("h_up", variant), dict)
     rep = table.get(round(alpha, 12))
     if rep is None:
-        near = [(abs(a - alpha), a) for a in table]
+        near = [(abs(a - alpha), a) for a in table if (a > 1.0) == (alpha > 1.0)]
         x0 = table[min(near)[1]].params if near else None
         rep = _iterate_h_up(s, alpha, variant, x0)
     elif not slope or rep.slope is not None:

@@ -11,7 +11,16 @@ on the jumps of the mass and ends at the exact root.
 
 A block-diagonal pair enters as weighted blocks (weight, rho, sigma),
 zero-padded to one size and stacked once per pair (`_MassTable`); each
-threshold then costs one stacked eigendecomposition, unvalidated. Rate
+threshold then costs one stacked eigendecomposition, unvalidated. Every
+search evaluates t = 0 first, where rho - t sigma is rho. When that split
+shows every rho block of rank exactly one under the support cutoff rule
+(pure-state Schur-Weyl windows, a pure rho in `hypothesis_testing_divergence`
+or `hat_alpha`) and the blocks are larger than 2 x 2, the table
+eigendecomposes its sigma blocks once and takes every later threshold from
+the secular equation of the rank-one update (`_rank_one_masses`): a few
+vectorized Newton steps on (k, D) arrays, no eigendecomposition, and exact
+crossings. Other tables, and 2 x 2 blocks, whose closed-form
+eigendecomposition costs less, stay on the stacked eigendecomposition. Rate
 windows keep their table on the state, one per blocklength. When every
 block p(x) rho_x commutes with the others (the classical case, decided once
 per state by `_commuting_cells`), the n-fold pair of a rate window is a pair
@@ -58,6 +67,8 @@ from cqsw.states import (
 # it or below _NOISE_TOL times the largest eigenvalue of its block (`_split`)
 _KER_TOL = 1e-10
 _NOISE_TOL = 1e-13
+# Newton steps of a rank-one secular solve (`_rank_one_masses`)
+_SECULAR_STEPS = 64
 
 
 @dataclass
@@ -135,11 +146,13 @@ def _stack_blocks(blocks):
 
 def _threshold_masses(stack, t):
     """Masses of rho and sigma on the strictly positive eigenspace P and on
-    the kernel of rho - t sigma, summed over the blocks of the
-    `_stack_blocks` stack with each block's masses counted weight times, the
-    nearest thresholds above and below t where an eigenvalue of a block
-    crosses zero, and the slopes in t of the two masses on P, with the
-    `_split` of the stack: one stacked eigendecomposition.
+    the kernel of rho - t sigma, summed over the blocks of the stack with
+    each block's masses counted weight times, the nearest thresholds above
+    and below t where an eigenvalue of a block crosses zero, and the slopes
+    in t of the two masses on P, with the `_split` of the stack. A
+    `_stack_blocks` stack costs one stacked eigendecomposition; a stack that
+    carries rank-one factors (`_rank_one_stack`) costs none and has no split
+    (`_rank_one_masses`).
 
     The crossings are Hellmann-Feynman estimates: eigenvalue w_i of
     rho - t sigma moves with slope -<v_i|sigma|v_i>, so it reaches zero near
@@ -151,6 +164,8 @@ def _threshold_masses(stack, t):
     blocks commute. Returns ((pos_r, pos_s, ker_r, ker_s, up, down,
     slope_r, slope_s), split); up is +inf and down -inf where no eigenvalue
     crosses on that side."""
+    if len(stack) == 3:
+        return _rank_one_masses(stack, t), None
     wt, rs = stack
     w, v, d, pos, ker, sv = split = _split(rs, t)
     (pos_r, ker_r), (pos_s, ker_s) = np.einsum("k,xki,yki->xy", wt, d, (pos, ker)).tolist()
@@ -164,6 +179,108 @@ def _threshold_masses(stack, t):
     terms = np.divide(coupling, gap, out=np.zeros_like(gap), where=pair)
     slope_s = -2.0 * float(np.einsum("k,kij->", wt, terms))
     return (pos_r, pos_s, ker_r, ker_s, up, down, t * slope_s, slope_s), split
+
+
+def _rank_one_stack(stack, split):
+    """The `_stack_blocks` stack with the rank-one factors of its rho blocks,
+    from the `_split` of rho - 0 sigma = rho, when every rho block has rank
+    exactly one under the support cutoff rule and every sigma block is PSD;
+    the stack itself otherwise.
+
+    A rho block u u^dagger enters through the eigenvalues s (k, D) of its
+    sigma block and the weights a = |W^dagger u|^2 of u on the
+    eigenvectors W: one stacked eigendecomposition of the sigma blocks,
+    once per stack. An eigenvalue at or below _NOISE_TOL times the largest
+    of its block, the rounding of the eigensolver (`_split`), is 0. u
+    leaves supp sigma where its weight on s = 0 exceeds SUPPORT_CUTOFF
+    |u|^2 (as in `operators.leaks`); a smaller weight there is rounding and
+    is dropped. The block's one positive eigenvalue then crosses zero at
+    t_c = <u|sigma^-1|u>, and never (t_c = +inf) where u leaves
+    supp sigma. Returns (weights, rs, (s, a, off, <u|sigma|u>, t_c,
+    Tr sigma)), off (k, D) 1 where a is 0 and 0 elsewhere."""
+    wt, rs = stack
+    w, v = split[:2]
+    mag = np.abs(w)
+    big = mag > SUPPORT_CUTOFF * np.max(mag, axis=1, keepdims=True)
+    if not (np.all(np.sum(big, axis=1) == 1) and np.all(big[:, -1] & (w[:, -1] > 0.0))):
+        return stack
+    s, vs = eig_hermitian_stack(rs[1])
+    if np.any(s[:, 0] < -SUPPORT_CUTOFF * np.max(np.abs(s), axis=1)):
+        return stack
+    norm2 = w[:, -1]
+    u = v[:, :, -1] * np.sqrt(norm2)[:, None]
+    a = np.abs(np.einsum("kji,kj->ki", vs.conj(), u)) ** 2
+    kernel = s <= _NOISE_TOL * np.max(s, axis=1, keepdims=True)
+    s = np.where(kernel, 0.0, s)
+    leaks = np.sum(a, axis=1, where=kernel) > SUPPORT_CUTOFF * norm2
+    a[kernel & ~leaks[:, None]] = 0.0
+    t_c = np.where(leaks, math.inf, np.sum(np.divide(a, s, out=np.zeros_like(a), where=~kernel), axis=1))
+    off = (a == 0.0).astype(float)
+    return wt, rs, (s, a, off, np.sum(a * s, axis=1), t_c, np.trace(rs[1], axis1=1, axis2=2).real)
+
+
+def _rank_one_masses(stack, t):
+    """The values of `_threshold_masses` at t on a `_rank_one_stack`, with
+    no eigendecomposition.
+
+    In the eigenbasis of sigma, rho - t sigma = b b^dagger - t diag(s) with
+    |b|^2 = a, so its one eigenvalue outside -t s is the root lam of the
+    secular equation phi(lam) = sum_j a_j / e_j = 1, e_j = t s_j + lam
+    (Golub, SIAM Review 1973; Bunch, Nielsen and Sorensen, Numer. Math.
+    1978), positive exactly for t < t_c, with eigenvector
+    (t sigma + lam)^-1 u. Its masses are Tr[rho P] = 1 / sum_j a_j / e_j^2
+    and Tr[sigma P] = Tr[rho P] sum_j s_j a_j / e_j^2, and implicit
+    differentiation of the equation gives dlam/dt = -Tr[sigma P] and
+    dTr[sigma P]/dt = -2 Tr[rho P] sum_j a_j (s_j - Tr[sigma P])^2 / e_j^3;
+    the rho slope is t times it, as on any stack. Every other eigenvalue
+    is -t s_j on a direction orthogonal to u, with no mass where it is
+    zero, or stays below zero for t > 0, so the crossings are exact: t_c
+    above t for a positive lam, below it past t_c, and no others. lam
+    counts as zero by the cut of `_split`, with t max(s) for the largest
+    magnitude of -t sigma. At t = 0 the kernel is the complement of u and
+    carries the rest of sigma's trace.
+
+    For t < t_c, 1/phi is increasing and concave (a parallel sum of the
+    lines e_j / a_j), so Newton's method on it climbs monotonically to lam
+    from a lower bound: |u|^2 - t <u|sigma|u> / |u|^2 (Jensen) or the
+    largest a_j - t s_j. Past t_c the root is below 0, and the Newton step
+    on phi from 0 stands for it: exact to second order where lam can count
+    as zero, and kept above -t s_j elsewhere, where the block counts for
+    nothing."""
+    wt, _, (s, a, off, quad, t_c, tr_s) = stack
+    c = t * s + off  # off keeps e_j from 0 where a_j, and a_j / e_j, is 0
+    total = np.sum(a, axis=1)
+    below = t < t_c
+    lam = np.maximum.reduce([total - t * quad / total, np.max(a - c, axis=1), np.zeros_like(t_c)])
+    tol = 1e-14 * (total + t * s[:, -1])
+    for _ in range(_SECULAR_STEPS):
+        e = c + lam[:, None]
+        inv = a / e
+        phi = np.sum(inv, axis=1)
+        dphi = np.sum(inv / e, axis=1)  # -phi'(lam)
+        step = np.where(below, phi * (phi - 1.0) / dphi, 0.0)
+        lam += step
+        # quadratic convergence: after a step below tol only rounding is left
+        if np.all(np.abs(step) <= tol):
+            break
+    if not np.all(below):
+        # lam is 0 on these blocks, so phi and dphi were taken there
+        floor = -0.5 * np.min(c, axis=1, where=a > 0.0, initial=math.inf)
+        lam = np.where(below, lam, np.maximum((phi - 1.0) / dphi, floor))
+    e = c + lam[:, None]
+    inv2 = a / (e * e)
+    r = 1.0 / np.sum(inv2, axis=1)
+    sm = r * np.sum(inv2 * s, axis=1)
+    cut = np.maximum(_KER_TOL * np.abs(r + t * sm), _NOISE_TOL * np.maximum(np.abs(lam), t * s[:, -1]))
+    pos, ker = below & (lam > cut), np.abs(lam) <= cut
+    dev = s - sm[:, None]
+    slope_s = -2.0 * float(wt @ np.where(pos, r * np.sum(inv2 * dev * dev / e, axis=1), 0.0))
+    (pos_r, ker_r), (pos_s, ker_s) = ((wt * np.array([r, sm])) @ np.array([pos, ker], dtype=float).T).tolist()
+    if t == 0.0:
+        ker_s += float(wt @ (tr_s - sm))
+    up = float(np.min(t_c, where=pos, initial=math.inf))
+    down = float(np.max(t_c, where=~(pos | ker), initial=-math.inf))
+    return pos_r, pos_s, ker_r, ker_s, up, down, t * slope_s, slope_s
 
 
 class _MassTable:
@@ -189,7 +306,11 @@ class _MassTable:
         if t not in self.table:
             self.last = None  # hold one split at a time
             self.table[t], split = _threshold_masses(self.stack, t)
-            if self.keep_split:
+            if t == 0.0 and split is not None and self.stack[1].shape[-1] > 2:
+                # 2 x 2 blocks keep their closed-form eigendecomposition,
+                # which costs less per threshold than a secular solve
+                self.stack = _rank_one_stack(self.stack, split)
+            if self.keep_split and split is not None:
                 self.last = (t, split)
         return self.table[t]
 
@@ -372,7 +493,9 @@ def hypothesis_testing_divergence(rho, sigma, eps: float):
     rho, sigma = _hermitian_pair(rho, sigma)
     table = _MassTable([(1, rho, sigma)], keep_split=True)
     value, t, c, masses = _dh(table, eps)
-    last_t, split = table.last
+    # a search on the rank-one route keeps no split: one eigendecomposition
+    # at the final threshold then gives the test
+    last_t, split = table.last or (None, None)
     split = split if last_t == t else _split(np.array([[rho], [sigma]]), t)
     split = tuple(a[0] for a in split)
     pr, ps, kr, ks = masses[:4]

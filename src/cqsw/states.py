@@ -222,7 +222,12 @@ def _build_power_state(s: CQState, n: int) -> CQState:
         alphabet.append("".join(s.alphabet[i] for i in idx))
         probs.append(float(np.prod([s.probs[i] for i in idx])))
         ops.append(DensityOperator(tensor(*(s.side_info[i].matrix for i in idx)), check=False))
-    return CQState(alphabet, probs, ops, check=False)
+    out = CQState(alphabet, probs, ops, check=False)
+    # the marginal of a memoryless extension is the tensor power of the
+    # validated single-copy marginal: nothing to validate, and no spectrum
+    # until one is asked for
+    out._cache["marginal"] = DensityOperator(tensor(*([marginal_b(s).matrix] * n)), check=False)
+    return out
 
 
 def type_classes(s: CQState, n: int, cap: int = DEFAULT_CAP):

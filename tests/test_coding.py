@@ -355,9 +355,10 @@ def test_second_pgm_decoder_makes_only_bin_eigs(eig_count):
         assert all(sum(r) <= 2 ** n for r in ranks)
         return [sum(r) for r in ranks if len(r) >= 2]
 
-    # the marginal, one factor per type class, then the bins
+    # the single-copy marginal (the n-fold one is its tensor power and is
+    # not validated), one factor per type class, then the bins
     assert bin_eigs(encoders[0]) == [2, 4, 2]
-    assert eig_count == [2 ** n] * (1 + (n + 1)) + bin_eigs(encoders[0])
+    assert eig_count == [2] + [2 ** n] * (n + 1) + bin_eigs(encoders[0])
     eig_count.clear()
     pgm_decoder(s, n, encoders[1], w_size)
     assert bin_eigs(encoders[1]) == [5, 2]

@@ -21,8 +21,10 @@ from cqsw.conditional import (
     petz_sigma_star,
     von_neumann_entropy,
 )
+import cqsw.conditional as conditional
 from cqsw.divergences import VARIANTS, renyi_divergence
-from cqsw.errors import InvalidAlphaError
+from cqsw.errors import InvalidAlphaError, NoConvergenceError
+from cqsw.exponents import exponent
 from cqsw.operators import LN2
 from cqsw.states import as_joint_operator, marginal_b
 from grid_oracle import grid_h_up
@@ -233,3 +235,36 @@ def test_petz_spectrum_counts_the_marginal_rank_once(monkeypatch):
         _petz_sibson(s, alpha, slope=True)
     petz_h0(s)
     assert len(calls) == 1
+
+
+def test_solves_on_one_side_of_alpha_one_do_not_start_the_other():
+    # the sandwiched optimum of a random-coding exponent (alpha < 1) is near
+    # singular on zero_plus, where D_alpha above 1 is infinite: a solve
+    # above 1 that started there stopped at once on the penalty plateau, and
+    # the strong converse after it raised TypeError on a missing slope
+    s = presets.zero_plus_source()
+    exponent(s, conditional_entropy(s) + 0.1, "random_coding", variant="sandwiched")
+    fresh = exponent(presets.zero_plus_source(), 0.2, "strong_converse_star")
+    assert exponent(s, 0.2, "strong_converse_star") == pytest.approx(fresh, rel=1e-12)
+    s = presets.zero_plus_source()
+    h_up(s, 0.5, "sandwiched")
+    fresh = h_up(presets.zero_plus_source(), 20, "sandwiched")
+    assert h_up(s, 20, "sandwiched").value == pytest.approx(fresh.value, rel=1e-12)
+    assert fresh.value > 0.0
+
+
+def test_warm_start_on_the_penalty_plateau_restarts_from_the_flat_state():
+    s = presets.zero_plus_source()
+    below = h_up(s, 0.5, "sandwiched")
+    fresh = _iterate_h_up(s, 20.0, "sandwiched")
+    warm = _iterate_h_up(s, 20.0, "sandwiched", below.params)
+    assert warm.value == fresh.value and warm.iterations == fresh.iterations
+
+
+def test_iterate_solve_on_the_plateau_raises(monkeypatch):
+    def plateau(s, alpha, variant, basis, grad=False):
+        return lambda x: (conditional._PENALTY, np.zeros(len(basis)))
+
+    monkeypatch.setattr(conditional, "_h_up_objective", plateau)
+    with pytest.raises(NoConvergenceError):
+        _iterate_h_up(presets.zero_plus_source(), 20.0, "sandwiched")

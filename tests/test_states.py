@@ -87,6 +87,20 @@ def test_power_state_built_once_per_n_and_cap_checked_every_call():
         power_state(s, 2, cap=8)  # 2^2 * 2^2 = 16 > 8, memoised or not
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_power_state_marginal_is_the_tensor_power(eig_count, n):
+    # the sum over strings, validated, against the tensor power of the
+    # validated single-copy marginal, which costs no eigendecomposition
+    s = presets.random_cq_state(np.random.default_rng(n), 3, 2)
+    marginal_b(s)
+    sn = power_state(s, n)
+    eig_count.clear()
+    got = marginal_b(sn).matrix
+    assert eig_count == []
+    want = sum(p * r.matrix for p, r in zip(sn.probs, sn.side_info))
+    assert np.allclose(got, want, atol=1e-15, rtol=0.0)
+
+
 def test_save_load_roundtrip(tmp_path):
     s = presets.random_cq_state(RNG, 3, 2)
     path = tmp_path / "state.json"
